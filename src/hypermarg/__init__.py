@@ -19,7 +19,6 @@ from .probes import ProbeSet, canonical_probes, rademacher_probes
 from .lanczos import (
     LanczosDecomp,
     lanczos_decompose,
-    lanczos_inv_sqrt_apply,
     lanczos_quadform_log,
     slq_logdet_batch,
 )
@@ -35,12 +34,10 @@ from .kernels import (
 from .model import (
     Box,
     CounterLedger,
-    HyperParams,
     HyperPrior,
     ProblemSpec,
     PsiOperator,
     build_psi,
-    hyperprior_eval,
     reconstruct,
     synthesize_data,
 )
@@ -58,11 +55,9 @@ from .problems import (
 )
 from .objective import (
     ObjectiveEval,
-    SlqWorkspace,
     eval_F_exact,
     eval_F_slq,
     grad_F_exact,
-    grad_F_mc,
     grad_fd,
     psi_preconditioner,
 )

@@ -339,7 +339,7 @@ def estimate_spectral_constants(
             alpha = min(alpha, float(ritz[0]))
             beta = max(beta, float(ritz[-1]))
             w = rademacher_probes(op.m, frob_probes, seed, "constants").w
-            frob_sq = float(np.mean([np.sum(op.matvec(w[:, i]) ** 2) for i in range(frob_probes)]))
+            frob_sq = float(np.mean(np.sum(op.matmat(w) ** 2, axis=0)))
             frob_max = max(frob_max, math.sqrt(frob_sq))
         lipschitz = 0.0
         pairs = list(itertools.combinations(range(len(thetas)), 2))

@@ -9,10 +9,6 @@ Subcommands::
 
 Exit status: 0 on success, 2 for configuration or usage errors, 3 when a
 numerical operation fails (indefinite pivot, stalled solve, ...).
-
-Probe-level parallelism is controlled by the ``HYPERMARG_THREADS``
-environment variable (default 1); results are bit-identical whatever the
-pool size.
 """
 
 from __future__ import annotations
@@ -36,7 +32,6 @@ def _build_parser():
     parser = argparse.ArgumentParser(
         prog="hypermarg",
         description="Hyperparameter estimation runs, diagnostics and budgets.",
-        epilog="Set HYPERMARG_THREADS to parallelize per-probe work.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -205,7 +205,7 @@ def majorant_slice(cfg):
     lo, hi = problem.box.lower[axis], problem.box.upper[axis]
     if sl["grid_min"] < lo - 1e-12 or sl["grid_max"] > hi + 1e-12:
         raise ConfigError("slice grid leaves the feasible box")
-    if not (problem.supports_dense and problem.m <= DENSE_LIMIT):
+    if problem.m > DENSE_LIMIT:
         raise ConfigError("majorant slices need a dense-auditable problem")
 
     pieces = _anchor_pieces(problem, anchor)

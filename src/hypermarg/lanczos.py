@@ -1,31 +1,29 @@
-"""Lanczos tridiagonalization and the matrix-function quadratic forms built on it.
+"""Lanczos tridiagonalization and the log quadratic forms built on it.
 
-The stochastic log-determinant machinery needs two Krylov primitives:
+The stochastic log-determinant machinery needs one Krylov primitive:
+w^T log(M) w approximated from K Lanczos steps, via the Gauss quadrature
+weights hiding in the tridiagonal eigendecomposition.  It is a thin layer
+over :func:`lanczos_decompose`, which is where the numerical care lives:
+full reorthogonalization (on by default) and explicit breakdown detection
+with a tolerance relative to the operator's estimated scale.  Breakdown is
+not an error — the Krylov space is simply exhausted, and the truncated
+tridiagonal matrix already gives the exact quadratic form.
 
-* ``lanczos_quadform_log``  —  w^T log(M) w  approximated from K Lanczos steps,
-  via the Gauss quadrature weights hiding in the tridiagonal eigendecomposition;
-* ``lanczos_inv_sqrt_apply``  —  M^{-1/2} w, used to symmetrize preconditioned
-  trace estimators.
-
-Both are thin layers over :func:`lanczos_decompose`, which is where the
-numerical care lives: full reorthogonalization (on by default) and explicit
-breakdown detection with a tolerance relative to the operator's estimated
-scale.  Breakdown is not an error — the Krylov space is simply exhausted, and
-the truncated tridiagonal matrix already gives the exact quadratic form.
+``lanczos_decompose`` takes one starting vector or a block of them; a block
+runs one recurrence per column, each in its own Krylov space, with one
+operator product per step for all columns still running.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .operators import NumericalError
+from .operators import DenseSymOp, NumericalError, _columnwise
 
 __all__ = [
     "LanczosDecomp",
     "lanczos_decompose",
     "lanczos_quadform_log",
-    "lanczos_inv_sqrt_apply",
     "slq_logdet_batch",
 ]
 
@@ -34,76 +32,89 @@ __all__ = [
 BREAKDOWN_RTOL = 1e-12
 
 
+def _tridiagonals(alpha, beta):
+    """(g, s, s) stack of tridiagonal matrices from (s, g) and (s-1, g) coefficients."""
+    s, g = alpha.shape
+    t = np.zeros((g, s, s))
+    diag = np.arange(s)
+    t[:, diag, diag] = alpha.T
+    off = np.arange(s - 1)
+    t[:, off, off + 1] = beta.T
+    t[:, off + 1, off] = beta.T
+    return t
+
+
 @dataclass
 class LanczosDecomp:
     """Result of a (possibly truncated) Lanczos run.
 
-    ``basis`` holds the orthonormal Lanczos vectors as columns (m x k_eff);
-    ``alpha``/``beta`` are the tridiagonal coefficients; ``vnorm`` is the
-    norm of the starting vector (needed to undo the normalization in
-    quadratic forms); ``breakdown_step`` is the step count at which the
-    recurrence terminated early, or ``None`` if all requested steps ran.
+    From a starting vector: ``basis`` holds the orthonormal Lanczos vectors
+    as columns (m x k_eff), ``alpha``/``beta`` are the tridiagonal
+    coefficients, ``vnorm`` is the norm of the starting vector (needed to
+    undo the normalization in quadratic forms), ``steps`` equals k_eff, and
+    ``breakdown_step`` is the step count at which the recurrence terminated
+    early, or ``None`` if all requested steps ran.
+
+    From a block of n starting vectors: ``basis`` is (m, k, n), ``alpha`` is
+    (k, n), ``beta`` is (k-1, n) and ``vnorm`` is (n,), column j holding the
+    run from column j; ``steps`` is the (n,) array of per-column step counts
+    (below k where that column broke down), and entries past a column's
+    count are zero.  ``breakdown_step`` is ``None``.
     """
 
     basis: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
     vnorm: float
+    steps: object
     breakdown_step: int = None
 
     @property
     def k_eff(self):
-        return self.alpha.shape[0]
+        """Lanczos steps run, summed over the columns of a block."""
+        return int(np.sum(self.steps))
 
     def tridiagonal(self):
-        k = self.k_eff
-        t = np.zeros((k, k))
-        np.fill_diagonal(t, self.alpha)
-        if k > 1:
-            idx = np.arange(k - 1)
-            t[idx, idx + 1] = self.beta
-            t[idx + 1, idx] = self.beta
-        return t
-
-    def _eigen(self):
-        if self.k_eff == 1:
-            return np.array([self.alpha[0]]), np.array([[1.0]])
-        return scipy.linalg.eigh_tridiagonal(self.alpha, self.beta)
+        """The k_eff x k_eff tridiagonal matrix of a single-vector run."""
+        return _tridiagonals(self.alpha[:, None], self.beta[:, None])[0]
 
     def quadform_log(self):
-        """||v||^2 * e_1^T log(T) e_1 from this decomposition."""
-        eigvals, eigvecs = self._eigen()
-        if np.any(eigvals <= 0.0):
-            bad = float(eigvals.min())
-            raise NumericalError(
-                f"log quadrature hit a non-positive Ritz value {bad:.6e}; "
-                "the operator is not positive definite at this accuracy"
+        """||v||^2 * e_1^T log(T) e_1, one value per column for a block."""
+        block = self.alpha.ndim == 2
+        alpha = self.alpha if block else self.alpha[:, None]
+        beta = self.beta if block else self.beta[:, None]
+        steps = np.atleast_1d(self.steps)
+        values = np.empty(steps.shape[0])
+        for s in np.unique(steps):
+            idx = np.flatnonzero(steps == s)
+            eigvals, eigvecs = np.linalg.eigh(
+                _tridiagonals(alpha[:s, idx], beta[: s - 1, idx])
             )
-        weights = eigvecs[0, :] ** 2
-        return float(self.vnorm**2 * np.dot(weights, np.log(eigvals)))
-
-    def inv_sqrt_apply(self):
-        """V T^{-1/2} e_1 ||v||  (approximates M^{-1/2} v)."""
-        eigvals, eigvecs = self._eigen()
-        if np.any(eigvals <= 0.0):
-            bad = float(eigvals.min())
-            raise NumericalError(
-                f"inverse square root hit a non-positive Ritz value {bad:.6e}; "
-                "the operator is not positive definite at this accuracy"
-            )
-        coeff = eigvecs @ (eigvecs[0, :] / np.sqrt(eigvals))
-        return self.basis @ (self.vnorm * coeff)
+            if np.any(eigvals <= 0.0):
+                bad = float(eigvals.min())
+                raise NumericalError(
+                    f"log quadrature hit a non-positive Ritz value {bad:.6e}; "
+                    "the operator is not positive definite at this accuracy"
+                )
+            weights = eigvecs[:, 0, :] ** 2
+            values[idx] = np.einsum("gk,gk->g", weights, np.log(eigvals))
+        values *= np.atleast_1d(self.vnorm) ** 2
+        return values if block else float(values[0])
 
 
 def lanczos_decompose(op, v, k, reorth=True):
-    """Run k Lanczos steps of ``op`` from starting vector ``v``.
+    """Run k Lanczos steps of ``op`` from ``v``, or from each column of ``v``.
 
     Parameters
     ----------
     op : SymOp
         Symmetric operator (applications are counted by the operator).
     v : array
-        Starting vector; must be nonzero.
+        Starting vector ``(m,)``, or a block ``(m, n)`` of starting vectors;
+        each must be nonzero.  A block runs one recurrence per column, with
+        its own coefficients, breakdown test and reorthogonalization against
+        its own basis, and applies the operator once per step, through
+        ``op.matmat``, to the columns that have not broken down.
     k : int
         Number of steps, 1 <= k <= m.
     reorth : bool
@@ -116,50 +127,87 @@ def lanczos_decompose(op, v, k, reorth=True):
     if not 1 <= k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= {m}, got {k}")
     v = np.asarray(v, dtype=float)
-    if v.shape != (m,):
-        raise ValueError(f"starting vector must have shape ({m},)")
-    vnorm = float(np.linalg.norm(v))
-    if vnorm == 0.0:
-        raise ValueError("starting vector must be nonzero")
+    if v.ndim not in (1, 2) or v.shape[0] != m:
+        raise ValueError(f"starting vector must have shape ({m},) or ({m}, n)")
+    apply, dot = _columnwise(op, v)
+    block = v.ndim == 2
+    if block:
 
-    basis = np.empty((m, k))
-    alpha = np.empty(k)
-    beta = np.empty(max(k - 1, 0))
+        def project(vecs, u):
+            return np.einsum("mjn,jn->mn", vecs, np.einsum("mjn,mn->jn", vecs, u))
+
+    else:
+
+        def project(vecs, u):
+            return vecs @ (vecs.T @ u)
+
+    # Squared norms and the first alpha from raw dot products: exact for
+    # sign probes, which keeps the first coefficient exact too (alpha_1 = 1
+    # exactly for the identity, so its log quadratic form is exactly zero
+    # rather than ~1e-15).
+    vsq = dot(v, v)
+    if np.any(vsq == 0.0):
+        raise ValueError("starting vector must be nonzero")
+    vnorm = np.sqrt(vsq)
+
+    cols = v.shape[1:]
+    basis = np.zeros((m, k) + cols)
+    alpha = np.zeros((k,) + cols)
+    beta = np.zeros((max(k - 1, 0),) + cols)
+    steps = np.full(cols, k)
+    active = np.ones(cols, dtype=bool)
     basis[:, 0] = v / vnorm
-    v_prev = np.zeros(m)
-    beta_prev = 0.0
-    norm_est = 0.0
-    breakdown = None
-    k_eff = k
+    v_prev = np.zeros_like(v)
+    beta_prev = np.zeros(cols)
+    norm_est = np.zeros(cols)
 
     for j in range(k):
-        u = op.matvec(basis[:, j])
-        a = float(np.dot(basis[:, j], u))
-        u = u - a * basis[:, j] - beta_prev * v_prev
+        q = basis[:, j]
+        if j == 0:
+            raw = apply(v)
+            u = raw / vnorm
+            a = dot(v, raw) / vsq
+        else:
+            if active.all():
+                u = apply(q)
+            else:
+                # only a block gets here: broken-down columns stay zero
+                u = np.zeros_like(q)
+                u[:, active] = op.matmat(q[:, active])
+            a = dot(q, u)
+        u = u - a * q - beta_prev * v_prev
         if reorth:
             for _ in range(2):
-                u -= basis[:, : j + 1] @ (basis[:, : j + 1].T @ u)
-        b = float(np.linalg.norm(u))
+                u -= project(basis[:, : j + 1], u)
+        b = np.sqrt(dot(u, u))
         alpha[j] = a
-        # Gershgorin row bound on T as a running scale estimate
-        norm_est = max(norm_est, abs(a) + abs(beta_prev) + b)
-        if j < k - 1 and b <= BREAKDOWN_RTOL * max(norm_est, np.finfo(float).tiny):
-            # Krylov space exhausted before the requested step count
-            breakdown = j + 1
-            k_eff = j + 1
+        if j == k - 1:
             break
-        if j < k - 1:
-            beta[j] = b
-            v_prev = basis[:, j]
-            basis[:, j + 1] = u / b
-            beta_prev = b
+        # Gershgorin row bound on T as a running scale estimate
+        norm_est = np.maximum(norm_est, np.abs(a) + np.abs(beta_prev) + b)
+        dead = active & (b <= BREAKDOWN_RTOL * np.maximum(norm_est, np.finfo(float).tiny))
+        # Krylov space exhausted before the requested step count
+        steps[dead] = j + 1
+        active &= ~dead
+        if not active.any():
+            break
+        beta_prev = np.where(active, b, 0.0)
+        beta[j] = beta_prev
+        v_prev = q
+        basis[:, j + 1] = np.where(active, u / np.where(active, b, 1.0), 0.0)
 
+    if block:
+        return LanczosDecomp(
+            basis=basis, alpha=alpha, beta=beta, vnorm=vnorm, steps=steps
+        )
+    k_eff = int(steps)
     return LanczosDecomp(
         basis=basis[:, :k_eff].copy(),
         alpha=alpha[:k_eff].copy(),
-        beta=beta[: max(k_eff - 1, 0)].copy(),
-        vnorm=vnorm,
-        breakdown_step=breakdown,
+        beta=beta[: k_eff - 1].copy(),
+        vnorm=float(vnorm),
+        steps=k_eff,
+        breakdown_step=k_eff if k_eff < k else None,
     )
 
 
@@ -168,107 +216,16 @@ def lanczos_quadform_log(op, w, k, reorth=True):
     return lanczos_decompose(op, w, k, reorth=reorth).quadform_log()
 
 
-def lanczos_inv_sqrt_apply(op, w, k, reorth=True):
-    """Approximate M^{-1/2} w with k Lanczos steps."""
-    return lanczos_decompose(op, w, k, reorth=reorth).inv_sqrt_apply()
-
-
 def slq_logdet_batch(mat, w_block, k, reorth=True):
     """Per-probe log quadratic forms for a dense symmetric matrix.
 
-    Vectorized over probes: one BLAS-3 matrix product per Lanczos step
-    instead of one matvec per probe per step.  Used by the trace-estimation
-    benchmarks and the batched acceptance checks, where the operator is an
-    explicit matrix anyway.  Returns an array of w_i^T log(M) w_i values,
-    one per column of ``w_block``; their mean estimates trace(log M).
-
-    Agrees with the per-probe path (same starting vectors, same step count)
-    to floating-point roundoff.
+    Returns an array of w_i^T log(M) w_i values, one per column of
+    ``w_block``; their mean estimates trace(log M).  Used by the
+    trace-estimation benchmarks and the batched acceptance checks, where the
+    operator is an explicit matrix anyway.
     """
     mat = np.asarray(mat, dtype=float)
-    m = mat.shape[0]
     w_block = np.asarray(w_block, dtype=float)
-    if w_block.ndim != 2 or w_block.shape[0] != m:
-        raise ValueError(f"probe block must have shape ({m}, n)")
-    n = w_block.shape[1]
-    k = int(k)
-    if not 1 <= k <= m:
-        raise ValueError(f"k must satisfy 1 <= k <= {m}, got {k}")
-
-    # Squared norms from a raw dot product: exact for sign probes, which
-    # keeps the first Lanczos coefficient exact too (alpha_1 = 1 exactly
-    # for the identity matrix, so its zero-error benchmark row really is
-    # zero rather than ~1e-15).
-    wsq = np.einsum("mn,mn->n", w_block, w_block)
-    if np.any(wsq == 0.0):
-        raise ValueError("probe vectors must be nonzero")
-    wnorm = np.sqrt(wsq)
-
-    basis = np.zeros((k, m, n))
-    alphas = np.zeros((k, n))
-    betas = np.zeros((max(k - 1, 0), n))
-    k_cut = np.full(n, k, dtype=int)
-    active = np.ones(n, dtype=bool)
-
-    basis[0] = w_block / wnorm
-    v_prev = np.zeros((m, n))
-    beta_prev = np.zeros(n)
-    norm_est = np.zeros(n)
-
-    for j in range(k):
-        if j == 0:
-            raw = mat @ w_block
-            u = raw / wnorm
-            a = np.einsum("mn,mn->n", w_block, raw) / wsq
-        else:
-            u = mat @ basis[j]
-            a = np.einsum("mn,mn->n", basis[j], u)
-        u = u - a * basis[j] - beta_prev * v_prev
-        if reorth:
-            for _ in range(2):
-                proj = np.einsum("jmn,mn->jn", basis[: j + 1], u)
-                u -= np.einsum("jmn,jn->mn", basis[: j + 1], proj)
-        b = np.linalg.norm(u, axis=0)
-        alphas[j, active] = a[active]
-        norm_est = np.maximum(norm_est, np.abs(a) + np.abs(beta_prev) + b)
-        dead = active & (b <= BREAKDOWN_RTOL * np.maximum(norm_est, np.finfo(float).tiny))
-        k_cut[dead] = j + 1
-        active = active & ~dead
-        if j < k - 1:
-            betas[j, active] = b[active]
-            v_prev = basis[j]
-            safe = np.where(active, b, 1.0)
-            basis[j + 1] = np.where(active, u / safe, 0.0)
-            beta_prev = np.where(active, b, 0.0)
-
-    values = np.empty(n)
-    full = k_cut == k
-    if np.any(full):
-        idx = np.nonzero(full)[0]
-        t_stack = np.zeros((idx.size, k, k))
-        diag = np.arange(k)
-        t_stack[:, diag, diag] = alphas[:, idx].T
-        if k > 1:
-            off = np.arange(k - 1)
-            t_stack[:, off, off + 1] = betas[:, idx].T
-            t_stack[:, off + 1, off] = betas[:, idx].T
-        eigvals, eigvecs = np.linalg.eigh(t_stack)
-        if np.any(eigvals <= 0.0):
-            bad = float(eigvals.min())
-            raise NumericalError(
-                f"log quadrature hit a non-positive Ritz value {bad:.6e}"
-            )
-        weights = eigvecs[:, 0, :] ** 2
-        values[idx] = wsq[idx] * np.einsum(
-            "nk,nk->n", weights, np.log(eigvals)
-        )
-    for i in np.nonzero(~full)[0]:
-        kc = k_cut[i]
-        dec = LanczosDecomp(
-            basis=np.empty((m, 0)),
-            alpha=alphas[:kc, i],
-            beta=betas[: kc - 1, i],
-            vnorm=float(wnorm[i]),
-        )
-        values[i] = dec.quadform_log()
-    return values
+    if w_block.ndim != 2 or w_block.shape[0] != mat.shape[0]:
+        raise ValueError(f"probe block must have shape ({mat.shape[0]}, n)")
+    return lanczos_decompose(DenseSymOp(mat), w_block, k, reorth=reorth).quadform_log()

@@ -40,7 +40,6 @@ from .objective import (
     psi_preconditioner,
 )
 from .operators import DENSE_LIMIT, NumericalError
-from .parallel import probe_map
 from .pcg import pcg_solve
 from .probes import rademacher_probes
 
@@ -177,26 +176,21 @@ def build_surrogate(
 ):
     """Anchor the sampled majorant: solve z_i = Psi(theta_t)^{-1} w_i.
 
-    The solves are the per-iteration price of the method and must be
-    trustworthy, so a non-converged solve is a hard error.  The solved block
-    is also attached to ``probes.z``.
+    One column-batched CG call solves for all probes.  The solves are the
+    per-iteration price of the method and must be trustworthy, so a
+    non-converged solve is a hard error.  The solved block is also attached
+    to ``probes.z``.
     """
     theta_t = np.asarray(theta_t, dtype=float)
     psi_t = build_psi(problem, theta_t)
-
-    def one(i):
-        res = pcg_solve(
-            psi_t, probes.column(i), pre=pre, tol=pcg_tol, maxit=pcg_maxit
+    res = pcg_solve(psi_t, probes.w, pre=pre, tol=pcg_tol, maxit=pcg_maxit)
+    if not res.converged:
+        i = int(np.argmax(res.relres))
+        raise NumericalError(
+            f"anchor solve for probe {i} stalled at relative residual "
+            f"{res.relres[i]:.3e} after {pcg_maxit} iterations"
         )
-        if not res.converged:
-            raise NumericalError(
-                f"anchor solve for probe {i} stalled at relative residual "
-                f"{res.relres:.3e} after {res.iterations} iterations"
-            )
-        return res
-
-    solves = probe_map(one, range(probes.n_probes))
-    z = np.column_stack([s.x for s in solves])
+    z = res.x
     probes.z = z
     surrogate = StochasticSurrogate(
         problem=problem,
@@ -207,7 +201,7 @@ def build_surrogate(
         pcg_tol=pcg_tol,
         pcg_maxit=pcg_maxit,
     )
-    surrogate.pcg_iters = sum(s.iterations for s in solves)
+    surrogate.pcg_iters = res.iterations
     return surrogate
 
 
@@ -324,8 +318,7 @@ class M3cResult:
 
 def _resolve_audit(problem, audit):
     if audit == "auto":
-        dense_ok = problem.supports_dense and problem.m <= DENSE_LIMIT
-        return "exact" if dense_ok else "slq"
+        return "exact" if problem.m <= DENSE_LIMIT else "slq"
     if audit in ("exact", "slq"):
         return audit
     raise ValueError(f"unknown audit mode {audit!r}")
@@ -453,7 +446,9 @@ def m3c_optimize(
     pay the anchor solves, minimize the sampled majorant over the box, and
     audit the proposal against an independent fixed estimate of F.  A
     proposal that fails the audit is rejected: the anchor is kept, the probe
-    budget doubles, and the step does not count toward convergence.  The
+    budget doubles, and the step does not count toward convergence.  Nor
+    does a proposal that stayed at the anchor because the inner minimizer
+    gave up without converging; it is accepted as a null step.  The
     audit is exact (dense) when the problem allows it, otherwise a fixed
     probe set shared across all iterations keeps rejections comparable.
 
@@ -491,6 +486,9 @@ def m3c_optimize(
         rel_step = float(np.linalg.norm(inner.theta - theta)) / max(
             1.0, float(np.linalg.norm(theta))
         )
+        # a proposal left at the anchor because the inner minimizer gave up
+        # (backtracking exhausted) is no evidence of stationarity
+        stuck = not inner.converged and np.array_equal(inner.theta, theta)
         if accepted:
             theta = inner.theta
             f_here = f_new
@@ -514,7 +512,7 @@ def m3c_optimize(
         )
         if callback is not None:
             callback(records[-1])
-        if accepted and rel_step <= tol:
+        if accepted and rel_step <= tol and not stuck:
             converged = True
             break
     return M3cResult(

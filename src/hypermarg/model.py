@@ -1,4 +1,4 @@
-"""Hierarchical model containers: hyperparameters, priors, problems, and Psi.
+"""Hierarchical model containers: box, priors, problems, and Psi.
 
 A problem bundles the pieces of the hierarchical linear-Gaussian model
 
@@ -23,34 +23,15 @@ from .pcg import pcg_solve
 from .rng import stream
 
 __all__ = [
-    "HyperParams",
     "Box",
     "HyperPrior",
     "CounterLedger",
     "ProblemSpec",
     "PsiOperator",
     "build_psi",
-    "hyperprior_eval",
     "synthesize_data",
     "reconstruct",
 ]
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """A split view of the stacked hyperparameter vector theta = (psi, y)."""
-
-    psi: np.ndarray
-    y: np.ndarray
-
-    @property
-    def theta(self):
-        return np.concatenate([self.psi, self.y])
-
-    @classmethod
-    def from_theta(cls, theta, q_dim):
-        theta = np.asarray(theta, dtype=float)
-        return cls(psi=theta[:q_dim].copy(), y=theta[q_dim:].copy())
 
 
 @dataclass(frozen=True)
@@ -169,11 +150,6 @@ class HyperPrior:
         return grad
 
 
-def hyperprior_eval(prior, theta):
-    """-log hyperprior density (up to constants) and its gradient."""
-    return prior.neglog(theta), prior.grad_neglog(theta)
-
-
 @dataclass
 class CounterLedger:
     """Shared matvec counters for one problem instance."""
@@ -208,6 +184,9 @@ class PsiOperator(SymOp):
     def _apply(self, v):
         return self.a_op.matvec(self.q_op.matvec(self.a_op.rmatvec(v))) + self.r_op.matvec(v)
 
+    def _apply_mat(self, V):
+        return self.a_op.matmat(self.q_op.matmat(self.a_op.rmatmat(V))) + self.r_op.matmat(V)
+
     def dense(self):
         a = self.a_op.dense()
         return a @ self.q_op.dense() @ a.T + self.r_op.dense()
@@ -240,7 +219,6 @@ class ProblemSpec:
     x_true: np.ndarray = None
     theta_true: np.ndarray = None
     counters: CounterLedger = field(default_factory=CounterLedger)
-    supports_dense: bool = True
     meta: dict = field(default_factory=dict)
 
     @property
@@ -252,9 +230,6 @@ class ProblemSpec:
         if theta.shape != (self.p,):
             raise ValueError(f"theta must have shape ({self.p},), got {theta.shape}")
         return theta[: self.q_dim], theta[self.q_dim :]
-
-    def params(self, theta):
-        return HyperParams.from_theta(theta, self.q_dim)
 
     def build_a(self, y):
         return self.a_builder(np.asarray(y, dtype=float))

@@ -48,24 +48,23 @@ class NystromPreconditioner:
     def rank(self):
         return self.basis.shape[1]
 
-    def _split(self, v):
+    def _divide(self, v, d, s):
+        """U diag(1/d) U^T v + (I - U U^T) v / s, for a vector or a block."""
+        v = np.asarray(v, dtype=float)
+        if self.rank == 0:
+            return v / s
         coeff = self.basis.T @ v
-        return coeff, v - self.basis @ coeff
+        resid = v - self.basis @ coeff
+        if v.ndim == 2:
+            d = d[:, None]
+        return self.basis @ (coeff / d) + resid / s
 
     def apply_inverse(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.rank == 0:
-            return v / self.shift
-        coeff, resid = self._split(v)
-        return self.basis @ (coeff / (self.eigenvalues + self.shift)) + resid / self.shift
+        return self._divide(v, self.eigenvalues + self.shift, self.shift)
 
     def apply_inverse_sqrt(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.rank == 0:
-            return v / np.sqrt(self.shift)
-        coeff, resid = self._split(v)
-        return self.basis @ (coeff / np.sqrt(self.eigenvalues + self.shift)) + resid / np.sqrt(
-            self.shift
+        return self._divide(
+            v, np.sqrt(self.eigenvalues + self.shift), np.sqrt(self.shift)
         )
 
     def logdet_of_approximation(self):

@@ -5,7 +5,7 @@ The objective being minimized over theta (up to additive constants) is
     F(theta) = -log pi(theta) + (1/2) log det Psi(theta)
              + (1/2) (A mu_x - b)^T Psi(theta)^{-1} (A mu_x - b).
 
-Four evaluation routes are provided and cross-validated against one another
+Three evaluation routes are provided and cross-validated against one another
 by the test-suite:
 
 * ``eval_F_exact`` / ``grad_F_exact``  —  dense algebra, the oracle.  Both
@@ -15,10 +15,8 @@ by the test-suite:
   majorant reuses with the anchor's Psi^{-1} in place of Psi(theta)^{-1};
 * ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature over a
   fixed probe set (the sample-average surface the fixed-sample optimizer
-  minimizes), misfit solved by preconditioned CG;
-* ``grad_F_mc``  —  Monte-Carlo trace-term gradient, either from per-probe
-  solves (default) or the symmetrized estimator that reuses the Lanczos
-  bases through an :class:`SlqWorkspace`;
+  minimizes), one Lanczos run over the whole probe block, misfit solved by
+  preconditioned CG;
 * ``grad_fd``  —  forward finite differences of any scalar objective,
   bound-aware, used as the derivative-free fallback and the universal
   cross-check.
@@ -37,23 +35,15 @@ import scipy.linalg
 from .lanczos import lanczos_decompose
 from .model import build_psi
 from .nystrom import WhitenedPreconditioner, nystrom_preconditioner
-from .operators import (
-    DENSE_LIMIT,
-    CallableSymOp,
-    NumericalError,
-    ScaledIdentityOp,
-)
-from .parallel import probe_map
+from .operators import DENSE_LIMIT, NumericalError, ScaledIdentityOp, SymOp
 from .pcg import pcg_solve
 
 __all__ = [
     "DensePieces",
     "ObjectiveEval",
-    "SlqWorkspace",
     "eval_F_exact",
     "eval_F_slq",
     "grad_F_exact",
-    "grad_F_mc",
     "grad_fd",
     "psi_preconditioner",
     "dense_gradient",
@@ -77,42 +67,6 @@ class ObjectiveEval:
     prior_part: float
     pcg_iterations: int
     converged: bool = True
-
-
-@dataclass
-class SlqWorkspace:
-    """Per-theta cache of Lanczos decompositions for estimator reuse.
-
-    Anchored to one (theta, probes, k_steps, preconditioner) combination;
-    consumers must present the same anchor or get an error.  Populated by
-    ``eval_F_slq`` and consumed by the symmetrized ``grad_F_mc``, which turns
-    each stored decomposition into an inverse-square-root application at no
-    extra operator cost.
-    """
-
-    theta: np.ndarray = None
-    k_steps: int = None
-    pre: object = None
-    probes: object = None
-    decomps: list = None
-
-    def populated(self):
-        return self.decomps is not None
-
-    def check_anchor(self, theta, probes, k_steps, pre):
-        if not self.populated():
-            raise ValueError("workspace has not been populated by an evaluation")
-        if (
-            self.theta.shape != np.shape(theta)
-            or not np.array_equal(self.theta, theta)
-            or self.probes is not probes
-            or self.k_steps != k_steps
-            or self.pre is not pre
-        ):
-            raise ValueError(
-                "workspace anchor mismatch: it was populated at a different "
-                "(theta, probes, k_steps, preconditioner) combination"
-            )
 
 
 @dataclass
@@ -201,14 +155,31 @@ def eval_F_exact(problem, theta, pieces=None):
     )
 
 
+class _Sandwich(SymOp):
+    """L M L^T for a symmetric operator M and a factor L given by its applies.
+
+    ``left`` and ``left_t`` apply L and L^T to a vector or to a block of
+    columns; M is applied through its own counted ``matvec``/``matmat``.
+    """
+
+    def __init__(self, inner, left, left_t):
+        super().__init__(inner.m)
+        self.inner = inner
+        self.left = left
+        self.left_t = left_t
+
+    def _apply(self, v):
+        return self.left(self.inner.matvec(self.left_t(v)))
+
+    def _apply_mat(self, V):
+        return self.left(self.inner.matmat(self.left_t(V)))
+
+
 def _quad_operator(psi_op, pre):
     """The operator whose log-quadforms estimate the stochastic logdet part."""
     if pre is None:
         return psi_op
-    return CallableSymOp(
-        psi_op.m,
-        lambda v: pre.factor_apply(psi_op.matvec(pre.factor_t_apply(v))),
-    )
+    return _Sandwich(psi_op, pre.factor_apply, pre.factor_t_apply)
 
 
 def eval_F_slq(
@@ -219,18 +190,14 @@ def eval_F_slq(
     pre=None,
     pcg_tol=1e-8,
     pcg_maxit=500,
-    workspace=None,
 ):
     """Sample-average objective: SLQ log-determinant plus CG misfit.
 
     Deterministic given (problem, theta, probes, k_steps, pre).  With a
     preconditioner, the log-determinant splits as
     ``pre.logdet_of_approximation() + mean_i w_i^T log(G Psi G^T) w_i``;
-    without one, quadrature runs on Psi directly.
-
-    If ``workspace`` is supplied it is filled with the per-probe Lanczos
-    decompositions, anchored at this call's arguments, so a following
-    symmetrized gradient evaluation can reuse the bases.
+    without one, quadrature runs on Psi directly.  One column-batched
+    Lanczos call serves all probes.
     """
     theta = np.asarray(theta, dtype=float)
     if probes.m != problem.m:
@@ -238,14 +205,8 @@ def eval_F_slq(
             f"probe dimension {probes.m} does not match problem dimension {problem.m}"
         )
     psi_op = build_psi(problem, theta)
-    quad_op = _quad_operator(psi_op, pre)
-
-    def one_probe(i):
-        return lanczos_decompose(quad_op, probes.column(i), k_steps)
-
-    decomps = probe_map(one_probe, range(probes.n_probes))
-    quads = np.array([d.quadform_log() for d in decomps])
-    logdet_part = float(np.mean(quads))
+    decomp = lanczos_decompose(_quad_operator(psi_op, pre), probes.w, k_steps)
+    logdet_part = float(np.mean(decomp.quadform_log()))
     if pre is not None:
         logdet_part += pre.logdet_of_approximation()
 
@@ -253,13 +214,6 @@ def eval_F_slq(
     res = pcg_solve(psi_op, c, pre=pre, tol=pcg_tol, maxit=pcg_maxit)
     misfit = float(np.dot(c, res.x))
     prior = problem.prior.neglog(theta)
-
-    if workspace is not None:
-        workspace.theta = theta.copy()
-        workspace.k_steps = k_steps
-        workspace.pre = pre
-        workspace.probes = probes
-        workspace.decomps = decomps
 
     return ObjectiveEval(
         value=prior + 0.5 * logdet_part + 0.5 * misfit,
@@ -392,94 +346,6 @@ def grad_F_exact(problem, theta, pieces=None):
     return dense_gradient(problem, pieces, pieces.inverse())
 
 
-def grad_F_mc(
-    problem,
-    theta,
-    probes,
-    k_steps,
-    pre=None,
-    symmetrized=False,
-    pcg_tol=1e-8,
-    pcg_maxit=500,
-    workspace=None,
-    stats=None,
-):
-    """Monte-Carlo gradient of F: stochastic trace terms, solved misfit terms.
-
-    The trace of Psi^{-1} dPsi is estimated per component as an average over
-    the probe set.  Two estimators:
-
-    * default — per-probe solves u_i = Psi^{-1} w_i (preconditioned CG),
-      averaging u_i^T dPsi w_i;
-    * ``symmetrized=True`` — zeta_i = G^T (G Psi G^T)^{-1/2} w_i via Lanczos,
-      averaging zeta_i^T dPsi zeta_i; with a populated ``workspace`` from
-      ``eval_F_slq`` at the same anchor, the stored bases are reused and no
-      new Lanczos runs are needed.
-
-    ``stats`` (optional dict) accumulates ``pcg_iters``.
-    """
-    theta = np.asarray(theta, dtype=float)
-    psi_op = build_psi(problem, theta)
-    actions = _DerivativeActions(problem, theta)
-    n_probes = probes.n_probes
-
-    if symmetrized:
-        if workspace is not None:
-            workspace.check_anchor(theta, probes, k_steps, pre)
-            decomps = workspace.decomps
-        else:
-            quad_op = _quad_operator(psi_op, pre)
-
-            def one_decomp(i):
-                return lanczos_decompose(quad_op, probes.column(i), k_steps)
-
-            decomps = probe_map(one_decomp, range(n_probes))
-
-        def one_zeta(d):
-            z = d.inv_sqrt_apply()
-            return pre.factor_t_apply(z) if pre is not None else z
-
-        zetas = [one_zeta(d) for d in decomps]
-        trace_terms = np.array([actions.apply_all(z) @ z for z in zetas])
-    else:
-
-        def one_solve(i):
-            res = pcg_solve(psi_op, probes.column(i), pre=pre, tol=pcg_tol, maxit=pcg_maxit)
-            if not res.converged:
-                raise NumericalError(
-                    f"probe solve {i} did not converge within {pcg_maxit} iterations "
-                    f"(relative residual {res.relres:.3e})"
-                )
-            return res
-
-        solves = probe_map(one_solve, range(n_probes))
-        if stats is not None:
-            stats["pcg_iters"] = stats.get("pcg_iters", 0) + sum(
-                s.iterations for s in solves
-            )
-        trace_terms = np.array(
-            [
-                actions.apply_all(probes.column(i)) @ solves[i].x
-                for i in range(n_probes)
-            ]
-        )
-
-    trace_est = trace_terms.mean(axis=0)
-
-    c = problem.residual_offset(theta)
-    res = pcg_solve(psi_op, c, pre=pre, tol=pcg_tol, maxit=pcg_maxit)
-    if stats is not None:
-        stats["pcg_iters"] = stats.get("pcg_iters", 0) + res.iterations
-    r = res.x
-    dpsi_r = actions.apply_all(r)
-    misfit_terms = dpsi_r @ r
-    da_mu = actions.forward_deriv_mu()
-    if da_mu is not None:
-        misfit_terms[problem.q_dim :] -= 2.0 * (da_mu @ r)
-
-    return problem.prior.grad_neglog(theta) + 0.5 * trace_est - 0.5 * misfit_terms
-
-
 def grad_fd(f, theta, box, eps_rel=1e-6, scheme="forward"):
     """Finite-difference gradient of a scalar function, bound-aware.
 
@@ -536,9 +402,6 @@ def psi_preconditioner(problem, theta, rank=20, seed=0, psi_op=None):
             "noise covariance operator must expose apply_inverse_sqrt and logdet "
             "to be whitened for preconditioning"
         )
-    white = CallableSymOp(
-        problem.m,
-        lambda v: r_op.apply_inverse_sqrt(psi_op.matvec(r_op.apply_inverse_sqrt(v))),
-    )
+    white = _Sandwich(psi_op, r_op.apply_inverse_sqrt, r_op.apply_inverse_sqrt)
     inner = nystrom_preconditioner(white, 1.0, rank, seed)
     return WhitenedPreconditioner(inner=inner, white_op=r_op)

@@ -26,7 +26,6 @@ __all__ = [
     "DiagonalOp",
     "ScaledIdentityOp",
     "CallableSymOp",
-    "ShiftedSymOp",
     "LinOp",
     "DenseLinOp",
     "SparseLinOp",
@@ -77,6 +76,37 @@ def _as_vector(v, n, name="v"):
     return v
 
 
+def _as_block(v, n, name="V"):
+    v = np.asarray(v, dtype=float)
+    if v.ndim != 2 or v.shape[0] != n:
+        raise ValueError(f"{name} must have shape ({n}, k), got {v.shape}")
+    return v
+
+
+def _as_columns(v, n, name="v"):
+    """A vector of length n or a block of such vectors as columns."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != n:
+        raise ValueError(f"{name} must have shape ({n},) or ({n}, k), got {v.shape}")
+    return v
+
+
+def _columnwise(op, v):
+    """The apply and the per-column inner product for a vector or a block.
+
+    A vector ``(m,)`` gets ``op.matvec`` and ``np.dot``; a block ``(m, n)``
+    gets ``op.matmat`` and the n column inner products.  Krylov kernels use
+    this to run one recurrence per column with one operator product per step.
+    """
+    if v.ndim == 1:
+        return op.matvec, np.dot
+    return op.matmat, _column_dots
+
+
+def _column_dots(u, v):
+    return np.einsum("ij,ij->j", u, v)
+
+
 class SymOp:
     """Symmetric linear operator on R^m.
 
@@ -99,9 +129,7 @@ class SymOp:
 
     def matmat(self, V):
         """Apply to each column of ``V`` (counts one matvec per column)."""
-        V = np.asarray(V, dtype=float)
-        if V.ndim != 2 or V.shape[0] != self.m:
-            raise ValueError(f"V must have shape ({self.m}, k)")
+        V = _as_block(V, self.m)
         self.counter.increment(V.shape[1])
         return self._apply_mat(V)
 
@@ -165,13 +193,17 @@ class DiagonalOp(SymOp):
         if np.any(self.diag <= 0.0):
             raise NumericalError("diagonal operator is not positive definite")
 
+    def _divide(self, v, d):
+        v = _as_columns(v, self.m)
+        return v / (d if v.ndim == 1 else d[:, None])
+
     def apply_inverse(self, v):
         self._require_pd()
-        return _as_vector(v, self.m) / self.diag
+        return self._divide(v, self.diag)
 
     def apply_inverse_sqrt(self, v):
         self._require_pd()
-        return _as_vector(v, self.m) / np.sqrt(self.diag)
+        return self._divide(v, np.sqrt(self.diag))
 
     def logdet(self):
         self._require_pd()
@@ -200,11 +232,11 @@ class ScaledIdentityOp(SymOp):
 
     def apply_inverse(self, v):
         self._require_pd()
-        return _as_vector(v, self.m) / self.scale
+        return _as_columns(v, self.m) / self.scale
 
     def apply_inverse_sqrt(self, v):
         self._require_pd()
-        return _as_vector(v, self.m) / np.sqrt(self.scale)
+        return _as_columns(v, self.m) / np.sqrt(self.scale)
 
     def logdet(self):
         self._require_pd()
@@ -220,25 +252,6 @@ class CallableSymOp(SymOp):
 
     def _apply(self, v):
         return np.asarray(self._fn(v), dtype=float)
-
-
-class ShiftedSymOp(SymOp):
-    """base + shift * I, sharing the base operator's counter semantics."""
-
-    def __init__(self, base, shift):
-        super().__init__(base.m, base.counter)
-        self.base = base
-        self.shift = float(shift)
-
-    def _apply(self, v):
-        # count once on the shared counter (the base application is the cost)
-        return self.base._apply(v) + self.shift * v
-
-    def _apply_mat(self, V):
-        return self.base._apply_mat(V) + self.shift * V
-
-    def dense(self):
-        return self.base.dense() + self.shift * np.eye(self.m)
 
 
 class LinOp:
@@ -267,11 +280,29 @@ class LinOp:
         self.counter.increment()
         return self._apply_t(_as_vector(y, self.m, "y"))
 
+    def matmat(self, X):
+        """Apply to each column of ``X`` (counts one application per column)."""
+        X = _as_block(X, self.n, "X")
+        self.counter.increment(X.shape[1])
+        return self._apply_mat(X)
+
+    def rmatmat(self, Y):
+        """Apply the adjoint to each column of ``Y`` (counted per column)."""
+        Y = _as_block(Y, self.m, "Y")
+        self.counter.increment(Y.shape[1])
+        return self._apply_t_mat(Y)
+
     def _apply(self, x):
         raise NotImplementedError
 
     def _apply_t(self, y):
         raise NotImplementedError
+
+    def _apply_mat(self, X):
+        return np.column_stack([self._apply(X[:, j]) for j in range(X.shape[1])])
+
+    def _apply_t_mat(self, Y):
+        return np.column_stack([self._apply_t(Y[:, j]) for j in range(Y.shape[1])])
 
     def dense(self):
         raise NotImplementedError(f"{type(self).__name__} has no dense form")
@@ -295,20 +326,35 @@ class DenseLinOp(LinOp):
     def _apply_t(self, y):
         return self.mat.T @ y
 
+    def _apply_mat(self, X):
+        return self.mat @ X
+
+    def _apply_t_mat(self, Y):
+        return self.mat.T @ Y
+
     def dense(self):
         return self.mat.copy()
 
 
 class SparseLinOp(LinOp):
+    """CSR-backed map; the transpose is built once, in CSR form, for adjoints."""
+
     def __init__(self, mat, counter=None):
         super().__init__(mat.shape[0], mat.shape[1], counter)
         self.mat = mat.tocsr()
+        self.mat_t = self.mat.T.tocsr()
 
     def _apply(self, x):
         return np.asarray(self.mat @ x)
 
     def _apply_t(self, y):
-        return np.asarray(self.mat.T @ y)
+        return np.asarray(self.mat_t @ y)
+
+    def _apply_mat(self, X):
+        return np.asarray(self.mat @ X)
+
+    def _apply_t_mat(self, Y):
+        return np.asarray(self.mat_t @ Y)
 
     def dense(self):
         return self.mat.toarray()
@@ -336,6 +382,12 @@ class IdentityLinOp(LinOp):
 
     def _apply_t(self, y):
         return y.copy()
+
+    def _apply_mat(self, X):
+        return X.copy()
+
+    def _apply_t_mat(self, Y):
+        return Y.copy()
 
     def dense(self):
         return np.eye(self.m)

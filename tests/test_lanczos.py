@@ -4,12 +4,16 @@ import pytest
 import hypermarg
 from hypermarg import (
     DenseSymOp,
+    DiagonalOp,
     NumericalError,
     lanczos_decompose,
-    lanczos_inv_sqrt_apply,
     lanczos_quadform_log,
+    nystrom_preconditioner,
+    pcg_solve,
     slq_logdet_batch,
 )
+from hypermarg.nystrom import WhitenedPreconditioner
+from hypermarg.objective import _quad_operator
 from hypermarg.rng import stream
 
 
@@ -91,10 +95,16 @@ def test_quadform_log_rejects_indefinite():
         lanczos_quadform_log(op, np.ones(3), 3)
 
 
+def inv_sqrt_apply(dec):
+    """V T^{-1/2} e_1 ||v||, the Lanczos approximation of M^{-1/2} v."""
+    eigvals, eigvecs = np.linalg.eigh(dec.tridiagonal())
+    return dec.basis @ (dec.vnorm * (eigvecs @ (eigvecs[0, :] / np.sqrt(eigvals))))
+
+
 def test_inv_sqrt_scaled_identity():
     op = DenseSymOp(4.0 * np.eye(6))
     w = np.arange(1.0, 7.0)
-    got = lanczos_inv_sqrt_apply(op, w, 2)
+    got = inv_sqrt_apply(lanczos_decompose(op, w, 2))
     assert np.allclose(got, w / 2.0, atol=1e-13)
 
 
@@ -105,7 +115,7 @@ def test_inv_sqrt_matches_dense_at_full_steps():
     w = stream(3, "w2").standard_normal(m)
     eigvals, eigvecs = np.linalg.eigh(mat)
     exact = eigvecs @ ((eigvecs.T @ w) / np.sqrt(eigvals))
-    got = lanczos_inv_sqrt_apply(op, w, m)
+    got = inv_sqrt_apply(lanczos_decompose(op, w, m))
     assert np.allclose(got, exact, atol=1e-8 * np.linalg.norm(exact))
 
 
@@ -120,6 +130,55 @@ def test_batch_matches_per_probe_path():
         [lanczos_quadform_log(op, w_block[:, i], k) for i in range(7)]
     )
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-10)
+
+    # Column j of a block call is the single-vector call on column j, for
+    # CG and Lanczos, unpreconditioned, with a Nystrom preconditioner whose
+    # rank equals the probe count, and whitened by a non-scalar diagonal.
+    # CG runs to 1e-12, where the summation order of the block products
+    # (BLAS-3 against BLAS-2) no longer shows in the solutions; the Lanczos
+    # coefficients agree to roundoff at this depth.
+    n = 7
+    spd = mat + np.eye(m)
+    op = DenseSymOp(spd)
+    d = np.linspace(1.0, 3.0, m)
+    white = DenseSymOp(spd / np.sqrt(np.outer(d, d)))
+    pres = {
+        "none": None,
+        "nystrom": nystrom_preconditioner(op, 1.0, n, seed=4),
+        "whitened": WhitenedPreconditioner(
+            inner=nystrom_preconditioner(white, 1.0, 5, seed=4), white_op=DiagonalOp(d)
+        ),
+    }
+
+    def close(a, b):
+        return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+    for name, pre in pres.items():
+        block = pcg_solve(op, w_block, pre=pre, tol=1e-12)
+        singles = [pcg_solve(op, w_block[:, j], pre=pre, tol=1e-12) for j in range(n)]
+        assert block.converged, name
+        for j, s in enumerate(singles):
+            assert close(block.x[:, j], s.x), (name, j)
+
+        quad_op = _quad_operator(op, pre)
+        dec = lanczos_decompose(quad_op, w_block, k)
+        vals = dec.quadform_log()
+        for j in range(n):
+            s = lanczos_decompose(quad_op, w_block[:, j], k)
+            assert dec.steps[j] == s.k_eff == k, (name, j)
+            assert close(dec.alpha[:, j], s.alpha), (name, j)
+            assert close(dec.beta[:, j], s.beta), (name, j)
+            assert vals[j] == pytest.approx(s.quadform_log(), rel=1e-12), (name, j)
+
+    # A column started on an eigenvector breaks down after one step and gets
+    # no further operator applications; the others run all k steps.
+    w_mixed = w_block.copy()
+    w_mixed[:, 2] = np.linalg.eigh(spd)[1][:, 0]
+    before = op.matvec_count
+    dec = lanczos_decompose(op, w_mixed, k)
+    assert list(dec.steps) == [k, k, 1, k, k, k, k]
+    assert op.matvec_count - before == dec.k_eff == 6 * k + 1
+    assert dec.quadform_log()[2] == pytest.approx(np.log(np.linalg.eigvalsh(spd)[0]), rel=1e-12)
 
 
 def test_batch_identity_gives_zero():

@@ -360,3 +360,13 @@ class TestM3cChain:
         out = m3c_optimize(problem, outer_iters=4, n_probes=8, seed=0)
         a_counts = [rec.counters["a"] for rec in out.records]
         assert all(b > a for a, b in zip(a_counts, a_counts[1:]))
+
+    def test_null_step_from_stalled_inner_loop_is_not_convergence(self):
+        # From the box center the inner loop exhausts its backtracking and
+        # proposes the anchor itself; the audit accepts that null step, but
+        # it is no evidence of stationarity (the exact gradient there has
+        # norm about 190).
+        problem = superres_problem(s=16, decim=2, frames=2, seed=0)
+        center = problem.box.center()
+        out = m3c_optimize(problem, theta0=center, outer_iters=4, seed=0)
+        assert not (out.converged and np.array_equal(out.theta, center))

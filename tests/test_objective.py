@@ -13,11 +13,9 @@ from hypermarg import (
     tomo_problem,
 )
 from hypermarg.objective import (
-    SlqWorkspace,
     eval_F_exact,
     eval_F_slq,
     grad_F_exact,
-    grad_F_mc,
     grad_fd,
     psi_preconditioner,
 )
@@ -242,105 +240,6 @@ class TestSlqObjective:
             eval_F_slq(problem, np.array([1.0]), canonical_probes(5), k_steps=3)
 
 
-class TestMonteCarloGradient:
-    def test_canonical_exhaustive_matches_exact(self):
-        problem = tomo_problem(s=8, n_src=5, n_rec=6, seed=9)
-        theta = problem.theta_true
-        g = grad_F_exact(problem, theta)
-        g_mc = grad_F_mc(
-            problem,
-            theta,
-            canonical_probes(problem.m),
-            k_steps=problem.m,
-            pcg_tol=1e-13,
-        )
-        assert relerr(g_mc, g) < 1e-6
-
-    def test_symmetrized_canonical_matches_exact(self):
-        problem = tomo_problem(s=8, n_src=5, n_rec=6, seed=9)
-        theta = problem.theta_true
-        g = grad_F_exact(problem, theta)
-        g_mc = grad_F_mc(
-            problem,
-            theta,
-            canonical_probes(problem.m),
-            k_steps=problem.m,
-            symmetrized=True,
-            pcg_tol=1e-13,
-        )
-        assert relerr(g_mc, g) < 1e-6
-
-    def test_symmetrized_whitened_preconditioner_matches_exact(self):
-        problem = tomo_problem(s=8, n_src=5, n_rec=6, seed=9)
-        theta = problem.theta_true
-        g = grad_F_exact(problem, theta)
-        pre = psi_preconditioner(problem, theta, rank=20, seed=3)
-        g_mc = grad_F_mc(
-            problem,
-            theta,
-            canonical_probes(problem.m),
-            k_steps=problem.m,
-            pre=pre,
-            symmetrized=True,
-            pcg_tol=1e-13,
-        )
-        assert relerr(g_mc, g) < 1e-6
-
-    def test_rademacher_points_in_gradient_direction(self):
-        problem = deblur_problem(s=8, seed=0)
-        theta = problem.theta_true
-        g = grad_F_exact(problem, theta)
-        angles = []
-        for seed in range(10):
-            probes = rademacher_probes(problem.m, 24, seed=seed)
-            g_mc = grad_F_mc(problem, theta, probes, k_steps=24)
-            cos = float(g_mc @ g) / (np.linalg.norm(g_mc) * np.linalg.norm(g))
-            angles.append(np.degrees(np.arccos(np.clip(cos, -1.0, 1.0))))
-        assert max(angles) < 10.0
-        assert np.mean(angles) < 5.0
-
-    def test_workspace_reuse_matches_fresh_computation(self):
-        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=2)
-        theta = problem.theta_true
-        probes = rademacher_probes(problem.m, 6, seed=5)
-        pre = psi_preconditioner(problem, theta, rank=12, seed=1)
-        ws = SlqWorkspace()
-        eval_F_slq(problem, theta, probes, k_steps=15, pre=pre, workspace=ws)
-        g_reused = grad_F_mc(
-            problem, theta, probes, k_steps=15, pre=pre,
-            symmetrized=True, workspace=ws,
-        )
-        g_fresh = grad_F_mc(
-            problem, theta, probes, k_steps=15, pre=pre, symmetrized=True
-        )
-        np.testing.assert_allclose(g_reused, g_fresh, rtol=1e-12, atol=1e-12)
-
-    def test_workspace_anchor_mismatch_raises(self):
-        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=2)
-        theta = problem.theta_true
-        probes = rademacher_probes(problem.m, 4, seed=5)
-        ws = SlqWorkspace()
-        with pytest.raises(ValueError, match="populated"):
-            ws.check_anchor(theta, probes, 10, None)
-        eval_F_slq(problem, theta, probes, k_steps=10, workspace=ws)
-        other = 1.01 * np.asarray(theta)
-        with pytest.raises(ValueError, match="anchor"):
-            grad_F_mc(
-                problem, other, probes, k_steps=10, symmetrized=True, workspace=ws
-            )
-
-    def test_stats_accumulate_pcg_iterations(self):
-        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=2)
-        theta = problem.theta_true
-        stats = {}
-        grad_F_mc(
-            problem, theta, rademacher_probes(problem.m, 4, seed=0),
-            k_steps=10, stats=stats,
-        )
-        # 4 probe solves plus the misfit solve, every one at least 1 step.
-        assert stats["pcg_iters"] >= 5
-
-
 class TestPsiPreconditioner:
     def test_scalar_noise_uses_known_shift(self):
         problem = deblur_problem(s=8, seed=1)
@@ -378,10 +277,3 @@ class TestPsiPreconditioner:
             problem, theta, canonical_probes(m), k_steps=m, pre=pre, pcg_tol=1e-13
         )
         assert abs(slq.value - exact.value) < 1e-7 * max(1.0, abs(exact.value))
-
-        g = grad_F_exact(problem, theta)
-        g_mc = grad_F_mc(
-            problem, theta, canonical_probes(m), k_steps=m, pre=pre,
-            symmetrized=True, pcg_tol=1e-13,
-        )
-        assert relerr(g_mc, g) < 1e-6

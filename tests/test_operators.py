@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hypermarg import (
     DenseLinOp,
@@ -10,6 +11,7 @@ from hypermarg import (
     MatvecCounter,
     NumericalError,
     ScaledIdentityOp,
+    SparseLinOp,
     dense_logdet,
 )
 from hypermarg.rng import stream
@@ -50,6 +52,20 @@ def test_matmat_counts_per_column():
     op = DenseSymOp(np.eye(4))
     op.matmat(np.ones((4, 6)))
     assert op.matvec_count == 6
+
+
+def test_sparse_block_applies_match_dense_and_count_per_column():
+    rng = stream(3, "sparse-block")
+    mat = np.where(rng.random((7, 5)) < 0.4, rng.standard_normal((7, 5)), 0.0)
+    op = SparseLinOp(scipy.sparse.csr_matrix(mat))
+    y = rng.standard_normal((7, 4))
+    x = rng.standard_normal((5, 3))
+    np.testing.assert_allclose(op.rmatmat(y), mat.T @ y, rtol=1e-14, atol=1e-14)
+    assert op.matvec_count == 4
+    np.testing.assert_allclose(op.matmat(x), mat @ x, rtol=1e-14, atol=1e-14)
+    assert op.matvec_count == 7
+    np.testing.assert_allclose(op.rmatvec(y[:, 2]), mat.T @ y[:, 2], rtol=1e-14, atol=1e-14)
+    assert op.matvec_count == 8
 
 
 def test_dense_does_not_count():

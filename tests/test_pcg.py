@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypermarg import DenseSymOp, pcg_solve
+from hypermarg import DenseSymOp, build_psi, pcg_solve, rademacher_probes, tomo_problem
 from hypermarg.rng import stream
 
 
@@ -54,3 +54,26 @@ def test_iteration_count_reported_matches_matvecs():
     res = pcg_solve(op, np.ones(25), tol=1e-10)
     # one matvec per iteration from a zero initial guess
     assert op.matvec_count - before == res.iterations
+
+
+def test_block_solve_charges_one_psi_apply_per_column_iteration():
+    # At the box center Psi is well conditioned (kappa ~ 34), so each column
+    # stops at the same step as its separate solve; at theta_true (kappa ~
+    # 9e3) the block's summation order moves those steps by a few.
+    problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=1)
+    psi = build_psi(problem, problem.box.center())
+    w = rademacher_probes(problem.m, 5, seed=0).w
+    # an eigenvector converges in one step and a zero column in none, so the
+    # columns leave the block at different steps
+    w[:, 1] = np.linalg.eigh(psi.dense())[1][:, -1]
+    w[:, 3] = 0.0
+    singles = [pcg_solve(psi, w[:, j]).iterations for j in range(5)]
+    assert singles[1] == 1 and singles[3] == 0 and max(singles) > 1
+    before = problem.counters.snapshot()
+    res = pcg_solve(psi, w)
+    after = problem.counters.snapshot()
+    assert res.converged
+    assert res.iterations == sum(singles)
+    assert after["psi"] - before["psi"] == res.iterations
+    assert after["a"] - before["a"] == 2 * res.iterations
+    np.testing.assert_array_equal(res.x[:, 3], 0.0)
