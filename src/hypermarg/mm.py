@@ -125,45 +125,66 @@ class StochasticSurrogate:
     pcg_tol: float = 1e-8
     pcg_maxit: int = 500
     pcg_iters: int = 0  # accumulated over all evaluations
+    failed_trials: int = 0  # trial points whose misfit solve failed
     _cache: dict = field(default_factory=dict, repr=False)
 
-    def _solve_misfit(self, theta, psi_op):
+    def _solve_misfit(self, theta, psi_op=None):
+        """``(c, r)`` with r = Psi(theta)^{-1} c, cached for the last theta.
+
+        CG starts from the last solved ``r``; its stopping test is relative
+        to ||c||, so the warm start changes the cost, not the tolerance.
+        ``psi_op`` is built here when the cache misses and none is given.
+        """
         key = theta.tobytes()
         if self._cache.get("key") == key:
             return self._cache["c"], self._cache["r"]
+        if psi_op is None:
+            psi_op = build_psi(self.problem, theta)
         c = self.problem.residual_offset(theta)
         res = pcg_solve(
-            psi_op, c, pre=self.pre, tol=self.pcg_tol, maxit=self.pcg_maxit
+            psi_op,
+            c,
+            pre=self.pre,
+            tol=self.pcg_tol,
+            maxit=self.pcg_maxit,
+            x0=self._cache.get("r"),
         )
+        self.pcg_iters += res.iterations
         if not res.converged:
             raise NumericalError(
                 f"misfit solve stalled at relative residual {res.relres:.3e}"
             )
-        self.pcg_iters += res.iterations
         self._cache.update(key=key, c=c, r=res.x)
         return c, res.x
 
     def value(self, theta):
-        """G_hat(theta): one Psi(theta) application per probe, plus a solve."""
+        """G_hat(theta): one Psi(theta) application per probe, plus a solve.
+
+        A trial point other than the anchor whose misfit solve fails gets
+        the value ``inf``, so a line search backtracks from it; at the
+        anchor the failure is a :class:`NumericalError`.
+        """
         theta = np.asarray(theta, dtype=float)
         psi_op = build_psi(self.problem, theta)
         psi_w = psi_op.matmat(self.probes.w)
         quad = float(np.sum(self.z * psi_w)) / (2.0 * self.probes.n_probes)
-        c, r = self._solve_misfit(theta, psi_op)
+        try:
+            c, r = self._solve_misfit(theta, psi_op)
+        except NumericalError:
+            if np.array_equal(theta, self.theta_t):
+                raise
+            self.failed_trials += 1
+            return np.inf
         return self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
 
     def gradient(self, theta):
         """d G_hat / d theta, reusing the misfit solve cached by ``value``."""
         theta = np.asarray(theta, dtype=float)
         problem = self.problem
-        psi_op = build_psi(problem, theta)
         actions = _DerivativeActions(problem, theta)
-        n = self.probes.n_probes
-        quad = np.zeros(problem.p)
-        for i in range(n):
-            quad += actions.apply_all(self.probes.column(i)) @ self.z[:, i]
-        quad /= 2.0 * n
-        c, r = self._solve_misfit(theta, psi_op)
+        d_w = actions.apply_all(self.probes.w)  # (p, m, N)
+        quad = np.einsum("jmn,mn->j", d_w, self.z) / (2.0 * self.probes.n_probes)
+        c, r = self._solve_misfit(theta)
         misfit_terms = actions.apply_all(r) @ r
         da_mu = actions.forward_deriv_mu()
         if da_mu is not None:
@@ -433,7 +454,7 @@ def m3c_optimize(
     inner_tol=1e-6,
     pcg_tol=1e-8,
     pcg_maxit=500,
-    precond_rank=0,
+    precond_rank=32,
     audit="auto",
     audit_probes=32,
     audit_k=30,
@@ -451,6 +472,16 @@ def m3c_optimize(
     gave up without converging; it is accepted as a null step.  The
     audit is exact (dense) when the problem allows it, otherwise a fixed
     probe set shared across all iterations keeps rejections comparable.
+
+    Every CG solve is preconditioned by a randomized Nystrom preconditioner
+    of rank ``min(precond_rank, m)``, built once per anchor (Frangella,
+    Tropp & Udell 2023); it serves the anchor's probe solves and every
+    misfit solve of that outer iteration.  It changes only how fast CG
+    reaches ``pcg_tol``, not the sampled majorant or the audit.
+    ``precond_rank=0`` turns it off.  Inside the inner minimization a trial
+    point whose misfit solve fails is rejected by the line search (the
+    surrogate's value there is ``inf``); a failed solve at an anchor is a
+    :class:`NumericalError`.
 
     Returns the audited chain with per-iteration cost records.
     """

@@ -257,25 +257,31 @@ class _DerivativeActions:
         self.da_ops = [b(y) for b in problem.da_builders]
 
     def apply_all(self, v):
-        """(p, m) array of dPsi/dtheta_j applied to one vector v."""
+        """dPsi/dtheta_j applied to v, stacked over j.
+
+        ``v`` is a vector ``(m,)``, giving a ``(p, m)`` array, or a block
+        ``(m, n)``, giving ``(p, m, n)``.  Either way the operators are
+        applied through ``matmat``/``rmatmat``, which charge one
+        application per column.
+        """
         problem = self.problem
-        out = np.zeros((problem.p, problem.m))
-        at_v = self.a_op.rmatvec(v)
+        v = np.asarray(v, dtype=float)
+        block = v if v.ndim == 2 else v[:, None]
+        a_op, q_op = self.a_op, self.q_op
+        out = np.zeros((problem.p,) + block.shape)
+        at_v = a_op.rmatmat(block)
         for j in range(problem.q_dim):
-            acc = np.zeros(problem.m)
             if self.dq_ops[j] is not None:
-                acc += self.a_op.matvec(self.dq_ops[j].matvec(at_v))
+                out[j] += a_op.matmat(self.dq_ops[j].matmat(at_v))
             if self.dr_ops[j] is not None:
-                acc += self.dr_ops[j].matvec(v)
-            out[j] = acc
+                out[j] += self.dr_ops[j].matmat(block)
         if problem.ell:
-            q_at_v = self.q_op.matvec(at_v)
+            q_at_v = q_op.matmat(at_v)
             for i, da_op in enumerate(self.da_ops):
-                j = problem.q_dim + i
-                out[j] = da_op.matvec(q_at_v) + self.a_op.matvec(
-                    self.q_op.matvec(da_op.rmatvec(v))
+                out[problem.q_dim + i] = da_op.matmat(q_at_v) + a_op.matmat(
+                    q_op.matmat(da_op.rmatmat(block))
                 )
-        return out
+        return out if v.ndim == 2 else out[..., 0]
 
     def forward_deriv_mu(self):
         """(ell, m) array of (dA/dy_j) mu_x, or None when mu_x = 0."""

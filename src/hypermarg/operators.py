@@ -155,7 +155,9 @@ class DenseSymOp(SymOp):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-12 * max(1.0, np.abs(mat).max())):
+        atol = 1e-12 * max(1.0, np.abs(mat).max())
+        # a NaN anywhere makes the comparison false
+        if not np.abs(mat - mat.T).max() <= atol:
             raise ValueError("matrix must be symmetric")
         super().__init__(mat.shape[0], counter)
         self.mat = 0.5 * (mat + mat.T)

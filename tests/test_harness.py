@@ -299,7 +299,14 @@ class TestCliExitCodes:
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         cfg = {
             "problem": {"kind": "tomo", "s": 5, "n_src": 4, "n_rec": 6, "seed": 0},
-            "method": {"name": "m3c", "outer_iters": 2, "n_probes": 4, "pcg_maxit": 1, "seed": 0},
+            "method": {
+                "name": "m3c",
+                "outer_iters": 2,
+                "n_probes": 4,
+                "pcg_maxit": 1,
+                "precond_rank": 0,
+                "seed": 0,
+            },
             "output": {"directory": str(tmp_path / "out")},
         }
         path = tmp_path / "cfg.json"

@@ -168,6 +168,40 @@ class TestStochasticSurrogate:
                 problem, problem.theta_true, probes, pcg_tol=1e-14, pcg_maxit=1
             )
 
+    def test_failed_trial_solve_is_inf_and_failed_anchor_solve_raises(self):
+        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=1)
+        theta_t = problem.theta_true
+        probes = rademacher_probes(problem.m, 2, seed=0)
+        surrogate = build_surrogate(problem, theta_t, probes, pcg_tol=1e-14)
+        surrogate.pcg_maxit = 1
+        trial = problem.box.project(1.1 * theta_t)
+        assert surrogate.value(trial) == np.inf
+        assert surrogate.failed_trials == 1
+        with pytest.raises(NumericalError, match="misfit solve"):
+            surrogate.value(theta_t)
+        assert surrogate.failed_trials == 1
+
+    def test_warm_started_value_matches_cold_within_cg_tolerance(self):
+        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=5)
+        theta_t = problem.theta_true
+        tol = 1e-8
+        first = problem.box.project(1.05 * theta_t)
+        second = problem.box.project(1.05 * (1.0 + 1e-4) * theta_t)
+        probes = rademacher_probes(problem.m, 4, seed=1)
+        warm = build_surrogate(problem, theta_t, probes, pcg_tol=tol)
+        cold = build_surrogate(problem, theta_t, probes, pcg_tol=tol)
+        warm.value(first)
+        iters_before = warm.pcg_iters
+        cold_before = cold.pcg_iters
+        v_warm = warm.value(second)
+        v_cold = cold.value(second)
+        assert warm.pcg_iters - iters_before < cold.pcg_iters - cold_before
+        # each misfit c^T r is within ||c||^2 tol / lambda_min(Psi) of exact
+        psi = build_psi(problem, second).dense()
+        c = problem.residual_offset(second)
+        bound = float(c @ c) * tol / np.linalg.eigvalsh(psi)[0]
+        assert abs(v_warm - v_cold) <= bound
+
     def test_solved_block_attached_to_probes(self):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=1)
         probes = rademacher_probes(problem.m, 5, seed=0)
@@ -360,6 +394,14 @@ class TestM3cChain:
         out = m3c_optimize(problem, outer_iters=4, n_probes=8, seed=0)
         a_counts = [rec.counters["a"] for rec in out.records]
         assert all(b > a for a, b in zip(a_counts, a_counts[1:]))
+
+    def test_default_settings_complete_on_tomo_12(self):
+        # Line-search trials reach box corners where the misfit solve
+        # stalls; such a trial must be rejected, not abort the run.
+        problem = tomo_problem(s=12, n_src=12, n_rec=12, seed=0)
+        out = m3c_optimize(problem)
+        assert out.converged
+        assert out.f_value < eval_F_exact(problem, problem.box.center()).value
 
     def test_null_step_from_stalled_inner_loop_is_not_convergence(self):
         # From the box center the inner loop exhausts its backtracking and

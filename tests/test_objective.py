@@ -13,6 +13,7 @@ from hypermarg import (
     tomo_problem,
 )
 from hypermarg.objective import (
+    _DerivativeActions,
     eval_F_exact,
     eval_F_slq,
     grad_F_exact,
@@ -277,3 +278,31 @@ class TestPsiPreconditioner:
             problem, theta, canonical_probes(m), k_steps=m, pre=pre, pcg_tol=1e-13
         )
         assert abs(slq.value - exact.value) < 1e-7 * max(1.0, abs(exact.value))
+
+
+class TestDerivativeActions:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: tomo_problem(s=5, n_src=4, n_rec=6, seed=2),
+            lambda: deblur_problem(s=6, seed=2),
+            lambda: superres_problem(s=8, decim=2, frames=2, seed=1),
+        ],
+    )
+    def test_block_apply_matches_column_loop_and_ledger(self, make):
+        problem = make()
+        actions = _DerivativeActions(problem, problem.theta_true)
+        w = rademacher_probes(problem.m, 5, seed=4).w
+
+        start = problem.counters.snapshot()
+        loop = np.stack([actions.apply_all(w[:, i]) for i in range(5)], axis=-1)
+        mid = problem.counters.snapshot()
+        block = actions.apply_all(w)
+        end = problem.counters.snapshot()
+
+        assert block.shape == (problem.p, problem.m, 5)
+        for j in range(problem.p):
+            assert relerr(block[j], loop[j]) <= 1e-12
+        for key in ("a", "q"):
+            assert end[key] - mid[key] == mid[key] - start[key]
+        assert end["a"] > mid["a"]

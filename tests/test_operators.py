@@ -79,6 +79,25 @@ def test_symmetry_enforced():
         DenseSymOp(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "mat",
+    [
+        np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+    ],
+)
+def test_asymmetric_or_nan_matrix_raises(mat):
+    with pytest.raises(ValueError, match="symmetric"):
+        DenseSymOp(mat)
+
+
+def test_symmetry_tolerance_scales_with_entries():
+    # within 1e-12 of the largest entry is symmetric enough, and is symmetrized
+    op = DenseSymOp(np.array([[1e3, 2.0], [2.0 + 1e-10, 1.0]]))
+    np.testing.assert_array_equal(op.mat, op.mat.T)
+
+
 def test_diagonal_inverse_and_logdet():
     op = DiagonalOp(np.array([4.0, 9.0]))
     assert np.allclose(op.apply_inverse(np.array([4.0, 9.0])), [1.0, 1.0])

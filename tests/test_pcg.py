@@ -77,3 +77,48 @@ def test_block_solve_charges_one_psi_apply_per_column_iteration():
     assert after["psi"] - before["psi"] == res.iterations
     assert after["a"] - before["a"] == 2 * res.iterations
     np.testing.assert_array_equal(res.x[:, 3], 0.0)
+
+
+def _spd(m, seed):
+    rng = stream(seed, "x0")
+    a = rng.standard_normal((m, m))
+    return a @ a.T + m * np.eye(m), rng
+
+
+@pytest.mark.parametrize("shape", [(20,), (20, 3)])
+def test_exact_initial_guess_stops_after_one_apply(shape):
+    mat, rng = _spd(20, 1)
+    op = DenseSymOp(mat)
+    x_star = rng.standard_normal(shape)
+    before = op.matvec_count
+    res = pcg_solve(op, mat @ x_star, tol=1e-8, x0=x_star)
+    assert res.converged and res.iterations == 0
+    n_cols = shape[1] if len(shape) == 2 else 1
+    assert op.matvec_count - before == n_cols
+    np.testing.assert_array_equal(res.x, x_star)
+
+
+@pytest.mark.parametrize("shape", [(30,), (30, 4)])
+def test_warm_start_meets_the_cold_tolerance(shape):
+    mat, rng = _spd(30, 2)
+    op = DenseSymOp(mat)
+    rhs = rng.standard_normal(shape)
+    x0 = np.linalg.solve(mat, rhs) + 1e-3 * rng.standard_normal(shape)
+    tol = 1e-9
+    cold = pcg_solve(op, rhs, tol=tol)
+    warm = pcg_solve(op, rhs, tol=tol, x0=x0)
+    assert cold.converged and warm.converged
+    # the stopping test is relative to ||rhs||, not to the initial residual
+    for res in (cold, warm):
+        resid = np.linalg.norm(rhs - mat @ res.x, axis=0)
+        assert np.all(resid <= tol * np.linalg.norm(rhs, axis=0))
+    assert warm.iterations < cold.iterations
+
+
+@pytest.mark.parametrize("shape", [(8,), (8, 3)])
+def test_zero_rhs_gives_zero_for_any_initial_guess(shape):
+    op = DenseSymOp(np.diag(np.arange(1.0, 9.0)))
+    x0 = np.full(shape, 5.0)
+    res = pcg_solve(op, np.zeros(shape), x0=x0)
+    assert res.converged and res.iterations == 0
+    np.testing.assert_array_equal(res.x, 0.0)
