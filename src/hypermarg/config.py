@@ -160,7 +160,6 @@ _COMMON_METHOD = {
     "n_probes": _POS_INT,
     "pcg_tol": _POS_NUM,
     "pcg_maxit": _POS_INT,
-    "precond_rank": _NONNEG_INT,
     # theta0 is checked separately: "center", "true", or a numeric list
     "theta0": ((str, list), None),
 }
@@ -168,6 +167,7 @@ _COMMON_METHOD = {
 _M3C_SCHEMA = dict(
     _COMMON_METHOD,
     outer_iters=_POS_INT,
+    precond_rank=_NONNEG_INT,
     inner_iters=_POS_INT,
     inner_tol=_POS_NUM,
     audit=((str,), lambda v: None if v in ("auto", "exact", "slq") else "must be auto/exact/slq"),
@@ -181,7 +181,6 @@ _SAA_SCHEMA = dict(
     max_iters=_POS_INT,
     segment_iters=_POS_INT,
     grad_eps=_POS_NUM,
-    rebuild_drift=_POS_NUM,
 )
 
 

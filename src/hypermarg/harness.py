@@ -93,43 +93,16 @@ def _ensure_outdir(output_cfg):
     return outdir
 
 
-_M3C_KEYS = (
-    "outer_iters",
-    "n_probes",
-    "seed",
-    "tol",
-    "inner_iters",
-    "inner_tol",
-    "pcg_tol",
-    "pcg_maxit",
-    "precond_rank",
-    "audit",
-    "audit_probes",
-    "audit_k",
-)
-
-_SAA_KEYS = (
-    "n_probes",
-    "k_steps",
-    "seed",
-    "max_iters",
-    "segment_iters",
-    "tol",
-    "grad_eps",
-    "pcg_tol",
-    "pcg_maxit",
-    "precond_rank",
-    "rebuild_drift",
-)
-
-
 def run_experiment(cfg):
     """Run one configured optimization and write its report files.
 
-    Per-row matvec columns in metrics.csv are counter deltas bracketing
-    the optimizer call, so their column sums equal the ledger movement of
-    the run exactly; the reconstruction solve happens after the closing
-    snapshot and is deliberately off the books.  Returns the summary dict.
+    Every validated method key except ``name`` and ``theta0`` is passed
+    to the optimizer.  Per-row matvec columns in metrics.csv are counter
+    deltas between the optimizer's records, the first taken from a
+    snapshot just before the call, so their column sums equal the ledger
+    movement of the run exactly; the reconstruction solve happens after
+    the last record and is deliberately off the books.  Returns the
+    summary dict.
     """
     cfg = validate_run_config(cfg)
     problem = _build_problem(cfg["problem"])
@@ -138,8 +111,7 @@ def run_experiment(cfg):
     theta0 = _resolve_theta0(problem, method)
 
     name = method["name"]
-    keys = _M3C_KEYS if name == "m3c" else _SAA_KEYS
-    kwargs = {k: method[k] for k in keys if k in method}
+    kwargs = {k: v for k, v in method.items() if k not in ("name", "theta0")}
 
     baseline = problem.counters.snapshot()
     t0 = time.perf_counter()
@@ -148,9 +120,8 @@ def run_experiment(cfg):
     else:
         result = saa_optimize(problem, theta0=theta0, **kwargs)
     runtime = time.perf_counter() - t0
-    end_counters = problem.counters.snapshot()
 
-    rows = run_rows(result.records, baseline, end_counters)
+    rows = run_rows(result.records, baseline)
     fields = METRIC_FIELDS + theta_fields(problem.p)
     write_csv(os.path.join(outdir, "metrics.csv"), fields, rows)
     write_theta_trace(os.path.join(outdir, "theta_trace.csv"), theta0, result.records)

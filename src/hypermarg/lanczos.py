@@ -4,7 +4,7 @@ The stochastic log-determinant machinery needs one Krylov primitive:
 w^T log(M) w approximated from K Lanczos steps, via the Gauss quadrature
 weights hiding in the tridiagonal eigendecomposition.  It is a thin layer
 over :func:`lanczos_decompose`, which is where the numerical care lives:
-full reorthogonalization (on by default) and explicit breakdown detection
+full re-orthogonalization and explicit breakdown detection
 with a tolerance relative to the operator's estimated scale.  Breakdown is
 not an error — the Krylov space is simply exhausted, and the truncated
 tridiagonal matrix already gives the exact quadratic form.
@@ -102,7 +102,7 @@ class LanczosDecomp:
         return values if block else float(values[0])
 
 
-def lanczos_decompose(op, v, k, reorth=True):
+def lanczos_decompose(op, v, k):
     """Run k Lanczos steps of ``op`` from ``v``, or from each column of ``v``.
 
     Parameters
@@ -112,15 +112,14 @@ def lanczos_decompose(op, v, k, reorth=True):
     v : array
         Starting vector ``(m,)``, or a block ``(m, n)`` of starting vectors;
         each must be nonzero.  A block runs one recurrence per column, with
-        its own coefficients, breakdown test and reorthogonalization against
+        its own coefficients, breakdown test and re-orthogonalization against
         its own basis, and applies the operator once per step, through
         ``op.matmat``, to the columns that have not broken down.
     k : int
         Number of steps, 1 <= k <= m.
-    reorth : bool
-        Full reorthogonalization against all previous basis vectors
-        (two classical Gram-Schmidt passes).  On by default; turning it
-        off reproduces the classical loss-of-orthogonality behaviour.
+
+    Every step is fully re-orthogonalized against all previous basis vectors
+    (two classical Gram-Schmidt passes).
     """
     m = op.m
     k = int(k)
@@ -176,9 +175,8 @@ def lanczos_decompose(op, v, k, reorth=True):
                 u[:, active] = op.matmat(q[:, active])
             a = dot(q, u)
         u = u - a * q - beta_prev * v_prev
-        if reorth:
-            for _ in range(2):
-                u -= project(basis[:, : j + 1], u)
+        for _ in range(2):
+            u -= project(basis[:, : j + 1], u)
         b = np.sqrt(dot(u, u))
         alpha[j] = a
         if j == k - 1:
@@ -211,12 +209,12 @@ def lanczos_decompose(op, v, k, reorth=True):
     )
 
 
-def lanczos_quadform_log(op, w, k, reorth=True):
+def lanczos_quadform_log(op, w, k):
     """Estimate w^T log(M) w with k Lanczos steps."""
-    return lanczos_decompose(op, w, k, reorth=reorth).quadform_log()
+    return lanczos_decompose(op, w, k).quadform_log()
 
 
-def slq_logdet_batch(mat, w_block, k, reorth=True):
+def slq_logdet_batch(mat, w_block, k):
     """Per-probe log quadratic forms for a dense symmetric matrix.
 
     Returns an array of w_i^T log(M) w_i values, one per column of
@@ -228,4 +226,4 @@ def slq_logdet_batch(mat, w_block, k, reorth=True):
     w_block = np.asarray(w_block, dtype=float)
     if w_block.ndim != 2 or w_block.shape[0] != mat.shape[0]:
         raise ValueError(f"probe block must have shape ({mat.shape[0]}, n)")
-    return lanczos_decompose(DenseSymOp(mat), w_block, k, reorth=reorth).quadform_log()
+    return lanczos_decompose(DenseSymOp(mat), w_block, k).quadform_log()

@@ -10,9 +10,11 @@ Conventions shared by every writer:
   listed in ``TIMING_COLUMNS`` so golden-file comparisons can drop them;
   ``strip_timing`` does exactly that.
 * Per-row matvec columns are *deltas* of the problem's operator counters
-  between consecutive records, so summing a column reproduces the
-  counter movement across the whole optimization exactly — that identity
-  is what the cost-ledger check in the acceptance suite pins down.
+  between consecutive records, the first from a snapshot taken before the
+  optimizer starts.  No optimizer applies an operator after its last
+  record, so summing a column reproduces the counter movement across the
+  whole optimization exactly — that identity is what the cost-ledger
+  check in the acceptance suite pins down.
 """
 
 from __future__ import annotations
@@ -64,23 +66,19 @@ def theta_fields(p):
     return tuple(f"theta_{j}" for j in range(p))
 
 
-def run_rows(records, baseline_counters, end_counters=None):
+def run_rows(records, baseline_counters):
     """Normalize optimizer records into metrics rows.
 
     Accepts the record lists produced by either optimizer (their field
     names differ slightly; each carries a cumulative counter snapshot).
     ``baseline_counters`` is the ledger snapshot taken just before the
-    optimizer ran.  If ``end_counters`` is given, the final row's deltas
-    extend to it, so any finalization work the optimizer does after its
-    last record (the sample-surface re-audit, for instance) stays on the
-    books.
+    optimizer ran.  Neither optimizer applies an operator after its last
+    record, so the row deltas add up to the whole run.
     """
     rows = []
     prev = baseline_counters
     for i, rec in enumerate(records):
         snap = rec.counters
-        if end_counters is not None and i == len(records) - 1:
-            snap = end_counters
         row = {
             "outer_iter": getattr(rec, "outer_iter", getattr(rec, "segment", i)),
             "inner_iters": getattr(rec, "inner_iters", getattr(rec, "iterations", 0)),

@@ -199,8 +199,8 @@ def build_surrogate(
 
     One column-batched CG call solves for all probes.  The solves are the
     per-iteration price of the method and must be trustworthy, so a
-    non-converged solve is a hard error.  The solved block is also attached
-    to ``probes.z``.
+    non-converged solve is a hard error.  The solved block is the
+    surrogate's ``z``.
     """
     theta_t = np.asarray(theta_t, dtype=float)
     psi_t = build_psi(problem, theta_t)
@@ -211,13 +211,11 @@ def build_surrogate(
             f"anchor solve for probe {i} stalled at relative residual "
             f"{res.relres[i]:.3e} after {pcg_maxit} iterations"
         )
-    z = res.x
-    probes.z = z
     surrogate = StochasticSurrogate(
         problem=problem,
         theta_t=theta_t.copy(),
         probes=probes,
-        z=z,
+        z=res.x,
         pre=pre,
         pcg_tol=pcg_tol,
         pcg_maxit=pcg_maxit,

@@ -276,12 +276,12 @@ def synthesize_data(a_op, x_true, noise_level, seed):
     return clean + noise, sd**2
 
 
-def reconstruct(problem, theta, pre=None, pcg_tol=1e-8, maxit=500):
+def reconstruct(problem, theta, pcg_tol=1e-8, maxit=500):
     """Posterior mean  x_hat = mu_x + Q A^T Psi^{-1} (b - A mu_x)."""
     psi_params, y = problem.split(theta)
     psi_op = build_psi(problem, theta)
     rhs = -problem.residual_offset(theta)
-    res = pcg_solve(psi_op, rhs, pre=pre, tol=pcg_tol, maxit=maxit)
+    res = pcg_solve(psi_op, rhs, tol=pcg_tol, maxit=maxit)
     a_op = problem.build_a(y)
     q_op = problem.build_q(psi_params)
     return problem.mu_x + q_op.matvec(a_op.rmatvec(res.x))

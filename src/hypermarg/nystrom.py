@@ -5,11 +5,10 @@ rank, a rank-L randomized Nystrom sketch of C yields the factored approximation
 
     P = U diag(lam) U^T + mu * (I - U U^T),     U orthonormal, lam >= 0,
 
-whose inverse and inverse square root are cheap (rank-L algebra plus a scaled
-identity).  Used two ways downstream: as the CG preconditioner for solves with
-the marginal covariance, and — through ``logdet_of_approximation`` and the
-inverse square root — to split log-determinant estimation into an exact
-low-rank part plus a better-conditioned stochastic remainder.
+whose inverse is cheap (rank-L algebra plus a scaled identity).  It serves as
+the CG preconditioner for solves with the marginal covariance (Frangella,
+Tropp & Udell, "Randomized Nystrom preconditioning", SIAM J. Matrix Anal.
+Appl. 2023).
 """
 
 from dataclasses import dataclass
@@ -48,40 +47,20 @@ class NystromPreconditioner:
     def rank(self):
         return self.basis.shape[1]
 
-    def _divide(self, v, d, s):
-        """U diag(1/d) U^T v + (I - U U^T) v / s, for a vector or a block."""
+    def apply_inverse(self, v):
+        """P^{-1} v = U diag(1/(lam + shift)) U^T v + (I - U U^T) v / shift.
+
+        ``v`` is a vector or a block of columns.
+        """
         v = np.asarray(v, dtype=float)
         if self.rank == 0:
-            return v / s
+            return v / self.shift
         coeff = self.basis.T @ v
         resid = v - self.basis @ coeff
+        d = self.eigenvalues + self.shift
         if v.ndim == 2:
             d = d[:, None]
-        return self.basis @ (coeff / d) + resid / s
-
-    def apply_inverse(self, v):
-        return self._divide(v, self.eigenvalues + self.shift, self.shift)
-
-    def apply_inverse_sqrt(self, v):
-        return self._divide(
-            v, np.sqrt(self.eigenvalues + self.shift), np.sqrt(self.shift)
-        )
-
-    def logdet_of_approximation(self):
-        """log det P = sum log(lam_i + shift) + (m - rank) * log(shift)."""
-        return float(
-            np.sum(np.log(self.eigenvalues + self.shift))
-            + (self.m - self.rank) * np.log(self.shift)
-        )
-
-    # The symmetric factor G = P^{-1/2} satisfies G^T G = P^{-1}; exposing it
-    # under the factor interface lets callers treat symmetric and whitened
-    # preconditioners uniformly.
-    def factor_apply(self, v):
-        return self.apply_inverse_sqrt(v)
-
-    def factor_t_apply(self, v):
-        return self.apply_inverse_sqrt(v)
+        return self.basis @ (coeff / d) + resid / self.shift
 
     def dense(self):
         eye = np.eye(self.m)
@@ -98,11 +77,8 @@ class WhitenedPreconditioner:
     The operator is symmetrically whitened first:  H = R^{-1/2} Psi R^{-1/2}
     = (whitened A) Q (whitened A)^T + I, which has the unit shift the Nystrom
     construction wants.  ``inner`` preconditions H; ``white_op`` is the R
-    operator (must expose ``apply_inverse_sqrt`` and ``logdet``).
-
-    The factor G = P_H^{-1/2} R^{-1/2} is non-symmetric but satisfies
-    G^T G = P^{-1} with P = R^{1/2} P_H R^{1/2}, which is all the
-    split log-determinant and the symmetrized trace estimator require.
+    operator (must expose ``apply_inverse_sqrt``).  The preconditioner for
+    Psi is P = R^{1/2} P_H R^{1/2}, applied through its inverse.
     """
 
     inner: NystromPreconditioner
@@ -115,19 +91,6 @@ class WhitenedPreconditioner:
     def apply_inverse(self, v):
         w = self.white_op.apply_inverse_sqrt(np.asarray(v, dtype=float))
         return self.white_op.apply_inverse_sqrt(self.inner.apply_inverse(w))
-
-    def factor_apply(self, v):
-        return self.inner.apply_inverse_sqrt(
-            self.white_op.apply_inverse_sqrt(np.asarray(v, dtype=float))
-        )
-
-    def factor_t_apply(self, v):
-        return self.white_op.apply_inverse_sqrt(
-            self.inner.apply_inverse_sqrt(np.asarray(v, dtype=float))
-        )
-
-    def logdet_of_approximation(self):
-        return self.white_op.logdet() + self.inner.logdet_of_approximation()
 
 
 def nystrom_preconditioner(op, shift, rank, seed):

@@ -13,18 +13,16 @@ by the test-suite:
   and the misfit solve), so a value and a gradient at the same theta share
   one factorization; the gradient is ``dense_gradient``, which the exact MM
   majorant reuses with the anchor's Psi^{-1} in place of Psi(theta)^{-1};
-* ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature over a
-  fixed probe set (the sample-average surface the fixed-sample optimizer
-  minimizes), one Lanczos run over the whole probe block, misfit solved by
-  preconditioned CG;
+* ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature on
+  Psi over a fixed probe set (the sample-average surface the fixed-sample
+  optimizer minimizes), one Lanczos run over the whole probe block, misfit
+  solved by CG;
 * ``grad_fd``  —  forward finite differences of any scalar objective,
   bound-aware, used as the derivative-free fallback and the universal
   cross-check.
 
-When a preconditioner is supplied, the log-determinant splits into the
-preconditioner's exact part plus quadrature on the whitened operator
-G Psi G^T, and solves are preconditioned; without one, quadrature runs on
-Psi directly.
+``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi,
+whitening by the noise covariance first when that is not a scaled identity.
 """
 
 from dataclasses import dataclass, field
@@ -156,30 +154,22 @@ def eval_F_exact(problem, theta, pieces=None):
 
 
 class _Sandwich(SymOp):
-    """L M L^T for a symmetric operator M and a factor L given by its applies.
+    """L M L for symmetric operators M and L, with L given by its apply.
 
-    ``left`` and ``left_t`` apply L and L^T to a vector or to a block of
-    columns; M is applied through its own counted ``matvec``/``matmat``.
+    ``left`` applies L to a vector or to a block of columns; M is applied
+    through its own counted ``matvec``/``matmat``.
     """
 
-    def __init__(self, inner, left, left_t):
+    def __init__(self, inner, left):
         super().__init__(inner.m)
         self.inner = inner
         self.left = left
-        self.left_t = left_t
 
     def _apply(self, v):
-        return self.left(self.inner.matvec(self.left_t(v)))
+        return self.left(self.inner.matvec(self.left(v)))
 
     def _apply_mat(self, V):
-        return self.left(self.inner.matmat(self.left_t(V)))
-
-
-def _quad_operator(psi_op, pre):
-    """The operator whose log-quadforms estimate the stochastic logdet part."""
-    if pre is None:
-        return psi_op
-    return _Sandwich(psi_op, pre.factor_apply, pre.factor_t_apply)
+        return self.left(self.inner.matmat(self.left(V)))
 
 
 def eval_F_slq(
@@ -187,17 +177,14 @@ def eval_F_slq(
     theta,
     probes,
     k_steps,
-    pre=None,
     pcg_tol=1e-8,
     pcg_maxit=500,
 ):
     """Sample-average objective: SLQ log-determinant plus CG misfit.
 
-    Deterministic given (problem, theta, probes, k_steps, pre).  With a
-    preconditioner, the log-determinant splits as
-    ``pre.logdet_of_approximation() + mean_i w_i^T log(G Psi G^T) w_i``;
-    without one, quadrature runs on Psi directly.  One column-batched
-    Lanczos call serves all probes.
+    Deterministic given (problem, theta, probes, k_steps): the
+    log-determinant is ``mean_i w_i^T log(Psi) w_i``, from one
+    column-batched Lanczos call over all probes.
     """
     theta = np.asarray(theta, dtype=float)
     if probes.m != problem.m:
@@ -205,13 +192,11 @@ def eval_F_slq(
             f"probe dimension {probes.m} does not match problem dimension {problem.m}"
         )
     psi_op = build_psi(problem, theta)
-    decomp = lanczos_decompose(_quad_operator(psi_op, pre), probes.w, k_steps)
+    decomp = lanczos_decompose(psi_op, probes.w, k_steps)
     logdet_part = float(np.mean(decomp.quadform_log()))
-    if pre is not None:
-        logdet_part += pre.logdet_of_approximation()
 
     c = problem.residual_offset(theta)
-    res = pcg_solve(psi_op, c, pre=pre, tol=pcg_tol, maxit=pcg_maxit)
+    res = pcg_solve(psi_op, c, tol=pcg_tol, maxit=pcg_maxit)
     misfit = float(np.dot(c, res.x))
     prior = problem.prior.neglog(theta)
 
@@ -388,7 +373,7 @@ def grad_fd(f, theta, box, eps_rel=1e-6, scheme="forward"):
     return grad
 
 
-def psi_preconditioner(problem, theta, rank=20, seed=0, psi_op=None):
+def psi_preconditioner(problem, theta, rank=20, seed=0):
     """Build the appropriate Nystrom preconditioner for Psi(theta).
 
     With a scaled-identity noise covariance the known shift is used directly;
@@ -397,17 +382,16 @@ def psi_preconditioner(problem, theta, rank=20, seed=0, psi_op=None):
     """
     theta = np.asarray(theta, dtype=float)
     psi_params, _ = problem.split(theta)
-    if psi_op is None:
-        psi_op = build_psi(problem, theta)
+    psi_op = build_psi(problem, theta)
     rank = int(min(rank, problem.m))
     r_op = problem.build_r(psi_params)
     if isinstance(r_op, ScaledIdentityOp):
         return nystrom_preconditioner(psi_op, r_op.scale, rank, seed)
-    if not hasattr(r_op, "apply_inverse_sqrt") or not hasattr(r_op, "logdet"):
+    if not hasattr(r_op, "apply_inverse_sqrt"):
         raise ValueError(
-            "noise covariance operator must expose apply_inverse_sqrt and logdet "
+            "noise covariance operator must expose apply_inverse_sqrt "
             "to be whitened for preconditioning"
         )
-    white = _Sandwich(psi_op, r_op.apply_inverse_sqrt, r_op.apply_inverse_sqrt)
+    white = _Sandwich(psi_op, r_op.apply_inverse_sqrt)
     inner = nystrom_preconditioner(white, 1.0, rank, seed)
     return WhitenedPreconditioner(inner=inner, white_op=r_op)

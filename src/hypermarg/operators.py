@@ -207,10 +207,6 @@ class DiagonalOp(SymOp):
         self._require_pd()
         return self._divide(v, np.sqrt(self.diag))
 
-    def logdet(self):
-        self._require_pd()
-        return float(np.sum(np.log(self.diag)))
-
 
 class ScaledIdentityOp(SymOp):
     """c * I on R^m."""
@@ -239,10 +235,6 @@ class ScaledIdentityOp(SymOp):
     def apply_inverse_sqrt(self, v):
         self._require_pd()
         return _as_columns(v, self.m) / np.sqrt(self.scale)
-
-    def logdet(self):
-        self._require_pd()
-        return self.m * float(np.log(self.scale))
 
 
 class CallableSymOp(SymOp):

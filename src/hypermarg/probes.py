@@ -1,6 +1,6 @@
 """Probe vectors for stochastic trace estimation."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,16 +17,11 @@ class ProbeSet:
     i.i.d. sign vectors (the workhorse); ``"canonical"`` probes are the scaled
     coordinate vectors ``sqrt(m) * e_i``, which turn empirical means over the
     full set into exact traces — the exhaustive oracle used by tests.
-
-    ``z`` is a lazily-populated companion block of solved probes
-    (``Psi_anchor^{-1} W``) attached by the majorize-minimize machinery; it is
-    ``None`` until an anchor populates it.
     """
 
     w: np.ndarray
     seed: int
     kind: str = "rademacher"
-    z: np.ndarray = field(default=None, repr=False)
 
     @property
     def m(self):

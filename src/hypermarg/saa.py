@@ -13,13 +13,12 @@ everywhere, so a projected-gradient loop driven by finite differences of
 F_hat is the whole optimizer — every run with the same inputs retraces the
 same arithmetic.
 
-Preconditioning accelerates the inner solves but changes the estimator (the
-log-determinant splits into an exact part plus quadrature on the whitened
-operator), so the run is broken into segments: within a segment the
-preconditioner — and hence the surface — is fixed, and it is rebuilt only
-once the iterate has drifted far from the anchor where it was built.  The
-returned point is finally compared against the start on the raw
-(unpreconditioned) surface and never loses to it.
+The loop restarts every ``segment_iters`` steps, one record per segment, on
+the same surface throughout.  Each theta is evaluated once per run: a
+finite-difference base point the line search has just accepted, or a
+segment restart at the last iterate, reads the value already computed.
+Armijo steps never increase F_hat, so the returned value is the last
+segment's.
 """
 
 import time
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mm import box_start, projected_gradient_min
-from .objective import eval_F_slq, grad_fd, psi_preconditioner
+from .objective import eval_F_slq, grad_fd
 from .probes import rademacher_probes
 
 __all__ = ["SaaRecord", "SaaResult", "saa_optimize"]
@@ -42,7 +41,6 @@ class SaaRecord:
     iterations: int
     fn_evals: int
     pcg_iters: int
-    rebuilt: bool
     wall_time_s: float
     counters: dict
 
@@ -50,7 +48,7 @@ class SaaRecord:
 @dataclass
 class SaaResult:
     theta: np.ndarray
-    f_value: float  # raw-surface value at the returned point
+    f_value: float  # F_hat at the returned point
     converged: bool
     iterations: int
     fn_evals: int
@@ -70,68 +68,49 @@ def saa_optimize(
     grad_eps=1e-6,
     pcg_tol=1e-8,
     pcg_maxit=500,
-    precond_rank=0,
-    rebuild_drift=0.1,
     callback=None,
 ):
     """Minimize the fixed-sample surface F_hat over the feasible box.
 
     One probe block is drawn up front from ``(seed, "probes", "saa")`` and
     never redrawn.  The loop runs in segments of ``segment_iters``
-    projected-gradient steps; with ``precond_rank > 0`` the preconditioner is
-    rebuilt between segments once the iterate drifts more than
-    ``rebuild_drift`` (relative) from its anchor.  Gradients are forward
-    differences of the segment surface, so the only linear algebra is
-    Lanczos quadrature and preconditioned CG.
+    projected-gradient steps, each restarting from the last iterate.
+    Gradients are forward differences of F_hat, so the only linear algebra
+    is Lanczos quadrature and CG.  ``fn_evals`` counts distinct thetas.
     """
+    if max_iters < 1 or segment_iters < 1:
+        raise ValueError("max_iters and segment_iters must be positive")
     theta = box_start(problem, theta0)
     k_steps = int(min(k_steps, problem.m))
     probes = rademacher_probes(problem.m, n_probes, seed, "saa")
 
-    pcg_acc = [0]
+    seen = {}  # F_hat by theta.tobytes(); its size is the evaluation count
+    pcg_iters = [0]
 
-    def surface(pre):
-        def fhat(th):
+    def fhat(th):
+        key = th.tobytes()
+        if key not in seen:
             res = eval_F_slq(
                 problem,
                 th,
                 probes,
                 k_steps=k_steps,
-                pre=pre,
                 pcg_tol=pcg_tol,
                 pcg_maxit=pcg_maxit,
             )
-            pcg_acc[0] += res.pcg_iterations
-            return res.value
-
-        return fhat
-
-    raw_fhat = surface(None)
-    f_start_raw = raw_fhat(theta)
+            pcg_iters[0] += res.pcg_iterations
+            seen[key] = res.value
+        return seen[key]
 
     records = []
     total_iters = 0
-    total_fn = 1  # the raw evaluation above
     converged = False
-    segment = 0
-    anchor = theta.copy()
-    pre = None
-    rebuilt = False
-    if precond_rank > 0:
-        pre = psi_preconditioner(problem, theta, rank=precond_rank, seed=seed)
     while total_iters < max_iters and not converged:
         t0 = time.perf_counter()
-        fhat = surface(pre)
-        evals = [0]
-        pcg_seg_start = pcg_acc[0]
-
-        def counted(th, _f=fhat, _e=evals):
-            _e[0] += 1
-            return _f(th)
-
+        evals_start, pcg_start = len(seen), pcg_iters[0]
         inner = projected_gradient_min(
-            counted,
-            lambda th: grad_fd(counted, th, problem.box, eps_rel=grad_eps),
+            fhat,
+            lambda th: grad_fd(fhat, th, problem.box, eps_rel=grad_eps),
             theta,
             problem.box,
             max_iters=min(segment_iters, max_iters - total_iters),
@@ -139,47 +118,28 @@ def saa_optimize(
         )
         theta = inner.theta
         total_iters += inner.iterations
-        total_fn += evals[0]
         converged = inner.converged
-        drift = float(np.linalg.norm(theta - anchor)) / max(
-            1.0, float(np.linalg.norm(anchor))
-        )
-        rebuilt = False
-        if precond_rank > 0 and drift > rebuild_drift and not converged:
-            pre = psi_preconditioner(problem, theta, rank=precond_rank, seed=seed)
-            anchor = theta.copy()
-            rebuilt = True
         records.append(
             SaaRecord(
-                segment=segment,
+                segment=len(records),
                 theta=theta.copy(),
                 f_hat=inner.value,
                 iterations=inner.iterations,
-                fn_evals=evals[0],
-                pcg_iters=pcg_acc[0] - pcg_seg_start,
-                rebuilt=rebuilt,
+                fn_evals=len(seen) - evals_start,
+                pcg_iters=pcg_iters[0] - pcg_start,
                 wall_time_s=time.perf_counter() - t0,
                 counters=problem.counters.snapshot(),
             )
         )
         if callback is not None:
             callback(records[-1])
-        segment += 1
 
-    f_final_raw = raw_fhat(theta)
-    total_fn += 1
-    if f_final_raw > f_start_raw:
-        # the fixed-sample surface moved against us (possible only with an
-        # aggressive preconditioner schedule); fall back to the start
-        theta = box_start(problem, theta0)
-        f_final_raw = f_start_raw
-        converged = False
     return SaaResult(
         theta=theta,
-        f_value=f_final_raw,
+        f_value=records[-1].f_hat,
         converged=converged,
         iterations=total_iters,
-        fn_evals=total_fn,
+        fn_evals=len(seen),
         records=records,
         probe_seed=int(seed),
     )

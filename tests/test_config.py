@@ -47,8 +47,14 @@ class TestRunConfig:
 
     def test_method_key_from_other_method_rejected(self):
         cfg = run_cfg()
-        cfg["method"]["rebuild_drift"] = 0.1  # an saa knob on an m3c block
-        with pytest.raises(ConfigError, match="rebuild_drift"):
+        cfg["method"]["segment_iters"] = 10  # an saa knob on an m3c block
+        with pytest.raises(ConfigError, match="segment_iters"):
+            validate_run_config(cfg)
+
+    def test_precond_rank_rejected_for_saa(self):
+        cfg = run_cfg()
+        cfg["method"] = {"name": "saa", "precond_rank": 8}
+        with pytest.raises(ConfigError, match="precond_rank"):
             validate_run_config(cfg)
 
     def test_missing_block(self):

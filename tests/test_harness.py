@@ -1,5 +1,6 @@
 """Harness and CLI tests: runs, reports, golden stability, exit codes."""
 
+import inspect
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 from hypermarg.bounds import SpectralConstants, lanczos_steps_bound, slq_samples_bound
 from hypermarg.cli import main
-from hypermarg.config import ConfigError
+from hypermarg.config import _M3C_SCHEMA, _SAA_SCHEMA, ConfigError
 from hypermarg.harness import (
     majorant_slice,
     run_experiment,
@@ -19,6 +20,7 @@ from hypermarg.metrics import read_csv, read_xhat, strip_timing
 from hypermarg.mm import m3c_optimize
 from hypermarg.problems import make_test_problem
 from hypermarg.randmat import logdet_test_matrix
+from hypermarg.saa import saa_optimize
 
 
 def run_cfg(outdir, **method_over):
@@ -127,6 +129,17 @@ class TestRunExperiment:
         assert summary["converged"]
         fields, rows = read_csv(tmp_path / "saa" / "metrics.csv")
         assert summary["total_matvecs_A"] == sum(int(r["matvecs_A"]) for r in rows)
+
+    @pytest.mark.parametrize(
+        "schema, optimizer",
+        [(_M3C_SCHEMA, m3c_optimize), (_SAA_SCHEMA, saa_optimize)],
+        ids=["m3c", "saa"],
+    )
+    def test_every_method_key_is_an_optimizer_parameter(self, schema, optimizer):
+        # run_experiment passes every validated key but these two through
+        params = inspect.signature(optimizer).parameters
+        keys = set(schema) - {"name", "theta0"}
+        assert keys <= set(params), sorted(keys - set(params))
 
     def test_tomo_reconstruction_improves(self, tmp_path):
         cfg = {

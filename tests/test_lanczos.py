@@ -13,7 +13,6 @@ from hypermarg import (
     slq_logdet_batch,
 )
 from hypermarg.nystrom import WhitenedPreconditioner
-from hypermarg.objective import _quad_operator
 from hypermarg.rng import stream
 
 
@@ -47,13 +46,9 @@ def test_reorthogonalization_controls_drift():
     op = DenseSymOp(mat)
     v = np.ones(50)
 
-    dec_on = lanczos_decompose(op, v, 30, reorth=True)
-    gram_on = dec_on.basis.T @ dec_on.basis - np.eye(dec_on.k_eff)
-    assert np.abs(gram_on).max() <= 1e-10
-
-    dec_off = lanczos_decompose(op, v, 30, reorth=False)
-    gram_off = dec_off.basis.T @ dec_off.basis - np.eye(dec_off.k_eff)
-    assert np.abs(gram_off).max() > 1e-10
+    dec = lanczos_decompose(op, v, 30)
+    gram = dec.basis.T @ dec.basis - np.eye(dec.k_eff)
+    assert np.abs(gram).max() <= 1e-10
 
 
 def test_zero_start_vector_rejected():
@@ -131,12 +126,12 @@ def test_batch_matches_per_probe_path():
     )
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-10)
 
-    # Column j of a block call is the single-vector call on column j, for
-    # CG and Lanczos, unpreconditioned, with a Nystrom preconditioner whose
-    # rank equals the probe count, and whitened by a non-scalar diagonal.
-    # CG runs to 1e-12, where the summation order of the block products
-    # (BLAS-3 against BLAS-2) no longer shows in the solutions; the Lanczos
-    # coefficients agree to roundoff at this depth.
+    # Column j of a block call is the single-vector call on column j: for
+    # CG unpreconditioned, with a Nystrom preconditioner whose rank equals
+    # the probe count, and whitened by a non-scalar diagonal; for Lanczos on
+    # the operator.  CG runs to 1e-12, where the summation order of the
+    # block products (BLAS-3 against BLAS-2) no longer shows in the
+    # solutions; the Lanczos coefficients agree to roundoff at this depth.
     n = 7
     spd = mat + np.eye(m)
     op = DenseSymOp(spd)
@@ -160,15 +155,14 @@ def test_batch_matches_per_probe_path():
         for j, s in enumerate(singles):
             assert close(block.x[:, j], s.x), (name, j)
 
-        quad_op = _quad_operator(op, pre)
-        dec = lanczos_decompose(quad_op, w_block, k)
-        vals = dec.quadform_log()
-        for j in range(n):
-            s = lanczos_decompose(quad_op, w_block[:, j], k)
-            assert dec.steps[j] == s.k_eff == k, (name, j)
-            assert close(dec.alpha[:, j], s.alpha), (name, j)
-            assert close(dec.beta[:, j], s.beta), (name, j)
-            assert vals[j] == pytest.approx(s.quadform_log(), rel=1e-12), (name, j)
+    dec = lanczos_decompose(op, w_block, k)
+    vals = dec.quadform_log()
+    for j in range(n):
+        s = lanczos_decompose(op, w_block[:, j], k)
+        assert dec.steps[j] == s.k_eff == k, j
+        assert close(dec.alpha[:, j], s.alpha), j
+        assert close(dec.beta[:, j], s.beta), j
+        assert vals[j] == pytest.approx(s.quadform_log(), rel=1e-12), j
 
     # A column started on an eigenvector breaks down after one step and gets
     # no further operator applications; the others run all k steps.

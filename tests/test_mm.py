@@ -203,11 +203,16 @@ class TestStochasticSurrogate:
         assert abs(v_warm - v_cold) <= bound
 
     def test_solved_block_attached_to_probes(self):
+        # the surrogate pairs its probes with the only copy of Psi_t^{-1} W
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=1)
         probes = rademacher_probes(problem.m, 5, seed=0)
-        assert probes.z is None
-        build_surrogate(problem, problem.theta_true, probes)
-        assert probes.z.shape == (problem.m, 5)
+        surrogate = build_surrogate(problem, problem.theta_true, probes, pcg_tol=1e-12)
+        assert surrogate.probes is probes
+        assert surrogate.z.shape == (problem.m, 5)
+        psi = build_psi(problem, problem.theta_true).dense()
+        resid = psi @ surrogate.z - probes.w
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(probes.w)
+        assert not hasattr(probes, "z")
 
 
 class TestProjectedGradient:

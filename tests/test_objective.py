@@ -14,6 +14,7 @@ from hypermarg import (
 )
 from hypermarg.objective import (
     _DerivativeActions,
+    dense_objective_pieces,
     eval_F_exact,
     eval_F_slq,
     grad_F_exact,
@@ -22,6 +23,7 @@ from hypermarg.objective import (
 )
 from hypermarg.operators import DiagonalOp, NumericalError, ScaledIdentityOp, ZeroLinOp
 from hypermarg.nystrom import WhitenedPreconditioner
+from hypermarg.pcg import pcg_solve
 from hypermarg.probes import canonical_probes, rademacher_probes
 from hypermarg.rng import stream
 
@@ -200,15 +202,24 @@ class TestSlqObjective:
         assert slq.converged
 
     def test_canonical_with_preconditioner_matches_exact(self):
+        # The preconditioned solves m3c makes at an anchor: a block CG over
+        # canonical probes gives trace(Psi^{-1}) exactly, and the misfit
+        # solve gives c^T Psi^{-1} c.
         problem = deblur_problem(s=8, seed=2)
         theta = problem.theta_true
-        exact = eval_F_exact(problem, theta)
+        pieces = dense_objective_pieces(problem, theta)
         pre = psi_preconditioner(problem, theta, rank=24, seed=11)
+        psi_op = build_psi(problem, theta)
         probes = canonical_probes(problem.m)
-        slq = eval_F_slq(
-            problem, theta, probes, k_steps=problem.m, pre=pre, pcg_tol=1e-12
+        block = pcg_solve(psi_op, probes.w, pre=pre, tol=1e-12)
+        assert block.converged
+        trace = float(np.mean(np.sum(probes.w * block.x, axis=0)))
+        assert trace == pytest.approx(np.trace(pieces.inverse()), rel=1e-8)
+        res = pcg_solve(psi_op, pieces.c, pre=pre, tol=1e-12)
+        assert res.converged
+        assert float(pieces.c @ res.x) == pytest.approx(
+            float(pieces.c @ pieces.r), rel=1e-8
         )
-        assert abs(slq.value - exact.value) < 1e-7 * max(1.0, abs(exact.value))
 
     def test_rademacher_error_within_sampling_band(self):
         problem = tomo_problem(s=8, n_src=5, n_rec=6, seed=4)
@@ -273,11 +284,13 @@ class TestPsiPreconditioner:
         pre = psi_preconditioner(problem, theta, rank=m, seed=0)
         assert isinstance(pre, WhitenedPreconditioner)
 
-        exact = eval_F_exact(problem, theta)
-        slq = eval_F_slq(
-            problem, theta, canonical_probes(m), k_steps=m, pre=pre, pcg_tol=1e-13
-        )
-        assert abs(slq.value - exact.value) < 1e-7 * max(1.0, abs(exact.value))
+        psi_op = build_psi(problem, theta)
+        rhs = rng.standard_normal(m)
+        res = pcg_solve(psi_op, rhs, pre=pre, tol=1e-13)
+        # at full rank the whitened preconditioner is Psi itself
+        assert res.converged and res.iterations <= 2
+        expected = np.linalg.solve(psi_op.dense(), rhs)
+        assert np.linalg.norm(res.x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
 class TestDerivativeActions:
