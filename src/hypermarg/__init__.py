@@ -12,7 +12,6 @@ from .operators import (
     ScaledIdentityOp,
     SparseLinOp,
     SymOp,
-    ZeroLinOp,
     dense_logdet,
 )
 from .probes import ProbeSet, canonical_probes, rademacher_probes

@@ -8,10 +8,15 @@ shared between operators — a forward map and its derivative built for the same
 problem can report into one ledger or into separate ones, at the builder's
 choice.
 
+Every forward map of the test problems is a :class:`SparseLinOp`, one CSR
+matrix per value of its parameters, so a block of columns costs one sparse
+product.  :class:`DenseLinOp` serves small hand-built maps.
+
 Dense materialization (``dense()``) is an oracle path for small problems and
 never touches the counters.
 """
 
+import functools
 import threading
 
 import numpy as np
@@ -29,8 +34,6 @@ __all__ = [
     "LinOp",
     "DenseLinOp",
     "SparseLinOp",
-    "ZeroLinOp",
-    "IdentityLinOp",
     "dense_logdet",
 ]
 
@@ -251,8 +254,10 @@ class CallableSymOp(SymOp):
 class LinOp:
     """Rectangular operator R^n -> R^m with adjoint.
 
-    Forward and adjoint applications increment the same counter: the cost
-    ledger tracks "applications of the map or its transpose".
+    Subclasses implement ``_apply`` and ``_apply_t`` for a vector or a block
+    of columns.  Forward and adjoint applications increment the same counter:
+    the cost ledger tracks "applications of the map or its transpose", one per
+    column of a block.
     """
 
     def __init__(self, m, n, counter=None):
@@ -278,25 +283,19 @@ class LinOp:
         """Apply to each column of ``X`` (counts one application per column)."""
         X = _as_block(X, self.n, "X")
         self.counter.increment(X.shape[1])
-        return self._apply_mat(X)
+        return self._apply(X)
 
     def rmatmat(self, Y):
         """Apply the adjoint to each column of ``Y`` (counted per column)."""
         Y = _as_block(Y, self.m, "Y")
         self.counter.increment(Y.shape[1])
-        return self._apply_t_mat(Y)
+        return self._apply_t(Y)
 
     def _apply(self, x):
         raise NotImplementedError
 
     def _apply_t(self, y):
         raise NotImplementedError
-
-    def _apply_mat(self, X):
-        return np.column_stack([self._apply(X[:, j]) for j in range(X.shape[1])])
-
-    def _apply_t_mat(self, Y):
-        return np.column_stack([self._apply_t(Y[:, j]) for j in range(Y.shape[1])])
 
     def dense(self):
         raise NotImplementedError(f"{type(self).__name__} has no dense form")
@@ -320,23 +319,25 @@ class DenseLinOp(LinOp):
     def _apply_t(self, y):
         return self.mat.T @ y
 
-    def _apply_mat(self, X):
-        return self.mat @ X
-
-    def _apply_t_mat(self, Y):
-        return self.mat.T @ Y
-
     def dense(self):
         return self.mat.copy()
 
 
 class SparseLinOp(LinOp):
-    """CSR-backed map; the transpose is built once, in CSR form, for adjoints."""
+    """CSR-backed map; its CSR transpose is built on the first adjoint and kept.
+
+    Building the transpose lazily keeps construction cheap for the maps that
+    are only ever materialized by ``dense()`` (every dense-oracle evaluation
+    builds its forward map and derivatives afresh).
+    """
 
     def __init__(self, mat, counter=None):
         super().__init__(mat.shape[0], mat.shape[1], counter)
         self.mat = mat.tocsr()
-        self.mat_t = self.mat.T.tocsr()
+
+    @functools.cached_property
+    def mat_t(self):
+        return self.mat.T.tocsr()
 
     def _apply(self, x):
         return np.asarray(self.mat @ x)
@@ -344,47 +345,10 @@ class SparseLinOp(LinOp):
     def _apply_t(self, y):
         return np.asarray(self.mat_t @ y)
 
-    def _apply_mat(self, X):
-        return np.asarray(self.mat @ X)
-
-    def _apply_t_mat(self, Y):
-        return np.asarray(self.mat_t @ Y)
-
     def dense(self):
-        return self.mat.toarray()
-
-
-class ZeroLinOp(LinOp):
-    def _apply(self, x):
-        return np.zeros(self.m)
-
-    def _apply_t(self, y):
-        return np.zeros(self.n)
-
-    def dense(self):
-        return np.zeros((self.m, self.n))
-
-
-class IdentityLinOp(LinOp):
-    """Identity on R^m, counted like any other forward map."""
-
-    def __init__(self, m, counter=None):
-        super().__init__(m, m, counter)
-
-    def _apply(self, x):
-        return x.copy()
-
-    def _apply_t(self, y):
-        return y.copy()
-
-    def _apply_mat(self, X):
-        return X.copy()
-
-    def _apply_t_mat(self, Y):
-        return Y.copy()
-
-    def dense(self):
-        return np.eye(self.m)
+        # toarray adds into its output; on np.zeros' untouched pages that read
+        # faults each page in twice, so the zeros are written first
+        return self.mat.toarray(out=np.full(self.shape, 0.0))
 
 
 def dense_logdet(mat):

@@ -13,8 +13,10 @@ tomo            R = th1 I, Matern Q      fixed ray sums             3
 superres        fixed R, fixed Q         per-frame shifts           2*frames
 ==============  =======================  =========================  =========
 
-Forward maps apply as stencil/gather arithmetic (never assembled for the
-solvers); ``dense()`` materializations exist for the dense oracle paths.
+Every forward map is a :class:`~hypermarg.operators.SparseLinOp`: one CSR
+matrix per value of the forward-map parameters y (PSF shape, frame warps), so the
+solvers apply a whole probe block in one sparse product and the dense oracle
+paths take ``dense()`` from the same matrix.
 """
 
 import functools
@@ -26,8 +28,6 @@ from .kernels import matern_covariance, matern_dlengthscale, matern_kernel, pair
 from .model import Box, CounterLedger, HyperPrior, ProblemSpec, synthesize_data
 from .operators import (
     DenseSymOp,
-    IdentityLinOp,
-    LinOp,
     MatvecCounter,
     ScaledIdentityOp,
     SparseLinOp,
@@ -99,84 +99,46 @@ def psf_stencil_derivative(y, j, halfwidth=3):
     return -0.5 * dquad * p
 
 
-def _offset_add(dst, src, di, dj, w):
-    # dst(i, j) += w * src(i + di, j + dj), zero outside
-    s = dst.shape[0]
-    i0, i1 = max(0, -di), min(s, s - di)
-    j0, j1 = max(0, -dj), min(s, s - dj)
-    if i0 >= i1 or j0 >= j1:
-        return
-    dst[i0:i1, j0:j1] += w * src[i0 + di : i1 + di, j0 + dj : j1 + dj]
-
-
-class ConvolutionOp(LinOp):
+class ConvolutionOp(SparseLinOp):
     """Zero-padded stencil correlation on s x s images (square, n = s^2).
 
-    Forward: out(i,j) = sum_{di,dj} stencil(di,dj) x(i+di, j+dj).
+    Forward: out(i,j) = sum_{di,dj} stencil(di,dj) x(i+di, j+dj).  All
+    stencils of one (s, halfwidth) share one CSR structure; a stencil only
+    gathers its taps into the stored values.
     """
 
     def __init__(self, stencil, s, counter=None):
-        super().__init__(s * s, s * s, counter)
         stencil = np.asarray(stencil, dtype=float)
         if stencil.ndim != 2 or stencil.shape[0] != stencil.shape[1] or stencil.shape[0] % 2 == 0:
             raise ValueError("stencil must be square with odd side")
-        self.s = int(s)
-        self.stencil = stencil
-        self.halfwidth = stencil.shape[0] // 2
-
-    def _conv(self, x, flip):
-        img = x.reshape(self.s, self.s)
-        out = np.zeros_like(img)
-        hw = self.halfwidth
-        for a in range(self.stencil.shape[0]):
-            for b in range(self.stencil.shape[1]):
-                w = self.stencil[a, b]
-                if w == 0.0:
-                    continue
-                di, dj = a - hw, b - hw
-                if flip:
-                    di, dj = -di, -dj
-                _offset_add(out, img, di, dj, w)
-        return out.ravel()
-
-    def _apply(self, x):
-        return self._conv(x, flip=False)
-
-    def _apply_t(self, y):
-        return self._conv(y, flip=True)
-
-    def dense(self):
-        flat, taps = _convolution_pattern(self.s, self.halfwidth)
-        mat = np.zeros(self.n * self.n)
-        mat[flat] = self.stencil.ravel()[taps]
-        return mat.reshape(self.n, self.n)
+        n = int(s) ** 2
+        indptr, indices, taps = _convolution_pattern(int(s), stencil.shape[0] // 2)
+        mat = scipy.sparse.csr_matrix((stencil.ravel()[taps], indices, indptr), shape=(n, n))
+        super().__init__(mat, counter)
 
 
 @functools.lru_cache(maxsize=None)
 def _convolution_pattern(s, halfwidth):
-    """Sparsity pattern of an s x s stencil correlation, shared by all stencils.
+    """CSR structure of an s x s stencil correlation, shared by all stencils.
 
-    Returns ``(flat, taps)``: the flattened positions ``row * n + col`` of
-    every in-range entry and, for each, the index of the stencil tap
-    (row-major over the ``(2 halfwidth + 1)^2`` taps) that supplies its value.
+    Returns ``(indptr, indices, taps)``: the CSR row pointers and column
+    indices of every in-range entry and, for each stored entry, the index of
+    the stencil tap (row-major over the ``(2 halfwidth + 1)^2`` taps) that
+    supplies its value.  Each entry has its own tap, and within a row the
+    columns ascend with the tap index, so the structure is canonical.
     """
     side = 2 * halfwidth + 1
-    n = s * s
-    idx = np.arange(s)
-    flat, taps = [], []
-    for a in range(side):
-        for b in range(side):
-            di, dj = a - halfwidth, b - halfwidth
-            ii = idx[(idx + di >= 0) & (idx + di < s)]
-            jj = idx[(idx + dj >= 0) & (idx + dj < s)]
-            gi, gj = np.meshgrid(ii, jj, indexing="ij")
-            rows = (gi * s + gj).ravel()
-            flat.append(rows * n + rows + di * s + dj)
-            taps.append(np.full(rows.size, a * side + b))
-    flat, taps = np.concatenate(flat), np.concatenate(taps)
-    flat.setflags(write=False)
-    taps.setflags(write=False)
-    return flat, taps
+    off = np.arange(side) - halfwidth
+    i, j = np.divmod(np.arange(s * s), s)
+    rows = i[:, None, None] + off[None, :, None]
+    cols = j[:, None, None] + off[None, None, :]
+    valid = (rows >= 0) & (rows < s) & (cols >= 0) & (cols < s)
+    indices = (rows * s + cols)[valid].astype(np.int32)
+    taps = np.broadcast_to(np.arange(side * side).reshape(side, side), valid.shape)[valid]
+    indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=(1, 2)))]).astype(np.int32)
+    for arr in (indptr, indices, taps):
+        arr.setflags(write=False)
+    return indptr, indices, taps
 
 
 def deblur_problem(
@@ -416,47 +378,33 @@ def tomo_problem(
 
 
 class _GatherTables:
-    """Bilinear gather index/weight tables for fixed sample positions."""
+    """Bilinear interpolation taps for fixed sample positions (zero outside).
+
+    One entry per tap that falls inside the image: ``rows`` (output pixel),
+    ``cols`` (source pixel), the weight ``w`` and its derivatives ``dw_r`` and
+    ``dw_c`` in the sample position's row and column.
+    """
 
     def __init__(self, pos_r, pos_c, s):
-        self.s = s
+        pos_r, pos_c = pos_r.ravel(), pos_c.ravel()
         r0 = np.floor(pos_r).astype(int)
         c0 = np.floor(pos_c).astype(int)
         fr = pos_r - r0
         fc = pos_c - c0
-        self.idx = []
-        self.w = []
-        self.dw_r = []
-        self.dw_c = []
-        for a, (war, dwar) in enumerate((((1.0 - fr), -1.0), (fr, 1.0))):
-            for b, (wbc, dwbc) in enumerate((((1.0 - fc), -1.0), (fc, 1.0))):
-                rows = r0 + a
-                cols = c0 + b
-                valid = (rows >= 0) & (rows < s) & (cols >= 0) & (cols < s)
-                flat = np.where(valid, rows * s + cols, 0).ravel()
-                v = valid.ravel().astype(float)
-                self.idx.append(flat)
-                self.w.append((war * wbc).ravel() * v)
-                self.dw_r.append((dwar * wbc).ravel() * v)
-                self.dw_c.append((war * dwbc).ravel() * v)
-
-    def gather(self, x_flat, weights):
-        out = np.zeros(weights[0].shape[0])
-        for idx, w in zip(self.idx, weights):
-            out += w * x_flat[idx]
-        return out
-
-    def scatter(self, y_flat, weights, n):
-        acc = np.zeros(n)
-        for idx, w in zip(self.idx, weights):
-            np.add.at(acc, idx, w * y_flat)
-        return acc
-
-    def dense(self, weights, n):
-        rows = np.tile(np.arange(weights[0].shape[0]), len(self.idx))
-        cols = np.concatenate(self.idx)
-        vals = np.concatenate(weights)
-        return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(weights[0].shape[0], n)).toarray()
+        out = np.arange(s * s)
+        rows, cols, w, dw_r, dw_c = [], [], [], [], []
+        for a, (war, dwar) in enumerate(((1.0 - fr, -1.0), (fr, 1.0))):
+            for b, (wbc, dwbc) in enumerate(((1.0 - fc, -1.0), (fc, 1.0))):
+                src_r, src_c = r0 + a, c0 + b
+                valid = (src_r >= 0) & (src_r < s) & (src_c >= 0) & (src_c < s)
+                rows.append(out[valid])
+                cols.append((src_r * s + src_c)[valid])
+                w.append((war * wbc)[valid])
+                dw_r.append((dwar * wbc)[valid])
+                dw_c.append((war * dwbc)[valid])
+        self.rows, self.cols, self.w, self.dw_r, self.dw_c = (
+            np.concatenate(v) for v in (rows, cols, w, dw_r, dw_c)
+        )
 
 
 def _frame_positions(s, params, affine):
@@ -504,117 +452,63 @@ def _position_sensitivity(s, j_local, affine):
     raise ValueError(f"bad frame-parameter index {j_local}")
 
 
-def _decimate(img, d):
-    cs = img.shape[0] // d
-    return img.reshape(cs, d, cs, d).mean(axis=(1, 3))
+def _coarse_index(s, d, pixels):
+    """Pixel of the image decimated by d that each fine pixel averages into."""
+    r, c = np.divmod(pixels, s)
+    return (r // d) * (s // d) + c // d
 
 
-def _decimate_adjoint(coarse, d):
-    return np.repeat(np.repeat(coarse, d, axis=0), d, axis=1) / d**2
-
-
-class SuperresOp(LinOp):
+class SuperresOp(SparseLinOp):
     """Stacked observation operator [D; D S(t_1); ...; D S(t_F)].
 
     D is block-average decimation by factor d; S(t) is a zero-padded bilinear
     warp (pure translation by default, optionally affine).  S(0) = I exactly.
+    Row k of D S(t) averages the taps of the d x d fine pixels of coarse
+    pixel k, so the whole stack is one coordinate list whose repeated
+    entries the CSR conversion sums.
     """
 
     def __init__(self, s, d, frame_params, affine=False, counter=None):
         if s % d != 0:
             raise ValueError("decimation must divide the image side")
-        cs = s // d
-        frames = len(frame_params)
-        super().__init__((frames + 1) * cs * cs, s * s, counter)
-        self.s, self.d, self.cs = s, d, cs
+        self.s, self.d = s, d
         self.affine = bool(affine)
-        self.frame_params = [np.asarray(p, dtype=float) for p in frame_params]
         self.tables = [
-            _GatherTables(*_frame_positions(s, p, self.affine), s)
-            for p in self.frame_params
+            _GatherTables(*_frame_positions(s, np.asarray(p, dtype=float), self.affine), s)
+            for p in frame_params
         ]
-
-    def _apply(self, x):
-        img = x.reshape(self.s, self.s)
-        parts = [_decimate(img, self.d).ravel()]
-        for tab in self.tables:
-            shifted = tab.gather(x, tab.w).reshape(self.s, self.s)
-            parts.append(_decimate(shifted, self.d).ravel())
-        return np.concatenate(parts)
-
-    def _apply_t(self, y):
-        blocks = y.reshape(len(self.tables) + 1, self.cs, self.cs)
-        acc = _decimate_adjoint(blocks[0], self.d).ravel()
-        for tab, block in zip(self.tables, blocks[1:]):
-            up = _decimate_adjoint(block, self.d).ravel()
-            acc += tab.scatter(up, tab.w, self.n)
-        return acc
-
-    def _decimation_dense(self):
-        rows, cols, vals = [], [], []
-        for bi in range(self.cs):
-            for bj in range(self.cs):
-                row = bi * self.cs + bj
-                for oi in range(self.d):
-                    for oj in range(self.d):
-                        rows.append(row)
-                        cols.append((bi * self.d + oi) * self.s + (bj * self.d + oj))
-                        vals.append(1.0 / self.d**2)
-        return scipy.sparse.coo_matrix(
-            (vals, (rows, cols)), shape=(self.cs * self.cs, self.n)
-        ).toarray()
-
-    def dense(self):
-        dec = self._decimation_dense()
-        blocks = [dec]
-        for tab in self.tables:
-            blocks.append(dec @ tab.dense(tab.w, self.n))
-        return np.vstack(blocks)
+        cs2 = (s // d) ** 2
+        pixels = np.arange(s * s)
+        rows, cols, vals = [_coarse_index(s, d, pixels)], [pixels], [np.ones(s * s)]
+        for f, tab in enumerate(self.tables, start=1):
+            rows.append(f * cs2 + _coarse_index(s, d, tab.rows))
+            cols.append(tab.cols)
+            vals.append(tab.w)
+        mat = scipy.sparse.csr_matrix(
+            (np.concatenate(vals) / d**2, (np.concatenate(rows), np.concatenate(cols))),
+            shape=((len(self.tables) + 1) * cs2, s * s),
+        )
+        super().__init__(mat, counter)
 
 
-class SuperresDerivOp(LinOp):
+class SuperresDerivOp(SparseLinOp):
     """Derivative of :class:`SuperresOp` with respect to one warp parameter.
 
-    Chain rule through the sample positions: d out / d param
-    = (d pos_r/d param) .* (gather with d-weights/d pos_r)
-    + (d pos_c/d param) .* (gather with d-weights/d pos_c),
-    then decimated into the owning frame's block (all other blocks zero).
+    Chain rule through the sample positions: in the owning frame's rows it is
+    D (diag(d pos_r/d param) W_r + diag(d pos_c/d param) W_c), where W_r and
+    W_c carry the derivatives of the bilinear weights in the sample row and
+    column; all other rows are zero.  Only that frame's block is built, from
+    ``base``'s gather tables.
     """
 
     def __init__(self, base, frame, j_local, counter=None):
-        super().__init__(base.m, base.n, counter)
-        self.base = base
-        self.frame = frame
-        self.g_r, self.g_c = (
-            f.ravel() for f in _position_sensitivity(base.s, j_local, base.affine)
-        )
-
-    def _warp_deriv(self, x):
-        tab = self.base.tables[self.frame]
-        return self.g_r * tab.gather(x, tab.dw_r) + self.g_c * tab.gather(x, tab.dw_c)
-
-    def _apply(self, x):
-        base = self.base
-        out = np.zeros(self.m)
-        cs2 = base.cs * base.cs
-        start = (self.frame + 1) * cs2
-        deriv = self._warp_deriv(x).reshape(base.s, base.s)
-        out[start : start + cs2] = _decimate(deriv, base.d).ravel()
-        return out
-
-    def _apply_t(self, y):
-        base = self.base
-        tab = base.tables[self.frame]
-        cs2 = base.cs * base.cs
-        start = (self.frame + 1) * cs2
-        block = y[start : start + cs2].reshape(base.cs, base.cs)
-        up = _decimate_adjoint(block, base.d).ravel()
-        return tab.scatter(self.g_r * up, tab.dw_r, self.n) + tab.scatter(
-            self.g_c * up, tab.dw_c, self.n
-        )
-
-    def dense(self):
-        return np.column_stack([self._apply(col) for col in np.eye(self.n)])
+        s, d = base.s, base.d
+        tab = base.tables[frame]
+        g_r, g_c = (f.ravel()[tab.rows] for f in _position_sensitivity(s, j_local, base.affine))
+        rows = (frame + 1) * (s // d) ** 2 + _coarse_index(s, d, tab.rows)
+        vals = (g_r * tab.dw_r + g_c * tab.dw_c) / d**2
+        mat = scipy.sparse.csr_matrix((vals, (rows, tab.cols)), shape=base.shape)
+        super().__init__(mat, counter)
 
 
 def superres_problem(
@@ -668,8 +562,16 @@ def superres_problem(
                 bound[per_frame * f + 2 : per_frame * (f + 1)] = 0.5 * shift_max
         box = Box(lower=-bound, upper=bound)
 
+    # The forward map at the last y: the ell derivatives built at one y share
+    # its gather tables instead of each building every frame again.
+    last = {}
+
     def a_builder(y):
-        return make_a(y, ledger.a)
+        key = np.asarray(y, dtype=float).tobytes()
+        if key not in last:
+            last.clear()
+            last[key] = make_a(y, ledger.a)
+        return last[key]
 
     def q_builder(psi):
         return ScaledIdentityOp(prior_var, n, ledger.q)
@@ -681,7 +583,7 @@ def superres_problem(
         frame, j_local = divmod(j, per_frame)
 
         def da(y):
-            return SuperresDerivOp(make_a(y, MatvecCounter()), frame, j_local, MatvecCounter())
+            return SuperresDerivOp(a_builder(y), frame, j_local, MatvecCounter())
 
         return da
 
@@ -731,7 +633,8 @@ def identity_problem(m=64, noise_level=0.05, seed=0, box=None):
     x_true = stream(seed, "xtrue").standard_normal(n)
 
     ledger = CounterLedger()
-    a_quiet = IdentityLinOp(m, MatvecCounter())
+    eye = scipy.sparse.identity(m, format="csr")
+    a_quiet = SparseLinOp(eye, MatvecCounter())
     b, noise_var = synthesize_data(a_quiet, x_true, noise_level, seed)
     b *= np.sqrt((1.0 + noise_var) * m) / np.linalg.norm(b)
     theta_true = np.array([noise_var])
@@ -739,7 +642,7 @@ def identity_problem(m=64, noise_level=0.05, seed=0, box=None):
     if box is None:
         box = Box(lower=np.array([1e-6]), upper=np.array([1.0]))
 
-    a_shared = IdentityLinOp(m, ledger.a)
+    a_shared = SparseLinOp(eye, ledger.a)
 
     def a_builder(y):
         return a_shared

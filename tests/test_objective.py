@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from hypermarg import (
     Box,
@@ -21,7 +22,7 @@ from hypermarg.objective import (
     grad_fd,
     psi_preconditioner,
 )
-from hypermarg.operators import DiagonalOp, NumericalError, ScaledIdentityOp, ZeroLinOp
+from hypermarg.operators import DiagonalOp, NumericalError, ScaledIdentityOp, SparseLinOp
 from hypermarg.nystrom import WhitenedPreconditioner
 from hypermarg.pcg import pcg_solve
 from hypermarg.probes import canonical_probes, rademacher_probes
@@ -46,7 +47,7 @@ def noise_only_problem(b, prior=None, box=None):
         b=b,
         box=box,
         prior=prior,
-        a_builder=lambda y: ZeroLinOp(m, 1),
+        a_builder=lambda y: SparseLinOp(scipy.sparse.csr_matrix((m, 1))),
         q_builder=lambda psi: ScaledIdentityOp(1.0, 1),
         r_builder=lambda psi: ScaledIdentityOp(psi[0], m),
         dq_builders=(None,),

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse
 
 from hypermarg import (
+    ConvolutionOp,
     DenseLinOp,
     DenseSymOp,
     DiagonalOp,
@@ -12,8 +13,11 @@ from hypermarg import (
     NumericalError,
     ScaledIdentityOp,
     SparseLinOp,
+    SuperresOp,
     dense_logdet,
+    psf_stencil,
 )
+from hypermarg.problems import SuperresDerivOp
 from hypermarg.rng import stream
 
 
@@ -57,15 +61,23 @@ def test_matmat_counts_per_column():
 def test_sparse_block_applies_match_dense_and_count_per_column():
     rng = stream(3, "sparse-block")
     mat = np.where(rng.random((7, 5)) < 0.4, rng.standard_normal((7, 5)), 0.0)
-    op = SparseLinOp(scipy.sparse.csr_matrix(mat))
-    y = rng.standard_normal((7, 4))
-    x = rng.standard_normal((5, 3))
-    np.testing.assert_allclose(op.rmatmat(y), mat.T @ y, rtol=1e-14, atol=1e-14)
-    assert op.matvec_count == 4
-    np.testing.assert_allclose(op.matmat(x), mat @ x, rtol=1e-14, atol=1e-14)
-    assert op.matvec_count == 7
-    np.testing.assert_allclose(op.rmatvec(y[:, 2]), mat.T @ y[:, 2], rtol=1e-14, atol=1e-14)
-    assert op.matvec_count == 8
+    superres = SuperresOp(8, 2, [(0.12, 0.05), (-0.08, 0.11)])
+    ops = [
+        SparseLinOp(scipy.sparse.csr_matrix(mat)),
+        ConvolutionOp(psf_stencil([1.1, 0.4, 0.7]), 6),
+        superres,
+        SuperresDerivOp(superres, 1, 0),
+    ]
+    for op in ops:
+        dense = op.dense()
+        y = rng.standard_normal((op.m, 4))
+        x = rng.standard_normal((op.n, 3))
+        np.testing.assert_allclose(op.rmatmat(y), dense.T @ y, rtol=1e-14, atol=1e-14)
+        assert op.matvec_count == 4
+        np.testing.assert_allclose(op.matmat(x), dense @ x, rtol=1e-14, atol=1e-14)
+        assert op.matvec_count == 7
+        np.testing.assert_allclose(op.rmatvec(y[:, 2]), dense.T @ y[:, 2], rtol=1e-14, atol=1e-14)
+        assert op.matvec_count == 8
 
 
 def test_dense_does_not_count():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.signal
 
 from hypermarg import (
     ConvolutionOp,
@@ -50,25 +51,29 @@ def test_convolution_adjoint_identity():
     assert np.dot(op.matvec(x), y) == pytest.approx(np.dot(x, op.rmatvec(y)), rel=1e-12)
 
 
-def test_convolution_dense_matches_matvec():
+def test_convolution_matches_correlate2d():
+    # deblur's 7x7 stencil on and wider than the image, a 3x3 stencil and one
+    # with zero taps, against an independent zero-padded correlation
     rng = stream(8, "conv-dense")
-    stencil = rng.standard_normal((3, 3))
-    op = ConvolutionOp(stencil, 6)
-    dense = op.dense()
-    x = rng.standard_normal(36)
-    assert np.allclose(dense @ x, op.matvec(x), atol=1e-13)
-
-    # the whole matrix, column by column, including deblur's 7x7 stencil,
-    # a stencil wider than the image and one with zero taps
+    small = rng.standard_normal((3, 3))
     wide = rng.standard_normal((7, 7))
     holed = wide.copy()
     holed[0, :] = 0.0
     holed[::2, 5] = 0.0
     holed[3, 3] = 0.0
-    for stencil, s in ((stencil, 6), (wide, 8), (wide, 3), (holed, 5)):
+    for stencil, s in ((wide, 16), (wide, 8), (wide, 3), (small, 6), (holed, 5)):
         op = ConvolutionOp(stencil, s)
-        columns = np.column_stack([op.matvec(e) for e in np.eye(s * s)])
+
+        def correlate(x):
+            return scipy.signal.correlate2d(x.reshape(s, s), stencil, mode="same").ravel()
+
+        # the whole matrix: each column is the stencil response to one pixel
+        columns = np.column_stack([correlate(e) for e in np.eye(s * s)])
         np.testing.assert_array_equal(op.dense(), columns)
+        images = rng.standard_normal((s * s, 3))
+        expected = np.column_stack([correlate(x) for x in images.T])
+        np.testing.assert_allclose(op.matmat(images), expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(op.matvec(images[:, 0]), expected[:, 0], rtol=0, atol=1e-13)
 
 
 def test_ray_matrix_row_sums_are_ray_lengths():
@@ -123,12 +128,29 @@ def test_superres_affine_adjoint_identity():
     assert np.dot(op.matvec(x), y) == pytest.approx(np.dot(x, op.rmatvec(y)), rel=1e-12)
 
 
-def test_superres_dense_matches_matvec():
-    rng = stream(11, "sr-dense")
-    op = SuperresOp(8, 2, [(0.12, 0.05), (-0.08, 0.11)])
-    dense = op.dense()
-    x = rng.standard_normal(64)
-    assert np.allclose(dense @ x, op.matvec(x), atol=1e-12)
+def test_superres_integer_shifts_match_slicing():
+    s, d = 8, 2
+    shifts = [(1, 0), (0, -2)]  # (tx, ty): frame pixel (r, c) samples x(r - ty, c - tx)
+    op = SuperresOp(s, d, [(float(tx), float(ty)) for tx, ty in shifts])
+
+    def block_mean(img):
+        return img.reshape(s // d, d, s // d, d).mean(axis=(1, 3)).ravel()
+
+    def observe(x):
+        img = x.reshape(s, s)
+        parts = [block_mean(img)]
+        for tx, ty in shifts:
+            moved = np.zeros_like(img)
+            moved[max(ty, 0) : s + min(ty, 0), max(tx, 0) : s + min(tx, 0)] = img[
+                max(-ty, 0) : s + min(-ty, 0), max(-tx, 0) : s + min(-tx, 0)
+            ]
+            parts.append(block_mean(moved))
+        return np.concatenate(parts)
+
+    images = stream(11, "sr-dense").standard_normal((s * s, 3))
+    expected = np.column_stack([observe(x) for x in images.T])
+    np.testing.assert_allclose(op.dense() @ images, expected, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(op.matmat(images), expected, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("affine", [False, True])
