@@ -2,10 +2,8 @@
 
 from .operators import (
     DENSE_LIMIT,
-    CallableSymOp,
     DenseLinOp,
     DenseSymOp,
-    DiagonalOp,
     LinOp,
     MatvecCounter,
     NumericalError,
@@ -18,7 +16,6 @@ from .probes import ProbeSet, canonical_probes, rademacher_probes
 from .lanczos import (
     LanczosDecomp,
     lanczos_decompose,
-    lanczos_quadform_log,
     slq_logdet_batch,
 )
 from .pcg import PcgResult, pcg_solve

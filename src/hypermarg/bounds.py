@@ -34,7 +34,6 @@ import numpy as np
 
 from .lanczos import lanczos_decompose
 from .model import build_psi
-from .operators import CallableSymOp
 from .probes import rademacher_probes
 from .rng import stream
 
@@ -274,13 +273,13 @@ def _sample_thetas(box, n_samples, seed, max_vertices=32):
     return thetas
 
 
-def _power_norm(op, iters, rng):
-    """Spectral norm of a symmetric operator by power iteration."""
-    v = rng.standard_normal(op.m)
+def _power_norm(apply, m, iters, rng):
+    """Spectral norm of a symmetric operator, given by its apply, by power iteration."""
+    v = rng.standard_normal(m)
     v /= np.linalg.norm(v)
     est = 0.0
     for _ in range(iters):
-        w = op.matvec(v)
+        w = apply(v)
         est = float(np.linalg.norm(w))
         if est == 0.0:
             return 0.0
@@ -333,7 +332,7 @@ def estimate_spectral_constants(
         k = min(lanczos_k, problem.m)
         rng = stream(seed, "constants", "vectors")
         for op in ops:
-            v = rng.standard_normal(op.m)
+            v = rng.standard_normal((op.m, 1))
             decomp = lanczos_decompose(op, v, k)
             ritz = np.linalg.eigvalsh(decomp.tridiagonal())
             alpha = min(alpha, float(ritz[0]))
@@ -350,11 +349,10 @@ def estimate_spectral_constants(
             dt = float(np.linalg.norm(thetas[ia] - thetas[ib]))
             if dt == 0.0:
                 continue
-            diff = CallableSymOp(
-                problem.m,
-                lambda v, a=ops[ia], b=ops[ib]: a.matvec(v) - b.matvec(v),
+            a, b = ops[ia], ops[ib]
+            dpsi = _power_norm(
+                lambda v: a.matvec(v) - b.matvec(v), problem.m, power_iters, rng
             )
-            dpsi = _power_norm(diff, power_iters, rng)
             lipschitz = max(lipschitz, dpsi / dt)
     two_max = beta
     frob_max = max(frob_max, two_max)

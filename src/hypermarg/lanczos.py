@@ -9,21 +9,21 @@ with a tolerance relative to the operator's estimated scale.  Breakdown is
 not an error — the Krylov space is simply exhausted, and the truncated
 tridiagonal matrix already gives the exact quadratic form.
 
-``lanczos_decompose`` takes one starting vector or a block of them; a block
-runs one recurrence per column, each in its own Krylov space, with one
-operator product per step for all columns still running.
+``lanczos_decompose`` takes a block of starting vectors (a single vector is
+a one-column block) and runs one recurrence per column, each in its own
+Krylov space, with one operator product per step for all columns still
+running.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import DenseSymOp, NumericalError, _columnwise
+from .operators import DenseSymOp, NumericalError, _as_block
 
 __all__ = [
     "LanczosDecomp",
     "lanczos_decompose",
-    "lanczos_quadform_log",
     "slq_logdet_batch",
 ]
 
@@ -46,49 +46,40 @@ def _tridiagonals(alpha, beta):
 
 @dataclass
 class LanczosDecomp:
-    """Result of a (possibly truncated) Lanczos run.
+    """Result of a (possibly truncated) Lanczos run over a block of n columns.
 
-    From a starting vector: ``basis`` holds the orthonormal Lanczos vectors
-    as columns (m x k_eff), ``alpha``/``beta`` are the tridiagonal
-    coefficients, ``vnorm`` is the norm of the starting vector (needed to
-    undo the normalization in quadratic forms), ``steps`` equals k_eff, and
-    ``breakdown_step`` is the step count at which the recurrence terminated
-    early, or ``None`` if all requested steps ran.
-
-    From a block of n starting vectors: ``basis`` is (m, k, n), ``alpha`` is
-    (k, n), ``beta`` is (k-1, n) and ``vnorm`` is (n,), column j holding the
-    run from column j; ``steps`` is the (n,) array of per-column step counts
-    (below k where that column broke down), and entries past a column's
-    count are zero.  ``breakdown_step`` is ``None``.
+    ``basis`` is (n, k, m): ``basis[j]`` holds the orthonormal Lanczos
+    vectors of column j as rows.  ``alpha`` is (k, n) and ``beta`` (k-1, n),
+    column j holding the tridiagonal coefficients of the run from column j;
+    ``vnorm`` is the (n,) array of starting-vector norms (needed to undo the
+    normalization in quadratic forms) and ``steps`` the (n,) array of
+    per-column step counts, below k where that column broke down.  Entries
+    past a column's count are zero.
     """
 
     basis: np.ndarray
     alpha: np.ndarray
     beta: np.ndarray
-    vnorm: float
-    steps: object
-    breakdown_step: int = None
+    vnorm: np.ndarray
+    steps: np.ndarray
 
     @property
     def k_eff(self):
-        """Lanczos steps run, summed over the columns of a block."""
+        """Lanczos steps run, summed over the columns."""
         return int(np.sum(self.steps))
 
-    def tridiagonal(self):
-        """The k_eff x k_eff tridiagonal matrix of a single-vector run."""
-        return _tridiagonals(self.alpha[:, None], self.beta[:, None])[0]
+    def tridiagonal(self, j=0):
+        """The steps[j] x steps[j] tridiagonal matrix of column j's run."""
+        s = self.steps[j]
+        return _tridiagonals(self.alpha[:s, j : j + 1], self.beta[: s - 1, j : j + 1])[0]
 
     def quadform_log(self):
-        """||v||^2 * e_1^T log(T) e_1, one value per column for a block."""
-        block = self.alpha.ndim == 2
-        alpha = self.alpha if block else self.alpha[:, None]
-        beta = self.beta if block else self.beta[:, None]
-        steps = np.atleast_1d(self.steps)
-        values = np.empty(steps.shape[0])
-        for s in np.unique(steps):
-            idx = np.flatnonzero(steps == s)
+        """||v_j||^2 * e_1^T log(T_j) e_1, one value per column j."""
+        values = np.empty(self.steps.shape[0])
+        for s in np.unique(self.steps):
+            idx = np.flatnonzero(self.steps == s)
             eigvals, eigvecs = np.linalg.eigh(
-                _tridiagonals(alpha[:s, idx], beta[: s - 1, idx])
+                _tridiagonals(self.alpha[:s, idx], self.beta[: s - 1, idx])
             )
             if np.any(eigvals <= 0.0):
                 bad = float(eigvals.min())
@@ -98,86 +89,80 @@ class LanczosDecomp:
                 )
             weights = eigvecs[:, 0, :] ** 2
             values[idx] = np.einsum("gk,gk->g", weights, np.log(eigvals))
-        values *= np.atleast_1d(self.vnorm) ** 2
-        return values if block else float(values[0])
+        return values * self.vnorm**2
+
+
+def _row_dots(u, v):
+    return np.einsum("ij,ij->i", u, v)
 
 
 def lanczos_decompose(op, v, k):
-    """Run k Lanczos steps of ``op`` from ``v``, or from each column of ``v``.
+    """Run k Lanczos steps of ``op`` from each column of ``v``.
 
     Parameters
     ----------
     op : SymOp
         Symmetric operator (applications are counted by the operator).
     v : array
-        Starting vector ``(m,)``, or a block ``(m, n)`` of starting vectors;
-        each must be nonzero.  A block runs one recurrence per column, with
-        its own coefficients, breakdown test and re-orthogonalization against
-        its own basis, and applies the operator once per step, through
+        Block ``(m, n)`` of nonzero starting vectors; a single vector is a
+        one-column block.  Each column runs its own recurrence, with its own
+        coefficients, breakdown test and re-orthogonalization against its own
+        basis.  The operator is applied once per step, through
         ``op.matmat``, to the columns that have not broken down.
     k : int
         Number of steps, 1 <= k <= m.
 
     Every step is fully re-orthogonalized against all previous basis vectors
-    (two classical Gram-Schmidt passes).
+    (two classical Gram-Schmidt passes, each one batched matmul over the
+    columns).
     """
     m = op.m
     k = int(k)
     if not 1 <= k <= m:
         raise ValueError(f"k must satisfy 1 <= k <= {m}, got {k}")
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != m:
-        raise ValueError(f"starting vector must have shape ({m},) or ({m}, n)")
-    apply, dot = _columnwise(op, v)
-    block = v.ndim == 2
-    if block:
-
-        def project(vecs, u):
-            return np.einsum("mjn,jn->mn", vecs, np.einsum("mjn,mn->jn", vecs, u))
-
-    else:
-
-        def project(vecs, u):
-            return vecs @ (vecs.T @ u)
-
-    # Squared norms and the first alpha from raw dot products: exact for
-    # sign probes, which keeps the first coefficient exact too (alpha_1 = 1
-    # exactly for the identity, so its log quadratic form is exactly zero
-    # rather than ~1e-15).
-    vsq = dot(v, v)
+    v = _as_block(v, m, "v")
+    # The recurrence runs on rows: vt[j] is column j of v.  Squared norms and
+    # the first alpha come from raw dot products: exact for sign probes,
+    # which keeps the first coefficient exact too (alpha_1 = 1 exactly for
+    # the identity, so its log quadratic form is exactly zero rather than
+    # ~1e-15).
+    vt = v.T
+    vsq = _row_dots(vt, vt)
     if np.any(vsq == 0.0):
         raise ValueError("starting vector must be nonzero")
     vnorm = np.sqrt(vsq)
 
-    cols = v.shape[1:]
-    basis = np.zeros((m, k) + cols)
-    alpha = np.zeros((k,) + cols)
-    beta = np.zeros((max(k - 1, 0),) + cols)
-    steps = np.full(cols, k)
-    active = np.ones(cols, dtype=bool)
-    basis[:, 0] = v / vnorm
-    v_prev = np.zeros_like(v)
-    beta_prev = np.zeros(cols)
-    norm_est = np.zeros(cols)
+    n = vt.shape[0]
+    basis = np.zeros((n, k, m))
+    alpha = np.zeros((k, n))
+    beta = np.zeros((k - 1, n))
+    steps = np.full(n, k)
+    active = np.ones(n, dtype=bool)
+    basis[:, 0] = vt / vnorm[:, None]
+    q_prev = np.zeros((n, m))
+    beta_prev = np.zeros(n)
+    norm_est = np.zeros(n)
 
     for j in range(k):
         q = basis[:, j]
         if j == 0:
-            raw = apply(v)
-            u = raw / vnorm
-            a = dot(v, raw) / vsq
+            raw = op.matmat(v).T
+            u = raw / vnorm[:, None]
+            a = _row_dots(vt, raw) / vsq
         else:
             if active.all():
-                u = apply(q)
+                u = op.matmat(q.T).T
             else:
-                # only a block gets here: broken-down columns stay zero
+                # broken-down columns stay zero
                 u = np.zeros_like(q)
-                u[:, active] = op.matmat(q[:, active])
-            a = dot(q, u)
-        u = u - a * q - beta_prev * v_prev
+                u[active] = op.matmat(q[active].T).T
+            a = _row_dots(q, u)
+        u = u - a[:, None] * q - beta_prev[:, None] * q_prev
+        vecs = basis[:, : j + 1]
         for _ in range(2):
-            u -= project(basis[:, : j + 1], u)
-        b = np.sqrt(dot(u, u))
+            coeff = vecs @ u[:, :, None]
+            u -= (coeff.transpose(0, 2, 1) @ vecs)[:, 0]
+        b = np.sqrt(_row_dots(u, u))
         alpha[j] = a
         if j == k - 1:
             break
@@ -191,27 +176,10 @@ def lanczos_decompose(op, v, k):
             break
         beta_prev = np.where(active, b, 0.0)
         beta[j] = beta_prev
-        v_prev = q
-        basis[:, j + 1] = np.where(active, u / np.where(active, b, 1.0), 0.0)
+        q_prev = q
+        basis[active, j + 1] = u[active] / b[active, None]
 
-    if block:
-        return LanczosDecomp(
-            basis=basis, alpha=alpha, beta=beta, vnorm=vnorm, steps=steps
-        )
-    k_eff = int(steps)
-    return LanczosDecomp(
-        basis=basis[:, :k_eff].copy(),
-        alpha=alpha[:k_eff].copy(),
-        beta=beta[: k_eff - 1].copy(),
-        vnorm=float(vnorm),
-        steps=k_eff,
-        breakdown_step=k_eff if k_eff < k else None,
-    )
-
-
-def lanczos_quadform_log(op, w, k):
-    """Estimate w^T log(M) w with k Lanczos steps."""
-    return lanczos_decompose(op, w, k).quadform_log()
+    return LanczosDecomp(basis=basis, alpha=alpha, beta=beta, vnorm=vnorm, steps=steps)
 
 
 def slq_logdet_batch(mat, w_block, k):
@@ -222,8 +190,4 @@ def slq_logdet_batch(mat, w_block, k):
     trace-estimation benchmarks and the batched acceptance checks, where the
     operator is an explicit matrix anyway.
     """
-    mat = np.asarray(mat, dtype=float)
-    w_block = np.asarray(w_block, dtype=float)
-    if w_block.ndim != 2 or w_block.shape[0] != mat.shape[0]:
-        raise ValueError(f"probe block must have shape ({mat.shape[0]}, n)")
     return lanczos_decompose(DenseSymOp(mat), w_block, k).quadform_log()

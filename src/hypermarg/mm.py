@@ -472,14 +472,16 @@ def m3c_optimize(
     probe set shared across all iterations keeps rejections comparable.
 
     Every CG solve is preconditioned by a randomized Nystrom preconditioner
-    of rank ``min(precond_rank, m)``, built once per anchor (Frangella,
-    Tropp & Udell 2023); it serves the anchor's probe solves and every
-    misfit solve of that outer iteration.  It changes only how fast CG
-    reaches ``pcg_tol``, not the sampled majorant or the audit.
-    ``precond_rank=0`` turns it off.  Inside the inner minimization a trial
-    point whose misfit solve fails is rejected by the line search (the
-    surrogate's value there is ``inf``); a failed solve at an anchor is a
-    :class:`NumericalError`.
+    of rank ``min(precond_rank, m)``, built once per anchor with the noise
+    variance as its shift (Frangella, Tropp & Udell 2023); it serves the
+    anchor's probe solves and every misfit solve of that outer iteration.
+    It changes only how fast CG reaches ``pcg_tol``, not the sampled
+    majorant or the audit.  It needs a scaled-identity noise covariance;
+    ``precond_rank=0`` turns it off, which a problem with any other noise
+    covariance must do.  Inside the inner minimization a trial point whose misfit solve
+    fails is rejected by the line search (the surrogate's value there is
+    ``inf``); a proposal the audit cannot evaluate is rejected; a failed
+    solve at an anchor is a :class:`NumericalError`.
 
     Returns the audited chain with per-iteration cost records.
     """
@@ -509,7 +511,10 @@ def m3c_optimize(
             max_iters=inner_iters,
             tol=inner_tol,
         )
-        f_new = audit_f(inner.theta)
+        try:
+            f_new = audit_f(inner.theta)
+        except NumericalError:
+            f_new = np.inf  # a proposal the audit cannot evaluate is rejected
         slack = audit_slack_rel * max(1.0, abs(f_here))
         accepted = f_new <= f_here + slack
         rel_step = float(np.linalg.norm(inner.theta - theta)) / max(

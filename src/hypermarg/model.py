@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DENSE_LIMIT, MatvecCounter, SymOp
+from .operators import DENSE_LIMIT, MatvecCounter, NumericalError, SymOp
 from .pcg import pcg_solve
 from .rng import stream
 
@@ -182,10 +182,11 @@ class PsiOperator(SymOp):
         self.r_op = r_op
 
     def _apply(self, v):
-        return self.a_op.matvec(self.q_op.matvec(self.a_op.rmatvec(v))) + self.r_op.matvec(v)
-
-    def _apply_mat(self, V):
-        return self.a_op.matmat(self.q_op.matmat(self.a_op.rmatmat(V))) + self.r_op.matmat(V)
+        # the legs go through the counted applies, one per column
+        a, q, r = self.a_op, self.q_op, self.r_op
+        if v.ndim == 1:
+            return a.matvec(q.matvec(a.rmatvec(v))) + r.matvec(v)
+        return a.matmat(q.matmat(a.rmatmat(v))) + r.matmat(v)
 
     def dense(self):
         a = self.a_op.dense()
@@ -277,11 +278,20 @@ def synthesize_data(a_op, x_true, noise_level, seed):
 
 
 def reconstruct(problem, theta, pcg_tol=1e-8, maxit=500):
-    """Posterior mean  x_hat = mu_x + Q A^T Psi^{-1} (b - A mu_x)."""
+    """Posterior mean  x_hat = mu_x + Q A^T Psi^{-1} (b - A mu_x).
+
+    A solve that does not converge within ``maxit`` raises
+    :class:`NumericalError`.
+    """
     psi_params, y = problem.split(theta)
     psi_op = build_psi(problem, theta)
     rhs = -problem.residual_offset(theta)
     res = pcg_solve(psi_op, rhs, tol=pcg_tol, maxit=maxit)
+    if not res.converged:
+        raise NumericalError(
+            f"posterior-mean solve stalled at relative residual {res.relres:.3e} "
+            f"after {maxit} iterations"
+        )
     a_op = problem.build_a(y)
     q_op = problem.build_q(psi_params)
     return problem.mu_x + q_op.matvec(a_op.rmatvec(res.x))

@@ -6,9 +6,10 @@ rank, a rank-L randomized Nystrom sketch of C yields the factored approximation
     P = U diag(lam) U^T + mu * (I - U U^T),     U orthonormal, lam >= 0,
 
 whose inverse is cheap (rank-L algebra plus a scaled identity).  It serves as
-the CG preconditioner for solves with the marginal covariance (Frangella,
-Tropp & Udell, "Randomized Nystrom preconditioning", SIAM J. Matrix Anal.
-Appl. 2023).
+the CG preconditioner for solves with the marginal covariance
+Psi = A Q A^T + mu * I, whose noise covariance must be a scaled identity so
+that the shift mu is known (Frangella, Tropp & Udell, "Randomized Nystrom
+preconditioning", SIAM J. Matrix Anal. Appl. 2023).
 """
 
 from dataclasses import dataclass
@@ -21,7 +22,6 @@ from .rng import stream
 
 __all__ = [
     "NystromPreconditioner",
-    "WhitenedPreconditioner",
     "nystrom_preconditioner",
 ]
 
@@ -68,29 +68,6 @@ class NystromPreconditioner:
             return self.shift * eye
         u = self.basis
         return u @ np.diag(self.eigenvalues) @ u.T + self.shift * eye
-
-
-@dataclass
-class WhitenedPreconditioner:
-    """Preconditioner for Psi with a non-scalar noise covariance R.
-
-    The operator is symmetrically whitened first:  H = R^{-1/2} Psi R^{-1/2}
-    = (whitened A) Q (whitened A)^T + I, which has the unit shift the Nystrom
-    construction wants.  ``inner`` preconditions H; ``white_op`` is the R
-    operator (must expose ``apply_inverse_sqrt``).  The preconditioner for
-    Psi is P = R^{1/2} P_H R^{1/2}, applied through its inverse.
-    """
-
-    inner: NystromPreconditioner
-    white_op: object
-
-    @property
-    def m(self):
-        return self.inner.m
-
-    def apply_inverse(self, v):
-        w = self.white_op.apply_inverse_sqrt(np.asarray(v, dtype=float))
-        return self.white_op.apply_inverse_sqrt(self.inner.apply_inverse(w))
 
 
 def nystrom_preconditioner(op, shift, rank, seed):

@@ -21,8 +21,8 @@ by the test-suite:
   bound-aware, used as the derivative-free fallback and the universal
   cross-check.
 
-``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi,
-whitening by the noise covariance first when that is not a scaled identity.
+``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi; it
+needs a scaled-identity noise covariance, whose variance is the known shift.
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +32,8 @@ import scipy.linalg
 
 from .lanczos import lanczos_decompose
 from .model import build_psi
-from .nystrom import WhitenedPreconditioner, nystrom_preconditioner
-from .operators import DENSE_LIMIT, NumericalError, ScaledIdentityOp, SymOp
+from .nystrom import nystrom_preconditioner
+from .operators import DENSE_LIMIT, NumericalError, ScaledIdentityOp
 from .pcg import pcg_solve
 
 __all__ = [
@@ -64,7 +64,6 @@ class ObjectiveEval:
     logdet_part: float
     prior_part: float
     pcg_iterations: int
-    converged: bool = True
 
 
 @dataclass
@@ -153,25 +152,6 @@ def eval_F_exact(problem, theta, pieces=None):
     )
 
 
-class _Sandwich(SymOp):
-    """L M L for symmetric operators M and L, with L given by its apply.
-
-    ``left`` applies L to a vector or to a block of columns; M is applied
-    through its own counted ``matvec``/``matmat``.
-    """
-
-    def __init__(self, inner, left):
-        super().__init__(inner.m)
-        self.inner = inner
-        self.left = left
-
-    def _apply(self, v):
-        return self.left(self.inner.matvec(self.left(v)))
-
-    def _apply_mat(self, V):
-        return self.left(self.inner.matmat(self.left(V)))
-
-
 def eval_F_slq(
     problem,
     theta,
@@ -184,7 +164,8 @@ def eval_F_slq(
 
     Deterministic given (problem, theta, probes, k_steps): the
     log-determinant is ``mean_i w_i^T log(Psi) w_i``, from one
-    column-batched Lanczos call over all probes.
+    column-batched Lanczos call over all probes.  A misfit solve that does
+    not converge within ``pcg_maxit`` raises :class:`NumericalError`.
     """
     theta = np.asarray(theta, dtype=float)
     if probes.m != problem.m:
@@ -197,6 +178,11 @@ def eval_F_slq(
 
     c = problem.residual_offset(theta)
     res = pcg_solve(psi_op, c, tol=pcg_tol, maxit=pcg_maxit)
+    if not res.converged:
+        raise NumericalError(
+            f"misfit solve stalled at relative residual {res.relres:.3e} "
+            f"after {pcg_maxit} iterations"
+        )
     misfit = float(np.dot(c, res.x))
     prior = problem.prior.neglog(theta)
 
@@ -207,7 +193,6 @@ def eval_F_slq(
         logdet_part=logdet_part,
         prior_part=prior,
         pcg_iterations=res.iterations,
-        converged=res.converged,
     )
 
 
@@ -374,24 +359,16 @@ def grad_fd(f, theta, box, eps_rel=1e-6, scheme="forward"):
 
 
 def psi_preconditioner(problem, theta, rank=20, seed=0):
-    """Build the appropriate Nystrom preconditioner for Psi(theta).
+    """The Nystrom preconditioner for Psi(theta), with the noise variance as its shift.
 
-    With a scaled-identity noise covariance the known shift is used directly;
-    otherwise the operator is symmetrically whitened by R^{-1/2} first and
-    the sketch runs on the unit-shift whitened operator.
+    The noise covariance must be a :class:`ScaledIdentityOp`; any other
+    raises ``ValueError`` (such a problem runs unpreconditioned).
     """
-    theta = np.asarray(theta, dtype=float)
-    psi_params, _ = problem.split(theta)
-    psi_op = build_psi(problem, theta)
-    rank = int(min(rank, problem.m))
-    r_op = problem.build_r(psi_params)
-    if isinstance(r_op, ScaledIdentityOp):
-        return nystrom_preconditioner(psi_op, r_op.scale, rank, seed)
-    if not hasattr(r_op, "apply_inverse_sqrt"):
+    psi_op = build_psi(problem, np.asarray(theta, dtype=float))
+    r_op = psi_op.r_op
+    if not isinstance(r_op, ScaledIdentityOp):
         raise ValueError(
-            "noise covariance operator must expose apply_inverse_sqrt "
-            "to be whitened for preconditioning"
+            "the Nystrom preconditioner needs a scaled-identity noise covariance, "
+            f"got {type(r_op).__name__}; run with precond_rank=0"
         )
-    white = _Sandwich(psi_op, r_op.apply_inverse_sqrt)
-    inner = nystrom_preconditioner(white, 1.0, rank, seed)
-    return WhitenedPreconditioner(inner=inner, white_op=r_op)
+    return nystrom_preconditioner(psi_op, r_op.scale, int(min(rank, problem.m)), seed)

@@ -8,9 +8,12 @@ shared between operators — a forward map and its derivative built for the same
 problem can report into one ledger or into separate ones, at the builder's
 choice.
 
-Every forward map of the test problems is a :class:`SparseLinOp`, one CSR
-matrix per value of its parameters, so a block of columns costs one sparse
-product.  :class:`DenseLinOp` serves small hand-built maps.
+Every operator applies to a vector or to a block of columns through one
+``_apply``.  Every forward map of the test problems is a :class:`SparseLinOp`,
+one CSR matrix per value of its parameters, so a block of columns costs one
+sparse product; :class:`DenseLinOp` serves small hand-built maps.  Every noise
+covariance is a :class:`ScaledIdentityOp`, and prior covariances are
+:class:`DenseSymOp` or :class:`ScaledIdentityOp`.
 
 Dense materialization (``dense()``) is an oracle path for small problems and
 never touches the counters.
@@ -28,9 +31,7 @@ __all__ = [
     "MatvecCounter",
     "SymOp",
     "DenseSymOp",
-    "DiagonalOp",
     "ScaledIdentityOp",
-    "CallableSymOp",
     "LinOp",
     "DenseLinOp",
     "SparseLinOp",
@@ -86,34 +87,12 @@ def _as_block(v, n, name="V"):
     return v
 
 
-def _as_columns(v, n, name="v"):
-    """A vector of length n or a block of such vectors as columns."""
-    v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[0] != n:
-        raise ValueError(f"{name} must have shape ({n},) or ({n}, k), got {v.shape}")
-    return v
-
-
-def _columnwise(op, v):
-    """The apply and the per-column inner product for a vector or a block.
-
-    A vector ``(m,)`` gets ``op.matvec`` and ``np.dot``; a block ``(m, n)``
-    gets ``op.matmat`` and the n column inner products.  Krylov kernels use
-    this to run one recurrence per column with one operator product per step.
-    """
-    if v.ndim == 1:
-        return op.matvec, np.dot
-    return op.matmat, _column_dots
-
-
-def _column_dots(u, v):
-    return np.einsum("ij,ij->j", u, v)
-
-
 class SymOp:
     """Symmetric linear operator on R^m.
 
-    Subclasses implement ``_apply``; ``matvec`` wraps it with counting.
+    Subclasses implement ``_apply`` for a vector or a block of columns;
+    ``matvec`` and ``matmat`` wrap it with counting, one application per
+    column.
     """
 
     def __init__(self, m, counter=None):
@@ -134,13 +113,10 @@ class SymOp:
         """Apply to each column of ``V`` (counts one matvec per column)."""
         V = _as_block(V, self.m)
         self.counter.increment(V.shape[1])
-        return self._apply_mat(V)
+        return self._apply(V)
 
     def _apply(self, v):
         raise NotImplementedError
-
-    def _apply_mat(self, V):
-        return np.column_stack([self._apply(V[:, j]) for j in range(V.shape[1])])
 
     def dense(self):
         """Exact dense materialization (oracle path; does not count)."""
@@ -168,47 +144,8 @@ class DenseSymOp(SymOp):
     def _apply(self, v):
         return self.mat @ v
 
-    def _apply_mat(self, V):
-        return self.mat @ V
-
     def dense(self):
         return self.mat.copy()
-
-
-class DiagonalOp(SymOp):
-    """Diagonal operator; supports inverse and inverse square root when PD."""
-
-    def __init__(self, diag, counter=None):
-        diag = np.asarray(diag, dtype=float)
-        if diag.ndim != 1:
-            raise ValueError("diag must be one-dimensional")
-        super().__init__(diag.shape[0], counter)
-        self.diag = diag.copy()
-
-    def _apply(self, v):
-        return self.diag * v
-
-    def _apply_mat(self, V):
-        return self.diag[:, None] * V
-
-    def dense(self):
-        return np.diag(self.diag)
-
-    def _require_pd(self):
-        if np.any(self.diag <= 0.0):
-            raise NumericalError("diagonal operator is not positive definite")
-
-    def _divide(self, v, d):
-        v = _as_columns(v, self.m)
-        return v / (d if v.ndim == 1 else d[:, None])
-
-    def apply_inverse(self, v):
-        self._require_pd()
-        return self._divide(v, self.diag)
-
-    def apply_inverse_sqrt(self, v):
-        self._require_pd()
-        return self._divide(v, np.sqrt(self.diag))
 
 
 class ScaledIdentityOp(SymOp):
@@ -221,34 +158,8 @@ class ScaledIdentityOp(SymOp):
     def _apply(self, v):
         return self.scale * v
 
-    def _apply_mat(self, V):
-        return self.scale * V
-
     def dense(self):
         return self.scale * np.eye(self.m)
-
-    def _require_pd(self):
-        if self.scale <= 0.0:
-            raise NumericalError("scaled identity is not positive definite")
-
-    def apply_inverse(self, v):
-        self._require_pd()
-        return _as_columns(v, self.m) / self.scale
-
-    def apply_inverse_sqrt(self, v):
-        self._require_pd()
-        return _as_columns(v, self.m) / np.sqrt(self.scale)
-
-
-class CallableSymOp(SymOp):
-    """Symmetric operator defined by a user callable v -> Mv."""
-
-    def __init__(self, m, fn, counter=None):
-        super().__init__(m, counter)
-        self._fn = fn
-
-    def _apply(self, v):
-        return np.asarray(self._fn(v), dtype=float)
 
 
 class LinOp:

@@ -4,9 +4,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import NumericalError, _columnwise
+from .operators import NumericalError
 
 __all__ = ["PcgResult", "pcg_solve"]
+
+
+def _columnwise(op, v):
+    """The apply and the per-column inner product for a vector or a block.
+
+    A vector ``(m,)`` gets ``op.matvec`` and ``np.dot``; a block ``(m, n)``
+    gets ``op.matmat`` and the n column inner products.
+    """
+    if v.ndim == 1:
+        return op.matvec, np.dot
+    return op.matmat, lambda u, w: np.einsum("ij,ij->j", u, w)
 
 
 @dataclass

@@ -31,9 +31,6 @@ class ProbeSet:
     def n_probes(self):
         return self.w.shape[1]
 
-    def column(self, i):
-        return self.w[:, i]
-
 
 def rademacher_probes(m, n_probes, seed, *tags):
     """Draw an m x n_probes block of i.i.d. Rademacher (+-1) probes.

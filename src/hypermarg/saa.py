@@ -18,7 +18,10 @@ the same surface throughout.  Each theta is evaluated once per run: a
 finite-difference base point the line search has just accepted, or a
 segment restart at the last iterate, reads the value already computed.
 Armijo steps never increase F_hat, so the returned value is the last
-segment's.
+segment's.  A trial point whose misfit solve does not converge has
+F_hat = inf, so the line search backtracks from it; at the start point, or
+next to the iterate in a finite difference, the failure raises
+:class:`~hypermarg.operators.NumericalError`.
 """
 
 import time
@@ -28,6 +31,7 @@ import numpy as np
 
 from .mm import box_start, projected_gradient_min
 from .objective import eval_F_slq, grad_fd
+from .operators import NumericalError
 from .probes import rademacher_probes
 
 __all__ = ["SaaRecord", "SaaResult", "saa_optimize"]
@@ -53,7 +57,6 @@ class SaaResult:
     iterations: int
     fn_evals: int
     records: list
-    probe_seed: int
 
 
 def saa_optimize(
@@ -90,17 +93,32 @@ def saa_optimize(
     def fhat(th):
         key = th.tobytes()
         if key not in seen:
-            res = eval_F_slq(
-                problem,
-                th,
-                probes,
-                k_steps=k_steps,
-                pcg_tol=pcg_tol,
-                pcg_maxit=pcg_maxit,
-            )
-            pcg_iters[0] += res.pcg_iterations
-            seen[key] = res.value
+            try:
+                res = eval_F_slq(
+                    problem,
+                    th,
+                    probes,
+                    k_steps=k_steps,
+                    pcg_tol=pcg_tol,
+                    pcg_maxit=pcg_maxit,
+                )
+            except NumericalError:
+                if not seen:  # the start point
+                    raise
+                seen[key] = np.inf
+            else:
+                pcg_iters[0] += res.pcg_iterations
+                seen[key] = res.value
         return seen[key]
+
+    def grad(th):
+        g = grad_fd(fhat, th, problem.box, eps_rel=grad_eps)
+        if not np.all(np.isfinite(g)):
+            raise NumericalError(
+                f"finite-difference gradient at theta={th} is not finite: "
+                "the misfit solve failed at a neighbouring point"
+            )
+        return g
 
     records = []
     total_iters = 0
@@ -110,7 +128,7 @@ def saa_optimize(
         evals_start, pcg_start = len(seen), pcg_iters[0]
         inner = projected_gradient_min(
             fhat,
-            lambda th: grad_fd(fhat, th, problem.box, eps_rel=grad_eps),
+            grad,
             theta,
             problem.box,
             max_iters=min(segment_iters, max_iters - total_iters),
@@ -141,5 +159,4 @@ def saa_optimize(
         iterations=total_iters,
         fn_evals=len(seen),
         records=records,
-        probe_seed=int(seed),
     )

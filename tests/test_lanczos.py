@@ -4,15 +4,12 @@ import pytest
 import hypermarg
 from hypermarg import (
     DenseSymOp,
-    DiagonalOp,
     NumericalError,
     lanczos_decompose,
-    lanczos_quadform_log,
     nystrom_preconditioner,
     pcg_solve,
     slq_logdet_batch,
 )
-from hypermarg.nystrom import WhitenedPreconditioner
 from hypermarg.rng import stream
 
 
@@ -23,18 +20,22 @@ def random_spd(m, seed, cond=50.0):
     return q @ np.diag(eigs) @ q.T
 
 
+def quadform_log(op, w, k):
+    """w^T log(M) w from k Lanczos steps on the one-column block w."""
+    return lanczos_decompose(op, w[:, None], k).quadform_log()[0]
+
+
 def test_identity_breaks_down_after_one_step():
     op = DenseSymOp(np.eye(3))
-    dec = lanczos_decompose(op, np.array([1.0, 2.0, 2.0]), 3)
-    assert dec.breakdown_step == 1
+    dec = lanczos_decompose(op, np.array([[1.0], [2.0], [2.0]]), 3)
     assert dec.k_eff == 1
     assert dec.tridiagonal() == pytest.approx(np.array([[1.0]]), abs=1e-14)
 
 
 def test_full_run_recovers_small_spectrum():
     op = DenseSymOp(np.diag([1.0, 2.0, 3.0, 4.0]))
-    dec = lanczos_decompose(op, np.full(4, 0.5), 4)
-    assert dec.breakdown_step is None
+    dec = lanczos_decompose(op, np.full((4, 1), 0.5), 4)
+    assert dec.k_eff == 4
     ritz = np.linalg.eigvalsh(dec.tridiagonal())
     assert np.allclose(np.sort(ritz), [1.0, 2.0, 3.0, 4.0], atol=1e-10)
 
@@ -44,30 +45,30 @@ def test_reorthogonalization_controls_drift():
     q, _ = np.linalg.qr(rng.standard_normal((50, 50)))
     mat = q @ np.diag(np.logspace(0.0, 8.0, 50)) @ q.T
     op = DenseSymOp(mat)
-    v = np.ones(50)
+    v = np.ones((50, 1))
 
     dec = lanczos_decompose(op, v, 30)
-    gram = dec.basis.T @ dec.basis - np.eye(dec.k_eff)
+    gram = dec.basis[0] @ dec.basis[0].T - np.eye(dec.k_eff)
     assert np.abs(gram).max() <= 1e-10
 
 
 def test_zero_start_vector_rejected():
     op = DenseSymOp(np.eye(4))
     with pytest.raises(ValueError):
-        lanczos_decompose(op, np.zeros(4), 2)
+        lanczos_decompose(op, np.zeros((4, 1)), 2)
 
 
 def test_step_count_bounds_enforced():
     op = DenseSymOp(np.eye(4))
     with pytest.raises(ValueError):
-        lanczos_decompose(op, np.ones(4), 5)
+        lanczos_decompose(op, np.ones((4, 1)), 5)
     with pytest.raises(ValueError):
-        lanczos_decompose(op, np.ones(4), 0)
+        lanczos_decompose(op, np.ones((4, 1)), 0)
 
 
 def test_quadform_log_scaled_identity():
     op = DenseSymOp(2.0 * np.eye(8))
-    got = lanczos_quadform_log(op, np.ones(8), 3)
+    got = quadform_log(op, np.ones(8), 3)
     assert got == pytest.approx(8.0 * np.log(2.0), abs=1e-12)
 
 
@@ -80,26 +81,27 @@ def test_quadform_log_matches_dense_at_full_steps():
         eigvals, eigvecs = np.linalg.eigh(mat)
         logm = eigvecs @ np.diag(np.log(eigvals)) @ eigvecs.T
         exact = w @ logm @ w
-        got = lanczos_quadform_log(op, w, m)
+        got = quadform_log(op, w, m)
         assert got == pytest.approx(exact, rel=1e-8)
 
 
 def test_quadform_log_rejects_indefinite():
     op = DenseSymOp(np.diag([1.0, -2.0, 3.0]))
     with pytest.raises(NumericalError, match="Ritz"):
-        lanczos_quadform_log(op, np.ones(3), 3)
+        quadform_log(op, np.ones(3), 3)
 
 
 def inv_sqrt_apply(dec):
     """V T^{-1/2} e_1 ||v||, the Lanczos approximation of M^{-1/2} v."""
     eigvals, eigvecs = np.linalg.eigh(dec.tridiagonal())
-    return dec.basis @ (dec.vnorm * (eigvecs @ (eigvecs[0, :] / np.sqrt(eigvals))))
+    coeff = dec.vnorm[0] * (eigvecs @ (eigvecs[0, :] / np.sqrt(eigvals)))
+    return dec.basis[0, : dec.k_eff].T @ coeff
 
 
 def test_inv_sqrt_scaled_identity():
     op = DenseSymOp(4.0 * np.eye(6))
     w = np.arange(1.0, 7.0)
-    got = inv_sqrt_apply(lanczos_decompose(op, w, 2))
+    got = inv_sqrt_apply(lanczos_decompose(op, w[:, None], 2))
     assert np.allclose(got, w / 2.0, atol=1e-13)
 
 
@@ -110,7 +112,7 @@ def test_inv_sqrt_matches_dense_at_full_steps():
     w = stream(3, "w2").standard_normal(m)
     eigvals, eigvecs = np.linalg.eigh(mat)
     exact = eigvecs @ ((eigvecs.T @ w) / np.sqrt(eigvals))
-    got = inv_sqrt_apply(lanczos_decompose(op, w, m))
+    got = inv_sqrt_apply(lanczos_decompose(op, w[:, None], m))
     assert np.allclose(got, exact, atol=1e-8 * np.linalg.norm(exact))
 
 
@@ -122,27 +124,22 @@ def test_batch_matches_per_probe_path():
     batch = slq_logdet_batch(mat, w_block, k)
     op = DenseSymOp(mat)
     single = np.array(
-        [lanczos_quadform_log(op, w_block[:, i], k) for i in range(7)]
+        [quadform_log(op, w_block[:, i], k) for i in range(7)]
     )
     assert np.allclose(batch, single, rtol=1e-12, atol=1e-10)
 
-    # Column j of a block call is the single-vector call on column j: for
-    # CG unpreconditioned, with a Nystrom preconditioner whose rank equals
-    # the probe count, and whitened by a non-scalar diagonal; for Lanczos on
-    # the operator.  CG runs to 1e-12, where the summation order of the
-    # block products (BLAS-3 against BLAS-2) no longer shows in the
-    # solutions; the Lanczos coefficients agree to roundoff at this depth.
+    # Column j of a block call is the call on column j alone: for CG, a
+    # vector solve, unpreconditioned and with a Nystrom preconditioner whose
+    # rank equals the probe count; for Lanczos, a one-column block.  CG runs
+    # to 1e-12, where the summation order of the block products (BLAS-3
+    # against BLAS-2) no longer shows in the solutions; the Lanczos
+    # coefficients agree to roundoff at this depth.
     n = 7
     spd = mat + np.eye(m)
     op = DenseSymOp(spd)
-    d = np.linspace(1.0, 3.0, m)
-    white = DenseSymOp(spd / np.sqrt(np.outer(d, d)))
     pres = {
         "none": None,
         "nystrom": nystrom_preconditioner(op, 1.0, n, seed=4),
-        "whitened": WhitenedPreconditioner(
-            inner=nystrom_preconditioner(white, 1.0, 5, seed=4), white_op=DiagonalOp(d)
-        ),
     }
 
     def close(a, b):
@@ -158,11 +155,11 @@ def test_batch_matches_per_probe_path():
     dec = lanczos_decompose(op, w_block, k)
     vals = dec.quadform_log()
     for j in range(n):
-        s = lanczos_decompose(op, w_block[:, j], k)
+        s = lanczos_decompose(op, w_block[:, [j]], k)
         assert dec.steps[j] == s.k_eff == k, j
-        assert close(dec.alpha[:, j], s.alpha), j
-        assert close(dec.beta[:, j], s.beta), j
-        assert vals[j] == pytest.approx(s.quadform_log(), rel=1e-12), j
+        assert close(dec.alpha[:, j], s.alpha[:, 0]), j
+        assert close(dec.beta[:, j], s.beta[:, 0]), j
+        assert vals[j] == pytest.approx(s.quadform_log()[0], rel=1e-12), j
 
     # A column started on an eigenvector breaks down after one step and gets
     # no further operator applications; the others run all k steps.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hypermarg.mm
 from hypermarg import (
     Box,
     ProblemSpec,
@@ -388,6 +389,32 @@ class TestM3cChain:
         )
         assert out.audit_mode == "slq"
         assert np.isfinite(out.f_value)
+
+    def test_proposal_the_audit_cannot_evaluate_is_rejected(self, monkeypatch):
+        # Every SLQ audit after the one at the start raises, as an
+        # unconverged misfit solve does: each proposal is rejected, the
+        # anchor kept and the probe count doubled, and the run completes.
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=3)
+        real = hypermarg.mm.eval_F_slq
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(None)
+            if len(calls) > 1:
+                raise NumericalError("misfit solve stalled")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(hypermarg.mm, "eval_F_slq", failing)
+        start = problem.box.center()
+        out = m3c_optimize(
+            problem, outer_iters=3, n_probes=4, seed=0, audit="slq",
+            audit_probes=16, audit_k=12,
+        )
+        assert len(calls) == 4
+        assert not out.converged
+        assert all(not rec.accepted for rec in out.records)
+        assert [rec.n_probes for rec in out.records] == [4, 8, 16]
+        np.testing.assert_array_equal(out.theta, start)
 
     def test_unknown_audit_mode_raises(self):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=3)

@@ -8,14 +8,16 @@ from hypermarg import (
     ConvolutionOp,
     DenseLinOp,
     DenseSymOp,
-    DiagonalOp,
     MatvecCounter,
     NumericalError,
     ScaledIdentityOp,
     SparseLinOp,
     SuperresOp,
+    build_psi,
+    deblur_problem,
     dense_logdet,
     psf_stencil,
+    tomo_problem,
 )
 from hypermarg.problems import SuperresDerivOp
 from hypermarg.rng import stream
@@ -79,6 +81,30 @@ def test_sparse_block_applies_match_dense_and_count_per_column():
         np.testing.assert_allclose(op.rmatvec(y[:, 2]), dense.T @ y[:, 2], rtol=1e-14, atol=1e-14)
         assert op.matvec_count == 8
 
+    # Symmetric operators: a block apply is its column loop, and both charge
+    # one application per column.  A Psi operator also charges its legs per
+    # column: two A applications (forward and adjoint), one Q and one R.
+    a = rng.standard_normal((6, 6))
+    problems = [tomo_problem(s=5, n_src=4, n_rec=6, seed=2), deblur_problem(s=6, seed=2)]
+    sym_ops = [DenseSymOp(a + a.T), ScaledIdentityOp(2.5, 6)] + [
+        build_psi(problem, problem.theta_true) for problem in problems
+    ]
+    ledgers = [None, None] + [problem.counters for problem in problems]
+    for op, ledger in zip(sym_ops, ledgers):
+        v = rng.standard_normal((op.m, 3))
+        start = op.matvec_count
+        legs = ledger.snapshot() if ledger else None
+        loop = np.column_stack([op.matvec(v[:, j]) for j in range(3)])
+        assert op.matvec_count - start == 3
+        mid = ledger.snapshot() if ledger else None
+        block = op.matmat(v)
+        assert op.matvec_count - start == 6
+        assert np.linalg.norm(block - loop) <= 1e-12 * np.linalg.norm(loop)
+        if ledger:
+            end = ledger.snapshot()
+            for key, per_column in (("a", 2), ("q", 1), ("r", 1)):
+                assert mid[key] - legs[key] == end[key] - mid[key] == 3 * per_column
+
 
 def test_dense_does_not_count():
     op = DenseSymOp(np.diag([1.0, 2.0]))
@@ -110,19 +136,9 @@ def test_symmetry_tolerance_scales_with_entries():
     np.testing.assert_array_equal(op.mat, op.mat.T)
 
 
-def test_diagonal_inverse_and_logdet():
-    op = DiagonalOp(np.array([4.0, 9.0]))
-    assert np.allclose(op.apply_inverse(np.array([4.0, 9.0])), [1.0, 1.0])
-    assert np.allclose(op.apply_inverse_sqrt(np.array([2.0, 3.0])), [1.0, 1.0])
-    bad = DiagonalOp(np.array([1.0, -1.0]))
-    with pytest.raises(NumericalError):
-        bad.apply_inverse(np.ones(2))
-
-
 def test_scaled_identity_ops():
     op = ScaledIdentityOp(2.0, 5)
     assert np.allclose(op.matvec(np.ones(5)), 2.0)
-    assert np.allclose(op.apply_inverse(np.ones(5)), 0.5)
 
 
 def test_dense_logdet_matches_eigenvalue_sum():

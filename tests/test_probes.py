@@ -33,7 +33,7 @@ def test_canonical_probes_give_exact_trace():
     mat = a + a.T
     probes = canonical_probes(9)
     quadforms = np.array(
-        [probes.column(i) @ mat @ probes.column(i) for i in range(probes.n_probes)]
+        [probes.w[:, i] @ mat @ probes.w[:, i] for i in range(probes.n_probes)]
     )
     assert np.mean(quadforms) == pytest.approx(np.trace(mat), abs=1e-12)
 

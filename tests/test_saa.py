@@ -4,6 +4,7 @@ import pytest
 import hypermarg.saa
 from hypermarg import Box, tomo_problem
 from hypermarg.objective import eval_F_exact
+from hypermarg.operators import NumericalError
 from hypermarg.saa import saa_optimize
 
 from test_objective import noise_only_problem
@@ -82,6 +83,40 @@ class TestSaaOptimize:
         # nothing is applied after the last record
         assert problem.counters.snapshot() == out.records[-1].counters
         assert out.records[-1].counters != before
+
+    def test_failed_trial_solve_is_backtracked_from(self, monkeypatch):
+        # Psi = theta_1 I, with the evaluations in a region of theta failing
+        # as an unconverged misfit solve does.
+        b = np.array([1.0, 3.0, -2.0, 1.0, 2.0, -1.0])
+        problem = noise_only_problem(b, box=Box(np.array([0.05]), np.array([30.0])))
+        real = hypermarg.saa.eval_F_slq
+        failed = []
+
+        def failing(region):
+            def evaluate(problem, theta, *args, **kwargs):
+                if region(theta[0]):
+                    failed.append(float(theta[0]))
+                    raise NumericalError("misfit solve stalled")
+                return real(problem, theta, *args, **kwargs)
+
+            return evaluate
+
+        kw = dict(n_probes=8, k_steps=6, max_iters=400, tol=1e-10, grad_eps=1e-7, pcg_tol=1e-12)
+        # The minimizer |b|^2 / m = 10/3 lies above 2, and the first line
+        # search from 10 tries 0.96: that trial is inf, the search backtracks,
+        # and the run still converges.
+        monkeypatch.setattr(hypermarg.saa, "eval_F_slq", failing(lambda t: t < 2.0))
+        out = saa_optimize(problem, theta0=np.array([10.0]), **kw)
+        assert failed and out.converged
+        assert abs(out.theta[0] - 10.0 / 3.0) < 1e-6
+        # a failure at the start point is an error
+        with pytest.raises(NumericalError, match="misfit solve"):
+            saa_optimize(problem, theta0=np.array([1.0]), **kw)
+        # and so is one next to an iterate in a finite difference: the
+        # forward step from 10 goes up, into the failing region
+        monkeypatch.setattr(hypermarg.saa, "eval_F_slq", failing(lambda t: t > 10.0))
+        with pytest.raises(NumericalError, match="finite-difference"):
+            saa_optimize(problem, theta0=np.array([10.0]), **kw)
 
     def test_nonpositive_iteration_counts_raise(self):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
