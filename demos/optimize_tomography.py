@@ -51,7 +51,7 @@ print()
 # --- sample-average approximation --------------------------------------
 before = problem.counters.snapshot()
 res_saa = saa_optimize(problem, theta0, n_probes=16, k_steps=20, seed=0,
-                       max_iters=60, segment_iters=10, tol=1e-6)
+                       max_iters=60, tol=1e-6)
 saa_cost = {k: problem.counters.snapshot()[k] - before[k] for k in ("a", "q")}
 
 print(f"saa: {res_saa.iterations} iterations, converged={res_saa.converged}")

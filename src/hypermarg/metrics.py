@@ -71,6 +71,7 @@ def run_rows(records, baseline_counters):
 
     Accepts the record lists produced by either optimizer (their field
     names differ slightly; each carries a cumulative counter snapshot).
+    An saa record is one iteration, so its row has ``inner_iters`` 1.
     ``baseline_counters`` is the ledger snapshot taken just before the
     optimizer ran.  Neither optimizer applies an operator after its last
     record, so the row deltas add up to the whole run.
@@ -80,8 +81,8 @@ def run_rows(records, baseline_counters):
     for i, rec in enumerate(records):
         snap = rec.counters
         row = {
-            "outer_iter": getattr(rec, "outer_iter", getattr(rec, "segment", i)),
-            "inner_iters": getattr(rec, "inner_iters", getattr(rec, "iterations", 0)),
+            "outer_iter": getattr(rec, "outer_iter", i),
+            "inner_iters": getattr(rec, "inner_iters", 1),
             "fn_evals": rec.fn_evals,
             "matvecs_A": snap["a"] - prev["a"],
             "matvecs_Q": snap["q"] - prev["q"],
@@ -100,7 +101,7 @@ def run_rows(records, baseline_counters):
 def summarize_rows(rows, runtime_s, theta_hat, rel_error=None, extra=None):
     """Totals over metrics rows plus run-level results.
 
-    ``total_iter`` counts outer iterations (one per row); every other
+    ``total_iter`` counts iterations (one per row); every other
     total is a literal column sum, so the summary agrees with the per-row
     file by construction.
     """

@@ -41,7 +41,7 @@ from .objective import (
 )
 from .operators import DENSE_LIMIT, NumericalError
 from .pcg import pcg_solve
-from .probes import rademacher_probes
+from .probes import canonical_probes, rademacher_probes
 
 __all__ = [
     "InnerResult",
@@ -238,64 +238,68 @@ class InnerResult:
     converged: bool
 
 
-def projected_gradient_min(
-    fun,
-    grad,
-    theta0,
-    box,
-    max_iters=100,
-    tol=1e-6,
-    armijo_c=1e-4,
-    max_backtracks=40,
-    step0=None,
-):
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 40
+
+
+def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, callback=None):
     """Projected gradient descent with Armijo backtracking on a box.
 
-    The sufficient-decrease test is f(theta+) <= f(theta) + c g.(theta+ - theta)
-    with c = 1e-4; the step halves until it passes and doubles after an
-    unhindered success.  The initial step is max(1, |theta0|)/max(1, |g0|)
-    unless given.  Convergence means the projected step shrank below
-    ``tol`` relative to the iterate (or the projected gradient vanished).
+    Coordinates with a positive lower bound move in u = log theta (Rasmussen
+    & Williams 2006, sec. 5.4), where the box is still a box and the gradient
+    is theta * g; the others move in theta.  ``fun`` and ``grad`` see the
+    start point exactly as given (after projection), every later point
+    clipped into the box.  Armijo's test uses c = 1e-4; the step halves up to
+    40 times and doubles after an unhindered success, from
+    max(1, |u0|)/max(1, |g_u0|).  Convergence means the projected step in u
+    vanished or shrank below ``tol`` relative to u.  ``callback(theta, f)``
+    runs at the end of every iteration, after its last evaluation.
     """
+    log = box.lower > 0
+    lo = np.log(box.lower, out=box.lower.copy(), where=log)
+    hi = np.log(box.upper, out=box.upper.copy(), where=log)
     theta = box.project(np.asarray(theta0, dtype=float))
+    u = np.log(theta, out=theta.copy(), where=log)
     f = fun(theta)
     fn_evals = 1
-    g = grad(theta)
-    grad_evals = 1
-    step = step0 if step0 is not None else (
-        max(1.0, float(np.linalg.norm(theta))) / max(1.0, float(np.linalg.norm(g)))
-    )
+    grad_evals = 0
+    g_u = None
+    step = None
     converged = False
     it = 0
     for it in range(1, max_iters + 1):
+        if g_u is None:
+            g_u = grad(theta)
+            grad_evals += 1
+            g_u = np.where(log, theta * g_u, g_u)
+        if step is None:
+            step = max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(g_u)))
         s = step
-        cand = None
-        f_cand = None
         accepted = False
-        backtracks = 0
-        for backtracks in range(max_backtracks):
-            cand = box.project(theta - s * g)
-            d = cand - theta
+        for backtracks in range(_MAX_BACKTRACKS):
+            u_cand = np.clip(u - s * g_u, lo, hi)
+            d = u_cand - u
             if not np.any(d):
                 # the projected step is null: theta is stationary on the box
                 converged = True
                 break
+            cand = box.project(np.where(log, np.exp(u_cand), u_cand))
             f_cand = fun(cand)
             fn_evals += 1
-            if f_cand <= f + armijo_c * float(np.dot(g, d)):
+            if f_cand <= f + _ARMIJO_C * float(np.dot(g_u, d)):
                 accepted = True
                 break
             s *= 0.5
+        if accepted:
+            move = float(np.linalg.norm(d))
+            u, theta, f = u_cand, cand, f_cand
+            g_u = None
+            converged = move <= tol * max(1.0, float(np.linalg.norm(u)))
+            step = 2.0 * s if backtracks == 0 else s
+        if callback is not None:
+            callback(theta, f)
         if converged or not accepted:
             break
-        move = float(np.linalg.norm(cand - theta))
-        theta, f = cand, f_cand
-        if move <= tol * max(1.0, float(np.linalg.norm(theta))):
-            converged = True
-            break
-        g = grad(theta)
-        grad_evals += 1
-        step = 2.0 * s if backtracks == 0 else s
     return InnerResult(
         theta=theta,
         value=f,
@@ -465,7 +469,9 @@ def m3c_optimize(
     pay the anchor solves, minimize the sampled majorant over the box, and
     audit the proposal against an independent fixed estimate of F.  A
     proposal that fails the audit is rejected: the anchor is kept, the probe
-    budget doubles, and the step does not count toward convergence.  Nor
+    budget doubles, and the step does not count toward convergence.  The
+    budget stops at m: from there on the probes are the m canonical ones,
+    whose sampled trace is exact, so the surrogate is the exact majorant.  Nor
     does a proposal that stayed at the anchor because the inner minimizer
     gave up without converging; it is accepted as a null step.  The
     audit is exact (dense) when the problem allows it, otherwise a fixed
@@ -496,7 +502,10 @@ def m3c_optimize(
     n_now = int(n_probes)
     for t in range(outer_iters):
         t0 = time.perf_counter()
-        probes = rademacher_probes(problem.m, n_now, seed, "m3c", t)
+        if n_now < problem.m:
+            probes = rademacher_probes(problem.m, n_now, seed, "m3c", t)
+        else:
+            probes = canonical_probes(problem.m)
         pre = None
         if precond_rank > 0:
             pre = psi_preconditioner(problem, theta, rank=precond_rank, seed=seed)
@@ -528,7 +537,7 @@ def m3c_optimize(
             f_here = f_new
         else:
             # keep the anchor; the sample was too small to trust
-            n_now *= 2
+            n_now = min(2 * n_now, problem.m)
         records.append(
             OuterRecord(
                 outer_iter=t,

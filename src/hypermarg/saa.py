@@ -9,18 +9,17 @@ a deterministic function
 
 uniformly close to F over the box once N is large enough; minimizing it
 transfers near-optimality back to F.  The surface is smooth almost
-everywhere, so a projected-gradient loop driven by finite differences of
-F_hat is the whole optimizer — every run with the same inputs retraces the
-same arithmetic.
+everywhere, so one projected-gradient run in log theta (see
+:func:`~hypermarg.mm.projected_gradient_min`), driven by forward
+differences of F_hat, is the whole optimizer — every run with the same
+inputs retraces the same arithmetic.
 
-The loop restarts every ``segment_iters`` steps, one record per segment, on
-the same surface throughout.  Each theta is evaluated once per run: a
-finite-difference base point the line search has just accepted, or a
-segment restart at the last iterate, reads the value already computed.
-Armijo steps never increase F_hat, so the returned value is the last
-segment's.  A trial point whose misfit solve does not converge has
-F_hat = inf, so the line search backtracks from it; at the start point, or
-next to the iterate in a finite difference, the failure raises
+Each theta is evaluated once per run: a finite-difference base point the
+line search has just accepted reads the value already computed.  Armijo
+steps never increase F_hat, and there is one record per iteration.  A trial
+point whose misfit solve does not converge has F_hat = inf, so the line
+search backtracks from it; at the start point, or next to the iterate in a
+finite difference, the failure raises
 :class:`~hypermarg.operators.NumericalError`.
 """
 
@@ -39,10 +38,9 @@ __all__ = ["SaaRecord", "SaaResult", "saa_optimize"]
 
 @dataclass
 class SaaRecord:
-    segment: int
+    iteration: int
     theta: np.ndarray
     f_hat: float
-    iterations: int
     fn_evals: int
     pcg_iters: int
     wall_time_s: float
@@ -66,7 +64,6 @@ def saa_optimize(
     k_steps=30,
     seed=0,
     max_iters=100,
-    segment_iters=10,
     tol=1e-6,
     grad_eps=1e-6,
     pcg_tol=1e-8,
@@ -76,13 +73,13 @@ def saa_optimize(
     """Minimize the fixed-sample surface F_hat over the feasible box.
 
     One probe block is drawn up front from ``(seed, "probes", "saa")`` and
-    never redrawn.  The loop runs in segments of ``segment_iters``
-    projected-gradient steps, each restarting from the last iterate.
-    Gradients are forward differences of F_hat, so the only linear algebra
-    is Lanczos quadrature and CG.  ``fn_evals`` counts distinct thetas.
+    never redrawn.  One projected-gradient run of at most ``max_iters``
+    iterations minimizes it, leaving one record per iteration.  Gradients
+    are forward differences of F_hat, so the only linear algebra is Lanczos
+    quadrature and CG.  ``fn_evals`` counts distinct thetas.
     """
-    if max_iters < 1 or segment_iters < 1:
-        raise ValueError("max_iters and segment_iters must be positive")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     theta = box_start(problem, theta0)
     k_steps = int(min(k_steps, problem.m))
     probes = rademacher_probes(problem.m, n_probes, seed, "saa")
@@ -121,42 +118,33 @@ def saa_optimize(
         return g
 
     records = []
-    total_iters = 0
-    converged = False
-    while total_iters < max_iters and not converged:
-        t0 = time.perf_counter()
-        evals_start, pcg_start = len(seen), pcg_iters[0]
-        inner = projected_gradient_min(
-            fhat,
-            grad,
-            theta,
-            problem.box,
-            max_iters=min(segment_iters, max_iters - total_iters),
-            tol=tol,
-        )
-        theta = inner.theta
-        total_iters += inner.iterations
-        converged = inner.converged
+    mark = [time.perf_counter(), 0, 0]  # wall time, evaluations, CG iterations
+
+    def record(th, f):
+        now = time.perf_counter()
         records.append(
             SaaRecord(
-                segment=len(records),
-                theta=theta.copy(),
-                f_hat=inner.value,
-                iterations=inner.iterations,
-                fn_evals=len(seen) - evals_start,
-                pcg_iters=pcg_iters[0] - pcg_start,
-                wall_time_s=time.perf_counter() - t0,
+                iteration=len(records),
+                theta=th.copy(),
+                f_hat=f,
+                fn_evals=len(seen) - mark[1],
+                pcg_iters=pcg_iters[0] - mark[2],
+                wall_time_s=now - mark[0],
                 counters=problem.counters.snapshot(),
             )
         )
+        mark[:] = [now, len(seen), pcg_iters[0]]
         if callback is not None:
             callback(records[-1])
 
+    inner = projected_gradient_min(
+        fhat, grad, theta, problem.box, max_iters=max_iters, tol=tol, callback=record
+    )
     return SaaResult(
-        theta=theta,
-        f_value=records[-1].f_hat,
-        converged=converged,
-        iterations=total_iters,
+        theta=inner.theta,
+        f_value=inner.value,
+        converged=inner.converged,
+        iterations=inner.iterations,
         fn_evals=len(seen),
         records=records,
     )

@@ -166,7 +166,7 @@ def test_criterion_6_optimizer_quality():
     runs = {
         "m3c(2)": m3c_optimize(problem, outer_iters=25, n_probes=16, seed=0, inner_iters=2, tol=1e-5),
         "m3c(15)": m3c_optimize(problem, outer_iters=25, n_probes=16, seed=0, inner_iters=15, tol=1e-5),
-        "saa": saa_optimize(problem, n_probes=16, k_steps=20, seed=0, max_iters=60, segment_iters=10, tol=1e-6),
+        "saa": saa_optimize(problem, n_probes=16, k_steps=20, seed=0, max_iters=60, tol=1e-6),
     }
     gaps = {}
     ok = True

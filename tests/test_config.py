@@ -47,8 +47,8 @@ class TestRunConfig:
 
     def test_method_key_from_other_method_rejected(self):
         cfg = run_cfg()
-        cfg["method"]["segment_iters"] = 10  # an saa knob on an m3c block
-        with pytest.raises(ConfigError, match="segment_iters"):
+        cfg["method"]["k_steps"] = 10  # an saa knob on an m3c block
+        with pytest.raises(ConfigError, match="k_steps"):
             validate_run_config(cfg)
 
     def test_precond_rank_rejected_for_saa(self):

@@ -117,7 +117,6 @@ class TestRunExperiment:
                 "name": "saa",
                 "theta0": "true",
                 "max_iters": 12,
-                "segment_iters": 6,
                 "n_probes": 8,
                 "tol": 1e-3,
                 "seed": 0,

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from hypermarg import (
     ProblemSpec,
     build_psi,
     deblur_problem,
+    make_test_problem,
     superres_problem,
     tomo_problem,
 )
@@ -24,6 +27,19 @@ from hypermarg.operators import NumericalError, dense_logdet
 from hypermarg.probes import canonical_probes, rademacher_probes
 
 from test_objective import noise_only_problem, relerr
+
+
+def spy_probe_blocks(monkeypatch):
+    """The probe block of every surrogate m3c builds, in order."""
+    blocks = []
+    real = hypermarg.mm.build_surrogate
+
+    def spy(problem, theta_t, probes, *args, **kwargs):
+        blocks.append(probes.w.copy())
+        return real(problem, theta_t, probes, *args, **kwargs)
+
+    monkeypatch.setattr(hypermarg.mm, "build_surrogate", spy)
+    return blocks
 
 
 class TestExactSurrogate:
@@ -284,6 +300,60 @@ class TestProjectedGradient:
         assert out.converged
         assert abs(out.theta[0]) < 1e-10
 
+    def test_positive_coordinates_move_in_log_theta(self):
+        # f = sum (log t)^2 / 2 is the unit quadratic in u = log t: from
+        # t = 100 the first step lands on the minimizer t = 1, where linear
+        # steps across four decades would crawl.
+        box = Box(lower=np.full(2, 1e-4), upper=np.full(2, 1e4))
+        out = projected_gradient_min(
+            lambda t: 0.5 * float(np.sum(np.log(t) ** 2)),
+            lambda t: np.log(t) / t,
+            np.array([100.0, 100.0]),
+            box,
+            tol=1e-12,
+        )
+        assert out.converged
+        assert out.iterations <= 3
+        np.testing.assert_allclose(out.theta, [1.0, 1.0], rtol=1e-12)
+
+    def test_start_point_is_evaluated_and_returned_bit_for_bit(self):
+        # exp(log 10) is 10.000000000000002: the start point must reach fun
+        # and grad as given, and come back unchanged when no step is taken.
+        box = Box(lower=np.array([0.05]), upper=np.array([30.0]))
+        theta0 = np.array([10.0])
+        seen = []
+
+        def fun(t):
+            seen.append(t.tobytes())
+            return 0.0 if t.tobytes() == theta0.tobytes() else np.inf
+
+        grads = []
+        out = projected_gradient_min(
+            fun, lambda t: grads.append(t.tobytes()) or np.array([1.0]), theta0, box
+        )
+        assert seen[0] == theta0.tobytes()
+        assert grads[0] == theta0.tobytes()
+        assert not out.converged and len(seen) == 41
+        assert out.theta.tobytes() == theta0.tobytes()
+
+    def test_every_evaluated_theta_lies_in_the_box(self):
+        # The iterates run into an upper bound of 10 and a lower bound of
+        # 1e-5, where exp(log(bound)) lands just outside the box.
+        box = Box(lower=np.array([0.05, 1e-5]), upper=np.array([10.0, 30.0]))
+        seen = []
+
+        def fun(t):
+            seen.append(t.copy())
+            return float(t[1] - t[0])
+
+        out = projected_gradient_min(
+            fun, lambda t: np.array([-1.0, 1.0]), np.array([1.0, 1.0]), box, tol=1e-12
+        )
+        assert out.converged
+        for t in seen:
+            assert np.all(t >= box.lower) and np.all(t <= box.upper)
+        np.testing.assert_array_equal(out.theta, [10.0, 1e-5])
+
 
 class TestExactMMChain:
     def test_monotone_descent_on_tomo(self):
@@ -347,11 +417,14 @@ class TestM3cChain:
         accept_rate = np.mean([rec.accepted for rec in out.records])
         assert accept_rate >= 0.8
 
-    def test_rejection_keeps_anchor_and_doubles_probes(self):
+    def test_rejection_keeps_anchor_and_doubles_probes(self, monkeypatch):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=8)
         theta0 = problem.theta_true
+        blocks = spy_probe_blocks(monkeypatch)
         # A hugely negative slack makes the audit unpassable, forcing the
-        # rejection path deterministically.
+        # rejection path deterministically.  The doubling stops at m = 15,
+        # where the probes are the canonical ones.
+        assert problem.m == 15
         out = m3c_optimize(
             problem,
             theta0=theta0,
@@ -362,7 +435,8 @@ class TestM3cChain:
         )
         assert not out.converged
         assert all(not rec.accepted for rec in out.records)
-        assert [rec.n_probes for rec in out.records] == [4, 8, 16]
+        assert [rec.n_probes for rec in out.records] == [4, 8, 15]
+        np.testing.assert_array_equal(blocks[-1], canonical_probes(15).w)
         np.testing.assert_array_equal(out.theta, theta0)
         assert all(np.isnan(rec.rel_step) for rec in out.records)
 
@@ -405,6 +479,7 @@ class TestM3cChain:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hypermarg.mm, "eval_F_slq", failing)
+        blocks = spy_probe_blocks(monkeypatch)
         start = problem.box.center()
         out = m3c_optimize(
             problem, outer_iters=3, n_probes=4, seed=0, audit="slq",
@@ -413,7 +488,8 @@ class TestM3cChain:
         assert len(calls) == 4
         assert not out.converged
         assert all(not rec.accepted for rec in out.records)
-        assert [rec.n_probes for rec in out.records] == [4, 8, 16]
+        assert [rec.n_probes for rec in out.records] == [4, 8, 15]
+        np.testing.assert_array_equal(blocks[-1], canonical_probes(15).w)
         np.testing.assert_array_equal(out.theta, start)
 
     def test_unknown_audit_mode_raises(self):
@@ -444,3 +520,32 @@ class TestM3cChain:
         center = problem.box.center()
         out = m3c_optimize(problem, theta0=center, outer_iters=4, seed=0)
         assert not (out.converged and np.array_equal(out.theta, center))
+
+
+class TestConvergesInLogTheta:
+    """The optimizers end at the optimum, not at an iteration cap.
+
+    Each case failed before the box minimizer moved the positive
+    parameters in log theta: the chains stopped at their caps with F
+    0.9 nats (quick start) and 116 nats (deblur) above the optimum.
+    """
+
+    def test_quick_start_m3c_reaches_the_exact_chain_optimum(self):
+        t0 = time.time()
+        problem = make_test_problem("tomo", s=8, n_src=8, n_rec=9, seed=0)
+        exact = mm_optimize_exact(problem)
+        assert exact.converged
+        out = m3c_optimize(
+            problem, problem.box.center(), outer_iters=25, n_probes=16, seed=0
+        )
+        assert out.converged
+        assert abs(eval_F_exact(problem, out.theta).value - exact.f_value) <= 0.01
+        assert time.time() - t0 < 60, "runtime budget of 60 s exceeded"
+
+    def test_default_m3c_converges_on_deblur_16(self):
+        t0 = time.time()
+        problem = make_test_problem("deblur", s=16, seed=0)
+        out = m3c_optimize(problem)
+        assert out.converged
+        assert eval_F_exact(problem, out.theta).value <= -339.9
+        assert time.time() - t0 < 150, "runtime budget of 150 s exceeded"

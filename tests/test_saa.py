@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 import hypermarg.saa
-from hypermarg import Box, tomo_problem
+from hypermarg import Box, make_test_problem, tomo_problem
 from hypermarg.objective import eval_F_exact
 from hypermarg.operators import NumericalError
 from hypermarg.saa import saa_optimize
@@ -41,13 +43,14 @@ class TestSaaOptimize:
             problem, theta0=theta0, n_probes=16, k_steps=20, seed=0,
             max_iters=40, tol=1e-8,
         )
-        segment_values = [rec.f_hat for rec in out.records]
-        for prev, cur in zip(segment_values, segment_values[1:]):
+        values = [rec.f_hat for rec in out.records]
+        assert len(values) == out.iterations
+        for prev, cur in zip(values, values[1:]):
             assert cur <= prev + 1e-9 * max(1.0, abs(prev))
         assert eval_F_exact(problem, out.theta).value < f0
         # one fixed surface throughout: the returned value is its value at
-        # the returned point, the last segment's
-        assert out.f_value == segment_values[-1]
+        # the returned point, the last record's
+        assert out.f_value == values[-1]
 
     def test_deterministic_given_seed(self):
         problem_a = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
@@ -61,8 +64,8 @@ class TestSaaOptimize:
         assert np.any(out_c.theta != out_a.theta)
 
     def test_each_theta_evaluated_once(self, monkeypatch):
-        # finite-difference base points and segment restarts revisit thetas
-        # the run has already evaluated; they must not cost a second solve
+        # finite-difference base points revisit thetas the line search has
+        # already evaluated; they must not cost a second solve
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
         thetas = []
         real = hypermarg.saa.eval_F_slq
@@ -73,10 +76,9 @@ class TestSaaOptimize:
 
         monkeypatch.setattr(hypermarg.saa, "eval_F_slq", spy)
         before = problem.counters.snapshot()
-        out = saa_optimize(
-            problem, n_probes=8, k_steps=10, seed=3, max_iters=15, segment_iters=5
-        )
-        assert len(out.records) == 3
+        out = saa_optimize(problem, n_probes=8, k_steps=10, seed=3, max_iters=15)
+        assert len(out.records) == out.iterations > 1
+        assert [rec.iteration for rec in out.records] == list(range(out.iterations))
         assert len(thetas) == out.fn_evals
         assert out.fn_evals == sum(rec.fn_evals for rec in out.records)
         assert out.fn_evals == len(set(thetas))
@@ -118,12 +120,19 @@ class TestSaaOptimize:
         with pytest.raises(NumericalError, match="finite-difference"):
             saa_optimize(problem, theta0=np.array([10.0]), **kw)
 
+    def test_quick_start_converges_within_max_iters(self):
+        # Before the box minimizer moved the positive parameters in log
+        # theta, this run stopped at its cap of 100 iterations.
+        t0 = time.time()
+        problem = make_test_problem("tomo", s=8, n_src=8, n_rec=9, seed=0)
+        out = saa_optimize(problem, n_probes=16, seed=0, max_iters=100)
+        assert out.converged and out.iterations < 100
+        assert time.time() - t0 < 60, "runtime budget of 60 s exceeded"
+
     def test_nonpositive_iteration_counts_raise(self):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
         with pytest.raises(ValueError, match="positive"):
             saa_optimize(problem, max_iters=0)
-        with pytest.raises(ValueError, match="positive"):
-            saa_optimize(problem, segment_iters=0)
 
     def test_start_outside_box_raises(self):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
