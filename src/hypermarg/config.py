@@ -60,6 +60,7 @@ def _unit_open(v):
 
 
 _INT = ((int,), None)
+_NUM = ((int, float), None)
 _POS_INT = ((int,), _positive)
 _NONNEG_INT = ((int,), _nonneg)
 _POS_NUM = ((int, float), _positive)
@@ -167,7 +168,6 @@ _COMMON_METHOD = {
 _M3C_SCHEMA = dict(
     _COMMON_METHOD,
     outer_iters=_POS_INT,
-    precond_rank=_NONNEG_INT,
     inner_iters=_POS_INT,
     inner_tol=_POS_NUM,
     audit=((str,), lambda v: None if v in ("auto", "exact", "slq") else "must be auto/exact/slq"),
@@ -244,8 +244,8 @@ def validate_slice_config(cfg):
         {
             "anchor": ((list,), None),
             "axis": _NONNEG_INT,
-            "grid_min": _POS_NUM,
-            "grid_max": _POS_NUM,
+            "grid_min": _NUM,
+            "grid_max": _NUM,
             "grid_count": ((int,), lambda v: None if v >= 2 else "must be at least 2"),
         },
         required=("anchor", "axis", "grid_min", "grid_max", "grid_count"),

@@ -76,14 +76,14 @@ def _resolve_theta0(problem, method_cfg):
     if theta0 == "true":
         if problem.theta_true is None:
             raise ConfigError("method.theta0 = 'true' but the problem has no ground truth")
-        return np.asarray(problem.theta_true, dtype=float)
+        theta0 = problem.theta_true
     theta0 = np.asarray(theta0, dtype=float)
     if theta0.size != problem.p:
         raise ConfigError(
             f"method.theta0 has {theta0.size} entries; the problem has {problem.p} parameters"
         )
     if not problem.box.contains(theta0):
-        raise ConfigError("method.theta0 lies outside the feasible box")
+        raise ConfigError(f"method.theta0 {theta0} lies outside the feasible box")
     return theta0
 
 

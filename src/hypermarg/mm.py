@@ -436,6 +436,10 @@ def mm_optimize_exact(
     )
 
 
+# rank of m3c's per-anchor Nystrom preconditioner, capped at m
+PRECOND_RANK = 32
+
+
 def box_start(problem, theta0):
     if theta0 is None:
         return problem.box.center()
@@ -456,7 +460,6 @@ def m3c_optimize(
     inner_tol=1e-6,
     pcg_tol=1e-8,
     pcg_maxit=500,
-    precond_rank=32,
     audit="auto",
     audit_probes=32,
     audit_k=30,
@@ -478,16 +481,14 @@ def m3c_optimize(
     probe set shared across all iterations keeps rejections comparable.
 
     Every CG solve is preconditioned by a randomized Nystrom preconditioner
-    of rank ``min(precond_rank, m)``, built once per anchor with the noise
+    of rank ``min(PRECOND_RANK, m)``, built once per anchor with the noise
     variance as its shift (Frangella, Tropp & Udell 2023); it serves the
     anchor's probe solves and every misfit solve of that outer iteration.
     It changes only how fast CG reaches ``pcg_tol``, not the sampled
-    majorant or the audit.  It needs a scaled-identity noise covariance;
-    ``precond_rank=0`` turns it off, which a problem with any other noise
-    covariance must do.  Inside the inner minimization a trial point whose misfit solve
-    fails is rejected by the line search (the surrogate's value there is
-    ``inf``); a proposal the audit cannot evaluate is rejected; a failed
-    solve at an anchor is a :class:`NumericalError`.
+    majorant or the audit.  Inside the inner minimization a trial point
+    whose misfit solve fails is rejected by the line search (the surrogate's
+    value there is ``inf``); a proposal the audit cannot evaluate is
+    rejected; a failed solve at an anchor is a :class:`NumericalError`.
 
     Returns the audited chain with per-iteration cost records.
     """
@@ -506,9 +507,7 @@ def m3c_optimize(
             probes = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
             probes = canonical_probes(problem.m)
-        pre = None
-        if precond_rank > 0:
-            pre = psi_preconditioner(problem, theta, rank=precond_rank, seed=seed)
+        pre = psi_preconditioner(problem, theta, rank=PRECOND_RANK, seed=seed)
         surrogate = build_surrogate(
             problem, theta, probes, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )

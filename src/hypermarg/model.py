@@ -2,14 +2,15 @@
 
 A problem bundles the pieces of the hierarchical linear-Gaussian model
 
-    x ~ N(mu_x, Q(psi)),   e ~ N(0, R(psi)),   b = A(y) x + e,
+    x ~ N(mu_x, Q(psi)),   e ~ N(0, sigma^2 I),   b = A(y) x + e,
 
-with theta = (psi, y) the stacked hyperparameters.  Everything downstream
-works through :class:`ProblemSpec`: it owns the operator builders, the data,
-the feasible box, the hyperprior, and the shared matvec ledger that makes
+with theta = (psi, y) the stacked hyperparameters and the noise variance
+sigma^2 one psi component or a fixed number.  Everything downstream works
+through :class:`ProblemSpec`: it owns the operator builders, the data, the
+feasible box, the hyperprior, and the shared matvec ledger that makes
 reported costs exact.
 
-The marginal covariance  Psi(theta) = A(y) Q(psi) A(y)^T + R(psi)  is exposed
+The marginal covariance  Psi(theta) = A(y) Q(psi) A(y)^T + sigma^2 I  is exposed
 as :class:`PsiOperator`; one application costs two A-applications (forward
 plus adjoint) and one Q-application by construction.
 """
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import DENSE_LIMIT, MatvecCounter, NumericalError, SymOp
+from .operators import MatvecCounter, NumericalError, ScaledIdentityOp, SymOp
 from .pcg import pcg_solve
 from .rng import stream
 
@@ -199,7 +200,9 @@ class ProblemSpec:
 
     The operator builders are closures wired to ``counters``; derivative
     builders may contain ``None`` entries for components the corresponding
-    operator does not depend on (treated as zero).
+    operator does not depend on (treated as zero).  The noise covariance is
+    sigma^2 I, with exactly one of ``noise_index`` (sigma^2 = psi[noise_index])
+    and ``noise_var`` (a fixed sigma^2) set.
     """
 
     name: str
@@ -213,14 +216,22 @@ class ProblemSpec:
     prior: HyperPrior
     a_builder: object
     q_builder: object
-    r_builder: object
     da_builders: tuple = ()
     dq_builders: tuple = ()
-    dr_builders: tuple = ()
+    noise_index: int = None
+    noise_var: float = None
     x_true: np.ndarray = None
     theta_true: np.ndarray = None
     counters: CounterLedger = field(default_factory=CounterLedger)
     meta: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if (self.noise_index is None) == (self.noise_var is None):
+            raise ValueError("set exactly one of noise_index and noise_var")
+        if self.noise_index is not None and not 0 <= self.noise_index < self.q_dim:
+            raise ValueError(
+                f"noise_index {self.noise_index} out of range for {self.q_dim} psi components"
+            )
 
     @property
     def p(self):
@@ -238,8 +249,14 @@ class ProblemSpec:
     def build_q(self, psi):
         return self.q_builder(np.asarray(psi, dtype=float))
 
+    def noise_variance(self, psi):
+        """sigma^2 at these psi parameters."""
+        if self.noise_index is None:
+            return float(self.noise_var)
+        return float(psi[self.noise_index])
+
     def build_r(self, psi):
-        return self.r_builder(np.asarray(psi, dtype=float))
+        return ScaledIdentityOp(self.noise_variance(psi), self.m, self.counters.r)
 
     def residual_offset(self, theta):
         """c(theta) = A(y) mu_x - b (uses a counted A application if mu_x != 0)."""
@@ -250,7 +267,7 @@ class ProblemSpec:
 
 
 def build_psi(problem, theta, check_box=True):
-    """Assemble Psi(theta) = A Q A^T + R for a problem, with counted parts."""
+    """Assemble Psi(theta) = A Q A^T + sigma^2 I for a problem, with counted parts."""
     psi_params, y = problem.split(theta)
     if check_box and not problem.box.contains(theta):
         raise ValueError(f"theta {np.asarray(theta)} is outside the feasible box")

@@ -7,9 +7,9 @@ rank, a rank-L randomized Nystrom sketch of C yields the factored approximation
 
 whose inverse is cheap (rank-L algebra plus a scaled identity).  It serves as
 the CG preconditioner for solves with the marginal covariance
-Psi = A Q A^T + mu * I, whose noise covariance must be a scaled identity so
-that the shift mu is known (Frangella, Tropp & Udell, "Randomized Nystrom
-preconditioning", SIAM J. Matrix Anal. Appl. 2023).
+Psi = A Q A^T + mu * I, whose shift mu is the problem's noise variance
+(Frangella, Tropp & Udell, "Randomized Nystrom preconditioning", SIAM J.
+Matrix Anal. Appl. 2023).
 """
 
 from dataclasses import dataclass

@@ -21,8 +21,8 @@ by the test-suite:
   bound-aware, used as the derivative-free fallback and the universal
   cross-check.
 
-``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi; it
-needs a scaled-identity noise covariance, whose variance is the known shift.
+``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi, with the
+noise variance sigma^2 as its known shift.
 """
 
 from dataclasses import dataclass, field
@@ -33,7 +33,7 @@ import scipy.linalg
 from .lanczos import lanczos_decompose
 from .model import build_psi
 from .nystrom import nystrom_preconditioner
-from .operators import DENSE_LIMIT, NumericalError, ScaledIdentityOp
+from .operators import DENSE_LIMIT, NumericalError
 from .pcg import pcg_solve
 
 __all__ = [
@@ -70,7 +70,7 @@ class ObjectiveEval:
 class DensePieces:
     """The dense oracle's quantities at one theta, sharing one factorization.
 
-    ``a`` and ``q`` are the dense A(y) and Q(psi), ``psi = A Q A^T + R``,
+    ``a`` and ``q`` are the dense A(y) and Q(psi), ``psi = A Q A^T + sigma^2 I``,
     ``chol`` its lower Cholesky factor, ``c = A mu_x - b`` the residual
     offset and ``r = Psi^{-1} c``.  ``Psi^{-1}`` itself is formed from the
     factor on first request and kept.
@@ -117,7 +117,8 @@ def dense_objective_pieces(problem, theta):
     psi_op = build_psi(problem, theta)
     a = psi_op.a_op.dense()
     q = psi_op.q_op.dense()
-    psi = a @ q @ a.T + psi_op.r_op.dense()
+    psi = a @ q @ a.T
+    psi[np.diag_indices_from(psi)] += psi_op.r_op.scale
     try:
         chol = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
@@ -198,10 +199,8 @@ def eval_F_slq(
 
 def _deriv_builders(problem):
     """Validate derivative-builder bookkeeping; None entries mean 'zero'."""
-    if len(problem.dq_builders) != problem.q_dim or len(problem.dr_builders) != problem.q_dim:
-        raise ValueError(
-            "problem must supply one dQ and one dR builder slot per psi component"
-        )
+    if len(problem.dq_builders) != problem.q_dim:
+        raise ValueError("problem must supply one dQ builder slot per psi component")
     if len(problem.da_builders) != problem.ell:
         raise ValueError("problem must supply one dA builder per forward-map component")
     for j, builder in enumerate(problem.da_builders):
@@ -220,9 +219,6 @@ class _DerivativeActions:
         self.q_op = problem.build_q(psi_params)
         self.dq_ops = [
             None if b is None else b(psi_params) for b in problem.dq_builders
-        ]
-        self.dr_ops = [
-            None if b is None else b(psi_params) for b in problem.dr_builders
         ]
         self.da_ops = [b(y) for b in problem.da_builders]
 
@@ -243,8 +239,8 @@ class _DerivativeActions:
         for j in range(problem.q_dim):
             if self.dq_ops[j] is not None:
                 out[j] += a_op.matmat(self.dq_ops[j].matmat(at_v))
-            if self.dr_ops[j] is not None:
-                out[j] += self.dr_ops[j].matmat(block)
+        if problem.noise_index is not None:
+            out[problem.noise_index] += block
         if problem.ell:
             q_at_v = q_op.matmat(at_v)
             for i, da_op in enumerate(self.da_ops):
@@ -270,7 +266,8 @@ def dense_gradient(problem, pieces, p_mat):
 
         <P, A dQ A^T> = <A^T P A, dQ>,      r^T A dQ A^T r = s^T dQ s,
         <P, dA Q A^T + A Q dA^T> = 2 <P A Q, dA>,
-        r^T (dA Q A^T + A Q dA^T) r = 2 (dA^T r) . (Q s).
+        r^T (dA Q A^T + A Q dA^T) r = 2 (dA^T r) . (Q s),
+        <P, I> = trace P,  r^T I r = r . r  at the noise-variance component.
     """
     _deriv_builders(problem)
     psi_params, y = problem.split(pieces.theta)
@@ -287,10 +284,9 @@ def dense_gradient(problem, pieces, p_mat):
             dq = problem.dq_builders[j](psi_params).dense()
             trace_term += float(np.vdot(a_p_a, dq))
             misfit_term += float(s @ (dq @ s))
-        if problem.dr_builders[j] is not None:
-            dr = problem.dr_builders[j](psi_params).dense()
-            trace_term += float(np.vdot(p_mat, dr))
-            misfit_term += float(r @ (dr @ r))
+        if j == problem.noise_index:
+            trace_term += float(np.trace(p_mat))
+            misfit_term += float(r @ r)
         grad[j] += 0.5 * trace_term - 0.5 * misfit_term
 
     if problem.ell:
@@ -359,16 +355,6 @@ def grad_fd(f, theta, box, eps_rel=1e-6, scheme="forward"):
 
 
 def psi_preconditioner(problem, theta, rank=20, seed=0):
-    """The Nystrom preconditioner for Psi(theta), with the noise variance as its shift.
-
-    The noise covariance must be a :class:`ScaledIdentityOp`; any other
-    raises ``ValueError`` (such a problem runs unpreconditioned).
-    """
+    """The Nystrom preconditioner for Psi(theta), with the noise variance as its shift."""
     psi_op = build_psi(problem, np.asarray(theta, dtype=float))
-    r_op = psi_op.r_op
-    if not isinstance(r_op, ScaledIdentityOp):
-        raise ValueError(
-            "the Nystrom preconditioner needs a scaled-identity noise covariance, "
-            f"got {type(r_op).__name__}; run with precond_rank=0"
-        )
-    return nystrom_preconditioner(psi_op, r_op.scale, int(min(rank, problem.m)), seed)
+    return nystrom_preconditioner(psi_op, psi_op.r_op.scale, int(min(rank, problem.m)), seed)

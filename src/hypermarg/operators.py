@@ -11,9 +11,10 @@ choice.
 Every operator applies to a vector or to a block of columns through one
 ``_apply``.  Every forward map of the test problems is a :class:`SparseLinOp`,
 one CSR matrix per value of its parameters, so a block of columns costs one
-sparse product; :class:`DenseLinOp` serves small hand-built maps.  Every noise
-covariance is a :class:`ScaledIdentityOp`, and prior covariances are
-:class:`DenseSymOp` or :class:`ScaledIdentityOp`.
+sparse product; :class:`DenseLinOp` serves small hand-built maps.  The noise
+covariance sigma^2 I is the :class:`ScaledIdentityOp` that
+``ProblemSpec.build_r`` makes, and prior covariances are :class:`DenseSymOp`
+or :class:`ScaledIdentityOp`.
 
 Dense materialization (``dense()``) is an oracle path for small problems and
 never touches the counters.

@@ -24,7 +24,7 @@ import functools
 import numpy as np
 import scipy.sparse
 
-from .kernels import matern_covariance, matern_dlengthscale, matern_kernel, pairwise_distances
+from .kernels import matern_covariance, matern_dlengthscale, pairwise_distances
 from .model import Box, CounterLedger, HyperPrior, ProblemSpec, synthesize_data
 from .operators import (
     DenseSymOp,
@@ -189,12 +189,6 @@ def deblur_problem(
     def q_builder(psi):
         return ScaledIdentityOp(psi[1], n, ledger.q)
 
-    def r_builder(psi):
-        return ScaledIdentityOp(psi[0], m, ledger.r)
-
-    def dr_dpsi1(psi):
-        return ScaledIdentityOp(1.0, m, MatvecCounter())
-
     def dq_dpsi2(psi):
         return ScaledIdentityOp(1.0, n, MatvecCounter())
 
@@ -216,10 +210,9 @@ def deblur_problem(
         prior=prior,
         a_builder=a_builder,
         q_builder=q_builder,
-        r_builder=r_builder,
         da_builders=tuple(make_da(j) for j in range(3)),
         dq_builders=(None, dq_dpsi2),
-        dr_builders=(dr_dpsi1, None),
+        noise_index=0,
         x_true=x_true,
         theta_true=theta_true,
         counters=ledger,
@@ -325,12 +318,6 @@ def tomo_problem(
     def q_builder(psi):
         return DenseSymOp(matern_covariance(dists, psi[1], psi[2], nu), ledger.q)
 
-    def r_builder(psi):
-        return ScaledIdentityOp(psi[0], m, ledger.r)
-
-    def dr_dth1(psi):
-        return ScaledIdentityOp(1.0, m, MatvecCounter())
-
     def dq_dth2(psi):
         # Q scales as th2^2 (jitter included), so dQ/dth2 = 2 Q / th2
         return DenseSymOp(
@@ -353,10 +340,9 @@ def tomo_problem(
         prior=HyperPrior.gamma(1e-4, 3),
         a_builder=a_builder,
         q_builder=q_builder,
-        r_builder=r_builder,
         da_builders=(),
         dq_builders=(None, dq_dth2, dq_dth3),
-        dr_builders=(dr_dth1, None, None),
+        noise_index=0,
         x_true=x_true,
         theta_true=theta_true,
         counters=ledger,
@@ -576,9 +562,6 @@ def superres_problem(
     def q_builder(psi):
         return ScaledIdentityOp(prior_var, n, ledger.q)
 
-    def r_builder(psi):
-        return ScaledIdentityOp(noise_var, m, ledger.r)
-
     def make_da(j):
         frame, j_local = divmod(j, per_frame)
 
@@ -599,10 +582,9 @@ def superres_problem(
         prior=HyperPrior.gaussian(0.0, 1.0, ell),
         a_builder=a_builder,
         q_builder=q_builder,
-        r_builder=r_builder,
         da_builders=tuple(make_da(j) for j in range(ell)),
         dq_builders=(),
-        dr_builders=(),
+        noise_var=noise_var,
         x_true=x_true,
         theta_true=theta_true,
         counters=ledger,
@@ -650,12 +632,6 @@ def identity_problem(m=64, noise_level=0.05, seed=0, box=None):
     def q_builder(psi):
         return ScaledIdentityOp(1.0, n, ledger.q)
 
-    def r_builder(psi):
-        return ScaledIdentityOp(psi[0], m, ledger.r)
-
-    def dr_dth1(psi):
-        return ScaledIdentityOp(1.0, m, MatvecCounter())
-
     return ProblemSpec(
         name="identity",
         n=n,
@@ -668,10 +644,9 @@ def identity_problem(m=64, noise_level=0.05, seed=0, box=None):
         prior=HyperPrior.gamma(1e-4, 1),
         a_builder=a_builder,
         q_builder=q_builder,
-        r_builder=r_builder,
         da_builders=(),
         dq_builders=(None,),
-        dr_builders=(dr_dth1,),
+        noise_index=0,
         x_true=x_true,
         theta_true=theta_true,
         counters=ledger,

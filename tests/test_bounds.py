@@ -17,7 +17,6 @@ from hypermarg.bounds import (
     slq_samples_bound,
     uniform_slq_plan,
 )
-from hypermarg.operators import ScaledIdentityOp
 
 from test_objective import noise_only_problem
 
@@ -223,7 +222,7 @@ class TestEstimateSpectralConstants:
             np.zeros(m), box=Box(np.array([0.5]), np.array([2.0]))
         )
         fixed = type(problem)(
-            **{**problem.__dict__, "r_builder": lambda psi: ScaledIdentityOp(1.0, m)}
+            **{**problem.__dict__, "noise_index": None, "noise_var": 1.0}
         )
         c = estimate_spectral_constants(fixed, n_samples=4, seed=0, mode="dense")
         assert c.lipschitz == 0.0

@@ -51,10 +51,10 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="k_steps"):
             validate_run_config(cfg)
 
-    def test_precond_rank_rejected_for_saa(self):
+    def test_m3c_only_key_rejected_for_saa(self):
         cfg = run_cfg()
-        cfg["method"] = {"name": "saa", "precond_rank": 8}
-        with pytest.raises(ConfigError, match="precond_rank"):
+        cfg["method"] = {"name": "saa", "inner_iters": 8}
+        with pytest.raises(ConfigError, match="inner_iters"):
             validate_run_config(cfg)
 
     def test_missing_block(self):

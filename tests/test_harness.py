@@ -206,6 +206,25 @@ class TestMajorantSlice:
         with pytest.raises(ConfigError, match="grid"):
             majorant_slice(cfg)
 
+    def test_superres_shift_slice_crosses_zero(self, tmp_path):
+        cfg = {
+            "problem": {"kind": "superres", "s": 8, "decim": 2, "frames": 1},
+            "slice": {
+                "anchor": [0.0, 0.0],
+                "axis": 0,
+                "grid_min": -0.2,
+                "grid_max": 0.2,
+                "grid_count": 5,
+            },
+            "output": {"directory": str(tmp_path / "s")},
+        }
+        rows = majorant_slice(cfg)
+        f = np.array([r["F"] for r in rows])
+        g = np.array([r["G"] for r in rows])
+        assert rows[2]["theta_0"] == 0.0
+        assert np.all(g >= f - 1e-9 * np.abs(f))
+        assert abs(g[2] - f[2]) <= 1e-9 * abs(f[2])
+
 
 class TestTraceBench:
     def test_identity_rows_have_zero_error(self, tmp_path):
@@ -308,15 +327,31 @@ class TestCliExitCodes:
         assert main(["run", str(path)]) == 2
         assert "momentum" in capsys.readouterr().err
 
+    def test_removed_preconditioner_rank_key_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(run_cfg(tmp_path / "out", precond_rank=8)))
+        assert main(["run", str(path)]) == 2
+        assert "unknown key(s) in method: ['precond_rank']" in capsys.readouterr().err
+
+    def test_true_theta0_outside_box_is_exit_2(self, tmp_path, capsys):
+        # at 50x noise the synthetic noise variance is far above the box's upper bound 1
+        cfg = run_cfg(tmp_path / "out")
+        cfg["problem"] = {"kind": "identity", "m": 16, "noise_level": 50}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "theta0" in err and "outside the feasible box" in err
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
+        # m = 72 exceeds the preconditioner's rank 32, so one CG step cannot converge
         cfg = {
-            "problem": {"kind": "tomo", "s": 5, "n_src": 4, "n_rec": 6, "seed": 0},
+            "problem": {"kind": "tomo", "s": 8, "n_src": 8, "n_rec": 9, "seed": 0},
             "method": {
                 "name": "m3c",
                 "outer_iters": 2,
                 "n_probes": 4,
                 "pcg_maxit": 1,
-                "precond_rank": 0,
                 "seed": 0,
             },
             "output": {"directory": str(tmp_path / "out")},

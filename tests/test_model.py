@@ -4,8 +4,8 @@ import pytest
 from hypermarg import (
     Box,
     DenseLinOp,
-    DenseSymOp,
     HyperPrior,
+    ProblemSpec,
     PsiOperator,
     ScaledIdentityOp,
     build_psi,
@@ -173,6 +173,47 @@ def test_psi_operator_dimension_checks():
     psi_op = PsiOperator(a, ScaledIdentityOp(1.0, 4), ScaledIdentityOp(1.0, 3))
     dense = psi_op.dense()
     assert np.allclose(dense, np.ones((3, 4)) @ np.ones((4, 3)) + np.eye(3))
+
+
+def noise_spec(**noise):
+    """A problem with psi = (noise, prior variance) and the given noise fields."""
+    return ProblemSpec(
+        name="noise-contract",
+        n=3,
+        m=3,
+        q_dim=2,
+        ell=0,
+        mu_x=np.zeros(3),
+        b=np.ones(3),
+        box=Box(np.array([0.1, 0.1]), np.array([2.0, 2.0])),
+        prior=HyperPrior.uniform(2),
+        a_builder=lambda y: DenseLinOp(np.eye(3)),
+        q_builder=lambda psi: ScaledIdentityOp(psi[1], 3),
+        dq_builders=(None, lambda psi: ScaledIdentityOp(1.0, 3)),
+        **noise,
+    )
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [{}, {"noise_index": 0, "noise_var": 1.0}, {"noise_index": 2}, {"noise_index": -1}],
+    ids=["neither", "both", "index-past-q_dim", "negative-index"],
+)
+def test_problem_needs_exactly_one_valid_noise_field(noise):
+    with pytest.raises(ValueError, match="noise"):
+        noise_spec(**noise)
+
+
+@pytest.mark.parametrize(
+    "noise, sigma2", [({"noise_index": 0}, 0.7), ({"noise_var": 0.25}, 0.25)], ids=["index", "fixed"]
+)
+def test_build_r_is_counted_noise_variance_times_identity(noise, sigma2):
+    problem = noise_spec(**noise)
+    psi = np.array([0.7, 1.3])
+    v = np.array([1.0, -2.0, 3.0])
+    assert problem.noise_variance(psi) == sigma2
+    assert np.array_equal(problem.build_r(psi).matvec(v), sigma2 * v)
+    assert problem.counters.r.count == 1
 
 
 def test_dense_symop_from_matern_spd():

@@ -5,8 +5,6 @@ import scipy.sparse
 
 from hypermarg import (
     Box,
-    DenseLinOp,
-    DenseSymOp,
     HyperPrior,
     ProblemSpec,
     build_psi,
@@ -16,7 +14,6 @@ from hypermarg import (
     superres_problem,
     tomo_problem,
 )
-from hypermarg.mm import m3c_optimize
 from hypermarg.objective import (
     _DerivativeActions,
     dense_objective_pieces,
@@ -29,7 +26,6 @@ from hypermarg.objective import (
 from hypermarg.operators import NumericalError, ScaledIdentityOp, SparseLinOp
 from hypermarg.pcg import pcg_solve
 from hypermarg.probes import canonical_probes, rademacher_probes
-from hypermarg.rng import stream
 
 
 def noise_only_problem(b, prior=None, box=None):
@@ -52,9 +48,8 @@ def noise_only_problem(b, prior=None, box=None):
         prior=prior,
         a_builder=lambda y: SparseLinOp(scipy.sparse.csr_matrix((m, 1))),
         q_builder=lambda psi: ScaledIdentityOp(1.0, 1),
-        r_builder=lambda psi: ScaledIdentityOp(psi[0], m),
         dq_builders=(None,),
-        dr_builders=(lambda psi: ScaledIdentityOp(1.0, m),),
+        noise_index=0,
     )
 
 
@@ -274,34 +269,6 @@ class TestPsiPreconditioner:
         theta = problem.theta_true
         pre = psi_preconditioner(problem, theta, rank=16, seed=0)
         assert abs(pre.shift - theta[0]) < 1e-15
-
-    def test_nonscalar_noise_raises_and_runs_unpreconditioned(self):
-        rng = stream(0, "nonscalar-noise-test")
-        m, n = 12, 10
-        a_mat = rng.standard_normal((m, n))
-        r_diag = np.linspace(1.0, 3.0, m)
-        problem = ProblemSpec(
-            name="varying-noise",
-            n=n,
-            m=m,
-            q_dim=1,
-            ell=0,
-            mu_x=np.zeros(n),
-            b=rng.standard_normal(m),
-            box=Box(lower=np.array([0.1]), upper=np.array([10.0])),
-            prior=HyperPrior.uniform(1),
-            a_builder=lambda y, _a=a_mat: DenseLinOp(_a),
-            q_builder=lambda psi: ScaledIdentityOp(psi[0], n),
-            r_builder=lambda psi, _d=r_diag: DenseSymOp(np.diag(_d)),
-            dq_builders=(lambda psi: ScaledIdentityOp(1.0, n),),
-            dr_builders=(None,),
-        )
-        with pytest.raises(ValueError, match="scaled-identity"):
-            psi_preconditioner(problem, np.array([2.0]), rank=m, seed=0)
-        out = m3c_optimize(problem, outer_iters=5, precond_rank=0)
-        assert out.outer_iters >= 1
-        assert np.isfinite(out.f_value)
-        assert out.f_value <= eval_F_exact(problem, problem.box.center()).value
 
 
 class TestDerivativeActions:
