@@ -59,12 +59,10 @@ def _unit_open(v):
     return None if 0.0 < v < 1.0 else "must lie strictly between 0 and 1"
 
 
-_INT = ((int,), None)
 _NUM = ((int, float), None)
 _POS_INT = ((int,), _positive)
 _NONNEG_INT = ((int,), _nonneg)
 _POS_NUM = ((int, float), _positive)
-_NONNEG_NUM = ((int, float), _nonneg)
 _STR = ((str,), None)
 _BOOL = ((bool,), None)
 

@@ -170,7 +170,7 @@ class CounterLedger:
 
 
 class PsiOperator(SymOp):
-    """Marginal covariance Psi = A Q A^T + R as a counted operator."""
+    """Marginal covariance Psi = A Q A^T + R as a counted operator, R = sigma^2 I."""
 
     def __init__(self, a_op, q_op, r_op, counter=None):
         if q_op.m != a_op.n:
@@ -190,8 +190,11 @@ class PsiOperator(SymOp):
         return a.matmat(q.matmat(a.rmatmat(v))) + r.matmat(v)
 
     def dense(self):
+        # one gemm, with Q applied to the block A^T: no n x n Q is formed
         a = self.a_op.dense()
-        return a @ self.q_op.dense() @ a.T + self.r_op.dense()
+        psi = a @ self.q_op._apply(a.T)
+        psi[np.diag_indices_from(psi)] += self.r_op.scale
+        return psi
 
 
 @dataclass

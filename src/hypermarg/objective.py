@@ -9,10 +9,13 @@ Three evaluation routes are provided and cross-validated against one another
 by the test-suite:
 
 * ``eval_F_exact`` / ``grad_F_exact``  —  dense algebra, the oracle.  Both
-  read a :class:`DensePieces` (dense A, Q, Psi, one Cholesky factor of Psi
+  read a :class:`DensePieces` (dense A and Psi, one Cholesky factor of Psi
   and the misfit solve), so a value and a gradient at the same theta share
   one factorization; the gradient is ``dense_gradient``, which the exact MM
-  majorant reuses with the anchor's Psi^{-1} in place of Psi(theta)^{-1};
+  majorant reuses with the anchor's Psi^{-1} in place of Psi(theta)^{-1}.
+  Only A is densified: Q, dQ and dA act through their own uncounted
+  ``_apply`` or their sparse entries, so each evaluation costs one cubic
+  product for Psi and one for the gradient;
 * ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature on
   Psi over a fixed probe set (the sample-average surface the fixed-sample
   optimizer minimizes), one Lanczos run over the whole probe block, misfit
@@ -70,15 +73,16 @@ class ObjectiveEval:
 class DensePieces:
     """The dense oracle's quantities at one theta, sharing one factorization.
 
-    ``a`` and ``q`` are the dense A(y) and Q(psi), ``psi = A Q A^T + sigma^2 I``,
-    ``chol`` its lower Cholesky factor, ``c = A mu_x - b`` the residual
-    offset and ``r = Psi^{-1} c``.  ``Psi^{-1}`` itself is formed from the
-    factor on first request and kept.
+    ``a`` is the dense A(y) and ``q_op`` the Q(psi) operator, applied through
+    its uncounted ``_apply``; ``psi = A Q A^T + sigma^2 I``, ``chol`` its
+    lower Cholesky factor, ``c = A mu_x - b`` the residual offset and
+    ``r = Psi^{-1} c``.  ``Psi^{-1}`` itself is formed from the factor on
+    first request and kept.
     """
 
     theta: np.ndarray
     a: np.ndarray
-    q: np.ndarray
+    q_op: object
     psi: np.ndarray
     chol: np.ndarray
     c: np.ndarray
@@ -101,13 +105,15 @@ class DensePieces:
 
 
 def dense_objective_pieces(problem, theta):
-    """Dense A, Q, Psi, the Cholesky factor of Psi, and the misfit solve.
+    """Dense A and Psi, the Cholesky factor of Psi, and the misfit solve.
 
     Shared by every exact objective, gradient and majorant path, so one
-    :class:`DensePieces` serves them all at the same theta.  The
-    factorization is LAPACK ``potrf`` through ``numpy.linalg``, the library
-    that also does the products; a failed factorization raises
-    :class:`NumericalError`.
+    :class:`DensePieces` serves them all at the same theta.  Psi is
+    ``A (Q A^T)`` with Q applied to the block A^T, one gemm, and sigma^2
+    added on its diagonal.  The factorization is LAPACK ``potrf`` through
+    ``numpy.linalg``, the library that also does the product (scipy's own
+    LAPACK contends with numpy's BLAS threads); a failed factorization
+    raises :class:`NumericalError`.
     """
     if problem.m > DENSE_LIMIT:
         raise ValueError(
@@ -116,8 +122,7 @@ def dense_objective_pieces(problem, theta):
     theta = np.array(theta, dtype=float)
     psi_op = build_psi(problem, theta)
     a = psi_op.a_op.dense()
-    q = psi_op.q_op.dense()
-    psi = a @ q @ a.T
+    psi = a @ psi_op.q_op._apply(a.T)
     psi[np.diag_indices_from(psi)] += psi_op.r_op.scale
     try:
         chol = np.linalg.cholesky(psi)
@@ -128,7 +133,9 @@ def dense_objective_pieces(problem, theta):
     r = scipy.linalg.solve_triangular(
         chol, half, lower=True, trans="T", check_finite=False
     )
-    return DensePieces(theta=theta, a=a, q=q, psi=psi, chol=chol, c=c, r=r)
+    return DensePieces(
+        theta=theta, a=a, q_op=psi_op.q_op, psi=psi, chol=chol, c=c, r=r
+    )
 
 
 def eval_F_exact(problem, theta, pieces=None):
@@ -262,42 +269,47 @@ def dense_gradient(problem, pieces, p_mat):
 
     With ``P = Psi(theta)^{-1}`` this is the gradient of F; with ``P`` the
     inverse at a frozen anchor it is the gradient of the MM majorant.  No
-    m x m dPsi is formed: with s = A^T r,
+    m x m dPsi and no dense Q, dQ or dA is formed, and P A is the only cubic
+    product: with s = A^T r,
 
-        <P, A dQ A^T> = <A^T P A, dQ>,      r^T A dQ A^T r = s^T dQ s,
-        <P, dA Q A^T + A Q dA^T> = 2 <P A Q, dA>,
-        r^T (dA Q A^T + A Q dA^T) r = 2 (dA^T r) . (Q s),
-        <P, I> = trace P,  r^T I r = r . r  at the noise-variance component.
+        <P, A dQ A^T> = <P A, (dQ A^T)^T>,      r^T A dQ A^T r = s^T dQ s,
+        <P, dA Q A^T + A Q dA^T> = 2 <P A Q, dA> = 2 sum_e dA_e (P A Q)_e,
+        r^T (dA Q A^T + A Q dA^T) r = 2 (r^T dA) . (Q s),
+        <P, I> = trace P,  r^T I r = r . r  at the noise-variance component,
+
+    where Q and dQ act through their uncounted ``_apply``, P A Q is
+    ``(Q (P A)^T)^T``, and the sum over e runs over the stored entries of
+    dA's CSR matrix.
     """
     _deriv_builders(problem)
     psi_params, y = problem.split(pieces.theta)
-    a, q, r = pieces.a, pieces.q, pieces.r
+    a, q_op, r = pieces.a, pieces.q_op, pieces.r
     s = a.T @ r
     p_a = p_mat @ a
     grad = problem.prior.grad_neglog(pieces.theta)
 
-    if any(b is not None for b in problem.dq_builders):
-        a_p_a = a.T @ p_a
     for j in range(problem.q_dim):
         trace_term = misfit_term = 0.0
         if problem.dq_builders[j] is not None:
-            dq = problem.dq_builders[j](psi_params).dense()
-            trace_term += float(np.vdot(a_p_a, dq))
-            misfit_term += float(s @ (dq @ s))
+            dq_op = problem.dq_builders[j](psi_params)
+            trace_term += float(np.vdot(p_a, dq_op._apply(a.T).T))
+            misfit_term += float(s @ dq_op._apply(s))
         if j == problem.noise_index:
             trace_term += float(np.trace(p_mat))
             misfit_term += float(r @ r)
         grad[j] += 0.5 * trace_term - 0.5 * misfit_term
 
     if problem.ell:
-        p_a_q = p_a @ q
-        q_s = q @ s
+        p_a_q = q_op._apply(p_a.T).T
+        q_s = q_op._apply(s)
         mu_nonzero = bool(np.any(problem.mu_x != 0.0))
         for i in range(problem.ell):
             j = problem.q_dim + i
-            da = problem.da_builders[i](y).dense()
-            trace_term = 2.0 * float(np.vdot(p_a_q, da))
-            misfit_term = 2.0 * float((da.T @ r) @ q_s)
+            da = problem.da_builders[i](y).mat
+            # flat positions in P A Q of dA's stored entries, row by row
+            at = np.repeat(np.arange(da.shape[0]) * da.shape[1], np.diff(da.indptr))
+            trace_term = 2.0 * float(da.data @ np.take(p_a_q, at + da.indices))
+            misfit_term = 2.0 * float((r @ da) @ q_s)
             if mu_nonzero:
                 misfit_term -= 2.0 * float(r @ (da @ problem.mu_x))
             grad[j] += 0.5 * trace_term - 0.5 * misfit_term

@@ -1,9 +1,12 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used, and every private name is read.
 
-No linter ships with the package's dependencies, so this is a small stdlib
-``ast`` check over the package sources (``__init__.py`` re-exports are
-skipped) and over the test modules.  A name counts as used when it is read
-anywhere in the module or listed in its ``__all__``.
+No linter ships with the package's dependencies, so these are small stdlib
+``ast`` checks.  The import check runs over the package sources
+(``__init__.py`` re-exports are skipped) and over the test modules; a name
+counts as used when it is read anywhere in the module or listed in its
+``__all__``.  The private-name check runs over the package sources: a
+module-level name with one leading underscore must be read in its own
+module or imported by another package or test module.
 """
 
 import ast
@@ -12,9 +15,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(
+PACKAGE = sorted(
     p for p in (ROOT / "src" / "hypermarg").glob("*.py") if p.name != "__init__.py"
-) + sorted((ROOT / "tests").glob("*.py"))
+)
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -38,11 +42,65 @@ def unused_imports(source):
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def from_imported_names(source):
+    """Every name a module takes with ``from ... import``."""
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def unread_private_names(source, imported_elsewhere=frozenset()):
+    tree = ast.parse(source)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined[name] = node.lineno
+    read = {
+        n.id
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    return sorted(
+        (line, name)
+        for name, line in defined.items()
+        if name not in read and name not in imported_elsewhere
+    )
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_private_names(path):
+    others = [p for p in SOURCES if p != path]
+    others.append(ROOT / "src" / "hypermarg" / "__init__.py")
+    imported = set().union(*(from_imported_names(p.read_text()) for p in others))
+    assert unread_private_names(path.read_text(), imported) == []
+
+
 def test_checker_flags_an_unused_name():
     source = "import os\nfrom math import pi, tau\nprint(pi)\n"
     assert unused_imports(source) == [(1, "os"), (2, "tau")]
+
+
+def test_checker_flags_an_unread_private_name():
+    source = (
+        "_A = 1\n_B = _A\n_C: int = 2\n__all__ = []\n"
+        "def _f():\n    _local = 3\nclass _K:\n    pass\nPUBLIC = 4\n"
+    )
+    assert unread_private_names(source) == [(2, "_B"), (3, "_C"), (5, "_f"), (7, "_K")]
+    assert unread_private_names(source, {"_B", "_K"}) == [(3, "_C"), (5, "_f")]

@@ -22,7 +22,7 @@ from hypermarg.mm import (
     mm_optimize_exact,
     projected_gradient_min,
 )
-from hypermarg.objective import eval_F_exact, grad_fd
+from hypermarg.objective import eval_F_exact, grad_F_exact, grad_fd
 from hypermarg.operators import NumericalError, dense_logdet
 from hypermarg.probes import canonical_probes, rademacher_probes
 
@@ -230,6 +230,50 @@ class TestStochasticSurrogate:
         resid = psi @ surrogate.z - probes.w
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(probes.w)
         assert not hasattr(probes, "z")
+
+
+class TestNonzeroPriorMean:
+    """The dA mu_x terms of the gradients, which no shipped problem reaches."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: deblur_problem(s=8, seed=6),
+            lambda: superres_problem(s=8, decim=2, frames=2, seed=6),
+        ],
+        ids=["deblur", "superres"],
+    )
+    def test_gradients_match_differences_and_each_other(self, make):
+        shipped = make()
+        mu_x = 0.3 * np.random.default_rng(11).standard_normal(shipped.n)
+        problem = ProblemSpec(**{**shipped.__dict__, "mu_x": mu_x})
+        theta_t = problem.theta_true
+        theta = problem.box.project(1.15 * theta_t)
+
+        g_f = grad_F_exact(problem, theta)
+        g_f_fd = grad_fd(
+            lambda th: eval_F_exact(problem, th).value,
+            theta,
+            problem.box,
+            eps_rel=1e-6,
+            scheme="central",
+        )
+        assert relerr(g_f_fd, g_f) < 1e-5
+
+        g = exact_surrogate_grad(problem, theta, theta_t)
+        g_fd = grad_fd(
+            lambda th: exact_surrogate(problem, th, theta_t),
+            theta,
+            problem.box,
+            eps_rel=1e-6,
+            scheme="central",
+        )
+        assert relerr(g_fd, g) < 1e-5
+
+        surrogate = build_surrogate(
+            problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-12
+        )
+        assert relerr(surrogate.gradient(theta), g) < 1e-9
 
 
 class TestProjectedGradient:

@@ -14,8 +14,10 @@ from hypermarg import (
     superres_problem,
     tomo_problem,
 )
+from hypermarg.mm import exact_surrogate
 from hypermarg.objective import (
     _DerivativeActions,
+    dense_gradient,
     dense_objective_pieces,
     eval_F_exact,
     eval_F_slq,
@@ -156,6 +158,29 @@ class TestExactGradient:
         )
         with pytest.raises(ValueError, match="forward-map component 1"):
             grad_F_exact(broken, problem.theta_true)
+
+
+class TestDenseOracleLedger:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: deblur_problem(s=8, seed=4),
+            lambda: tomo_problem(s=6, n_src=5, n_rec=6, seed=4),
+            lambda: superres_problem(s=8, decim=2, frames=2, seed=4),
+        ],
+        ids=["deblur", "tomo", "superres"],
+    )
+    def test_dense_oracle_charges_no_ledger(self, make):
+        # the oracle's operators act through their uncounted _apply, so the
+        # matvec ledger measures only the matrix-free paths
+        problem = make()
+        theta_t = problem.theta_true
+        theta = problem.box.project(1.1 * theta_t)
+        start = problem.counters.snapshot()
+        pieces = dense_objective_pieces(problem, theta)
+        dense_gradient(problem, pieces, pieces.inverse())
+        exact_surrogate(problem, theta, theta_t)
+        assert problem.counters.snapshot() == start
 
 
 class TestFiniteDifferences:
