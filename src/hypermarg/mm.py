@@ -236,6 +236,7 @@ class InnerResult:
     fn_evals: int
     grad_evals: int
     converged: bool
+    stop: str  # "move", "flat", "stationary", "line_search" or "max_iters"
 
 
 _ARMIJO_C = 1e-4
@@ -249,11 +250,25 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
     & Williams 2006, sec. 5.4), where the box is still a box and the gradient
     is theta * g; the others move in theta.  ``fun`` and ``grad`` see the
     start point exactly as given (after projection), every later point
-    clipped into the box.  Armijo's test uses c = 1e-4; the step halves up to
-    40 times and doubles after an unhindered success, from
-    max(1, |u0|)/max(1, |g_u0|).  Convergence means the projected step in u
-    vanished or shrank below ``tol`` relative to u.  ``callback(theta, f)``
-    runs at the end of every iteration, after its last evaluation.
+    clipped into the box.  Armijo's test uses c = 1e-4 along the projected
+    path, and the step halves up to 40 times.
+
+    The first trial step is max(1, |u0|)/max(1, |g_u0|).  After that it is
+    the Barzilai-Borwein step of the last accepted move d in u and the change
+    y in the u-gradient (Barzilai & Borwein 1988): d'd/d'y on odd iterations
+    and d'y/y'y on even ones, alternating the long and short forms as in
+    projected BB methods (Dai & Fletcher 2005), clipped to [1e-10, 1e10].
+    When d'y <= 0 the step instead doubles after an unhindered success and
+    stays after a backtracked one.
+
+    ``stop`` says why the loop ended.  It converged on ``"move"`` (the
+    accepted step in u is below ``tol`` relative to u), ``"flat"`` (the
+    accepted step left f unchanged, so Armijo passed only within f's
+    resolution) or ``"stationary"`` (the projected step is null: theta is
+    stationary on the box).  It did not on ``"line_search"`` (the halvings
+    ran out, and theta is the last accepted point) or ``"max_iters"``.
+    ``callback(theta, f)`` runs at the end of every iteration, after its
+    last evaluation.
     """
     log = box.lower > 0
     lo = np.log(box.lower, out=box.lower.copy(), where=log)
@@ -264,8 +279,9 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
     fn_evals = 1
     grad_evals = 0
     g_u = None
+    g_prev = None
     step = None
-    converged = False
+    stop = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
         if g_u is None:
@@ -274,14 +290,19 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
             g_u = np.where(log, theta * g_u, g_u)
         if step is None:
             step = max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(g_u)))
+        else:  # every iteration after the first follows an accepted step d
+            y = g_u - g_prev
+            dy = float(np.dot(d, y))
+            if dy > 0:
+                bb = float(np.dot(d, d)) / dy if it % 2 else dy / float(np.dot(y, y))
+                step = min(max(bb, 1e-10), 1e10)
         s = step
         accepted = False
         for backtracks in range(_MAX_BACKTRACKS):
             u_cand = np.clip(u - s * g_u, lo, hi)
             d = u_cand - u
             if not np.any(d):
-                # the projected step is null: theta is stationary on the box
-                converged = True
+                stop = "stationary"
                 break
             cand = box.project(np.where(log, np.exp(u_cand), u_cand))
             f_cand = fun(cand)
@@ -290,15 +311,21 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
                 accepted = True
                 break
             s *= 0.5
+        else:
+            stop = "line_search"
         if accepted:
             move = float(np.linalg.norm(d))
+            flat = not f_cand < f
             u, theta, f = u_cand, cand, f_cand
-            g_u = None
-            converged = move <= tol * max(1.0, float(np.linalg.norm(u)))
+            g_u, g_prev = None, g_u
+            if flat:
+                stop = "flat"
+            elif move <= tol * max(1.0, float(np.linalg.norm(u))):
+                stop = "move"
             step = 2.0 * s if backtracks == 0 else s
         if callback is not None:
             callback(theta, f)
-        if converged or not accepted:
+        if stop != "max_iters":
             break
     return InnerResult(
         theta=theta,
@@ -306,7 +333,8 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
         iterations=it,
         fn_evals=fn_evals,
         grad_evals=grad_evals,
-        converged=converged,
+        converged=stop in ("move", "flat", "stationary"),
+        stop=stop,
     )
 
 

@@ -6,10 +6,15 @@ No linter ships with the package's dependencies, so these are small stdlib
 counts as used when it is read anywhere in the module or listed in its
 ``__all__``.  The private-name check runs over the package sources: a
 module-level name with one leading underscore must be read in its own
-module or imported by another package or test module.
+module or imported by another package or test module.  A last check runs
+the three optimizers in a fresh interpreter and asserts that none of them
+imports ``scipy.optimize``.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +109,29 @@ def test_checker_flags_an_unread_private_name():
     )
     assert unread_private_names(source) == [(2, "_B"), (3, "_C"), (5, "_f"), (7, "_K")]
     assert unread_private_names(source, {"_B", "_K"}) == [(3, "_C"), (5, "_f")]
+
+
+def test_optimizers_do_not_import_scipy_optimize():
+    # Importing scipy.optimize alone adds about 6 MB to a run's peak RSS.
+    script = """
+import sys
+from hypermarg import tomo_problem
+from hypermarg.mm import m3c_optimize, mm_optimize_exact
+from hypermarg.saa import saa_optimize
+problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=0)
+m3c_optimize(problem, outer_iters=2, n_probes=4, seed=0)
+saa_optimize(problem, n_probes=4, k_steps=8, seed=0, max_iters=3)
+mm_optimize_exact(problem, outer_iters=2)
+print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -341,7 +341,7 @@ class TestProjectedGradient:
             box,
             tol=1e-12,
         )
-        assert out.converged
+        assert out.converged and out.stop == "stationary"
         assert abs(out.theta[0]) < 1e-10
 
     def test_positive_coordinates_move_in_log_theta(self):
@@ -378,6 +378,7 @@ class TestProjectedGradient:
         assert seen[0] == theta0.tobytes()
         assert grads[0] == theta0.tobytes()
         assert not out.converged and len(seen) == 41
+        assert out.stop == "line_search"
         assert out.theta.tobytes() == theta0.tobytes()
 
     def test_every_evaluated_theta_lies_in_the_box(self):
@@ -397,6 +398,63 @@ class TestProjectedGradient:
         for t in seen:
             assert np.all(t >= box.lower) and np.all(t <= box.upper)
         np.testing.assert_array_equal(out.theta, [10.0, 1e-5])
+
+    def test_ill_conditioned_box_quadratic_converges(self):
+        # Curvatures 1 to 1000: a fixed step sized for the stiff coordinate
+        # crawls along the flat one (2,000 iterations were not enough), and
+        # the Barzilai-Borwein step does not.
+        lam = np.array([1.0, 10.0, 100.0, 1000.0])
+        a = np.array([0.3, -0.2, 0.5, 2.0])
+        box = Box(lower=-np.ones(4), upper=np.ones(4))
+        out = projected_gradient_min(
+            lambda t: 0.5 * float(np.sum(lam * (t - a) ** 2)),
+            lambda t: lam * (t - a),
+            np.zeros(4),
+            box,
+            max_iters=100,
+            tol=1e-10,
+        )
+        assert out.converged
+        np.testing.assert_allclose(out.theta, [0.3, -0.2, 0.5, 1.0], atol=1e-5)
+
+    def test_ill_conditioned_quadratic_in_log_theta_converges(self):
+        # The same in u = log theta: sum lam_j (u_j - log c_j)^2 / 2.
+        lam = np.array([1.0, 30.0, 300.0])
+        c = np.array([0.01, 5.0, 2.0])
+        box = Box(lower=np.full(3, 1e-3), upper=np.full(3, 1e3))
+        out = projected_gradient_min(
+            lambda t: 0.5 * float(np.sum(lam * (np.log(t) - np.log(c)) ** 2)),
+            lambda t: lam * (np.log(t) - np.log(c)) / t,
+            np.ones(3),
+            box,
+            max_iters=200,
+            tol=1e-10,
+        )
+        assert out.converged
+        np.testing.assert_allclose(out.theta, c, rtol=1e-5)
+
+    def test_step_that_leaves_f_unchanged_is_convergence(self):
+        # Near 1e17 a change of 4.5 is below f's resolution: Armijo passes
+        # on rounding alone, and the loop stops there instead of running on.
+        box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
+        out = projected_gradient_min(
+            lambda t: 1e17 + 0.5 * float((t[0] - 3.0) ** 2),
+            lambda t: np.array([t[0] - 3.0]),
+            np.array([0.0]),
+            box,
+        )
+        assert out.converged
+        assert out.stop == "flat"
+        assert out.iterations == 1
+
+    def test_small_move_converges_and_the_cap_does_not(self):
+        box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
+        fun = lambda t: float(np.cosh(t[0] - 3.0))
+        grad = lambda t: np.array([np.sinh(t[0] - 3.0)])
+        capped = projected_gradient_min(fun, grad, np.array([0.0]), box, max_iters=1)
+        assert not capped.converged and capped.stop == "max_iters"
+        out = projected_gradient_min(fun, grad, np.array([0.0]), box, tol=1e-3)
+        assert out.converged and out.stop == "move"
 
 
 class TestExactMMChain:
@@ -593,3 +651,25 @@ class TestConvergesInLogTheta:
         assert out.converged
         assert eval_F_exact(problem, out.theta).value <= -339.9
         assert time.time() - t0 < 150, "runtime budget of 150 s exceeded"
+
+
+class TestInnerLoopsFinishBelowTheirCaps:
+    """The quick start's inner loops stop on their own tests.
+
+    With a step that only doubled or halved, 12 of the 20 m3c loops ran to
+    their cap of 50 (827 inner iterations), and 6 of the 18 exact-chain
+    loops to their cap of 100 (1,183).
+    """
+
+    def test_quick_start(self):
+        problem = make_test_problem("tomo", s=8, n_src=8, n_rec=9, seed=0)
+        out = m3c_optimize(
+            problem, problem.box.center(), outer_iters=25, n_probes=16, seed=0
+        )
+        inner = [rec.inner_iters for rec in out.records]
+        assert sum(inner) <= 500
+        assert inner.count(50) <= 1
+        exact = mm_optimize_exact(problem)
+        inner = [rec.inner_iters for rec in exact.records]
+        assert sum(inner) <= 600
+        assert max(inner) < 100
