@@ -2,7 +2,6 @@
 
 from .operators import (
     DENSE_LIMIT,
-    DenseLinOp,
     DenseSymOp,
     LinOp,
     MatvecCounter,
@@ -10,7 +9,6 @@ from .operators import (
     ScaledIdentityOp,
     SparseLinOp,
     SymOp,
-    dense_logdet,
 )
 from .probes import ProbeSet, canonical_probes, rademacher_probes
 from .lanczos import (
@@ -82,7 +80,7 @@ from .bounds import (
     slq_samples_bound,
     uniform_slq_plan,
 )
-from .randmat import LogdetMatrix, logdet_test_matrix, symmetric_test_matrix
+from .randmat import LogdetMatrix, logdet_test_matrix
 from .config import ConfigError
 from .harness import majorant_slice, run_experiment, sample_size_report, trace_bench
 

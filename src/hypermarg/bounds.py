@@ -23,7 +23,8 @@ From these, the calculators answer three planning questions:
 The numbers are worst-case and typically far above what practice needs;
 they are budgets, not predictions.  ``estimate_spectral_constants`` fills
 in the constants empirically (sampled extremes — estimates, not
-certificates).
+certificates): exactly from the dense oracle's Psi when the problem is
+small enough for it, matrix-free otherwise.
 """
 
 import itertools
@@ -34,6 +35,8 @@ import numpy as np
 
 from .lanczos import lanczos_decompose
 from .model import build_psi
+from .objective import dense_objective_pieces
+from .operators import DENSE_LIMIT
 from .probes import rademacher_probes
 from .rng import stream
 
@@ -93,6 +96,14 @@ class SpectralConstants:
         return sup / self.alpha
 
 
+def _exp_or_inf(log_x):
+    """exp(log_x), or inf where that overflows a float."""
+    try:
+        return math.exp(log_x)
+    except OverflowError:
+        return math.inf
+
+
 def covering_number_log(radius, eta, p):
     """log of the euclidean-ball covering bound: p * ln(3 r / eta) for eta <= r.
 
@@ -108,11 +119,7 @@ def covering_number_log(radius, eta, p):
 
 def covering_number_bound(radius, eta, p):
     """The covering bound itself: max((3 r / eta)^p, 1).  May overflow to inf."""
-    log_n = covering_number_log(radius, eta, p)
-    try:
-        return math.exp(log_n)
-    except OverflowError:
-        return math.inf
+    return _exp_or_inf(covering_number_log(radius, eta, p))
 
 
 def lanczos_steps_bound(kappa, m, eps):
@@ -170,10 +177,7 @@ class SlqPlan:
 
     @property
     def gamma(self):
-        try:
-            return math.exp(self.log_gamma)
-        except OverflowError:
-            return math.inf
+        return _exp_or_inf(self.log_gamma)
 
 
 def uniform_slq_plan(eps, delta, m, p, radius, constants):
@@ -291,7 +295,6 @@ def estimate_spectral_constants(
     problem,
     n_samples=8,
     seed=0,
-    mode="dense",
     lanczos_k=30,
     power_iters=40,
     frob_probes=16,
@@ -302,20 +305,17 @@ def estimate_spectral_constants(
     points; ``alpha``/``beta`` are the observed eigenvalue extremes,
     ``frob_max``/``two_max`` the observed norm maxima, and ``lipschitz`` the
     steepest observed secant |Psi(t) - Psi(t')|_2 / |t - t'| over sample
-    pairs.  ``mode="dense"`` measures exactly per sample;
-    ``mode="matfree"`` uses Lanczos extremes, Hutchinson Frobenius
-    estimates, and power iteration on differences.  Sampled extremes are
-    diagnostics, not certified bounds.
+    pairs.  Up to ``DENSE_LIMIT`` rows each sample is measured exactly on
+    the dense oracle's Psi; larger problems use Lanczos extremes,
+    Hutchinson Frobenius estimates, and power iteration on differences.
+    Sampled extremes are diagnostics, not certified bounds.
     """
-    if mode not in ("dense", "matfree"):
-        raise ValueError(f"unknown estimation mode {mode!r}")
     thetas = _sample_thetas(problem.box, n_samples, seed)
-    ops = [build_psi(problem, th) for th in thetas]
     alpha = math.inf
     beta = 0.0
     frob_max = 0.0
-    if mode == "dense":
-        mats = [op.dense() for op in ops]
+    if problem.m <= DENSE_LIMIT:
+        mats = [dense_objective_pieces(problem, th).psi for th in thetas]
         for mat in mats:
             lam = np.linalg.eigvalsh(mat)
             alpha = min(alpha, float(lam[0]))
@@ -329,6 +329,7 @@ def estimate_spectral_constants(
             dpsi = float(np.abs(np.linalg.eigvalsh(ma - mb)).max())
             lipschitz = max(lipschitz, dpsi / dt)
     else:
+        ops = [build_psi(problem, th) for th in thetas]
         k = min(lanczos_k, problem.m)
         rng = stream(seed, "constants", "vectors")
         for op in ops:

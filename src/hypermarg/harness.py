@@ -25,6 +25,7 @@ import numpy as np
 
 from .bounds import (
     SpectralConstants,
+    _exp_or_inf,
     lanczos_steps_bound,
     m3c_sample_schedule,
     slq_samples_bound,
@@ -47,9 +48,9 @@ from .metrics import (
     write_theta_trace,
     write_xhat,
 )
-from .mm import _anchor_pieces, exact_surrogate, m3c_optimize
+from .mm import exact_surrogate, m3c_optimize
 from .model import reconstruct
-from .objective import eval_F_exact
+from .objective import dense_objective_pieces, eval_F_exact
 from .operators import DENSE_LIMIT
 from .probes import rademacher_probes
 from .problems import make_test_problem
@@ -179,7 +180,7 @@ def majorant_slice(cfg):
     if problem.m > DENSE_LIMIT:
         raise ConfigError("majorant slices need a dense-auditable problem")
 
-    pieces = _anchor_pieces(problem, anchor)
+    pieces = dense_objective_pieces(problem, anchor)
     grid = np.linspace(sl["grid_min"], sl["grid_max"], sl["grid_count"])
     name = f"theta_{axis}"
     rows = []
@@ -323,6 +324,6 @@ def sample_size_report(
             "eps": [float(e) for e in schedule.eps],
             "delta": [float(d) for d in schedule.delta],
             "log_gamma": [_json_num(g) for g in schedule.log_gamma],
-            "gamma": [_json_num(math.exp(g) if g < 700 else math.inf) for g in schedule.log_gamma],
+            "gamma": [_json_num(_exp_or_inf(g)) for g in schedule.log_gamma],
         }
     return report

@@ -33,6 +33,7 @@ from .model import build_psi
 from .objective import (
     _DerivativeActions,
     _deriv_builders,
+    _pieces_at,
     dense_gradient,
     dense_objective_pieces,
     eval_F_exact,
@@ -61,31 +62,21 @@ __all__ = [
 # exact (dense) surrogate — the oracle the stochastic one is tested against
 
 
-def _anchor_pieces(problem, theta_t, pieces=None):
-    """``(log det Psi_t, Psi_t^{-1})`` at the anchor, from its dense pieces."""
-    if pieces is None:
-        pieces = dense_objective_pieces(problem, theta_t)
-    pieces.check_theta(np.asarray(theta_t, dtype=float))
-    return pieces.logdet(), pieces.inverse()
-
-
 def exact_surrogate(problem, theta, theta_t, anchor=None, pieces=None):
     """Dense evaluation of the majorant G(theta | theta_t).
 
-    ``anchor`` may carry the precomputed ``(logdet_t, psi_t_inv)`` pair to
-    amortize repeated evaluations at one anchor; ``pieces`` may carry the
-    :class:`~hypermarg.objective.DensePieces` already built at ``theta``.
+    ``anchor`` may carry the :class:`~hypermarg.objective.DensePieces`
+    already built at ``theta_t``, to amortize repeated evaluations at one
+    anchor; ``pieces`` may carry those built at ``theta``.
     """
     theta = np.asarray(theta, dtype=float)
-    logdet_t, psi_t_inv = anchor if anchor is not None else _anchor_pieces(problem, theta_t)
-    if pieces is None:
-        pieces = dense_objective_pieces(problem, theta)
-    pieces.check_theta(theta)
-    trace_term = float(np.vdot(psi_t_inv, pieces.psi))
+    anchor = _pieces_at(problem, theta_t, anchor)
+    pieces = _pieces_at(problem, theta, pieces)
+    trace_term = float(np.vdot(anchor.inverse(), pieces.psi))
     misfit = float(np.dot(pieces.c, pieces.r))
     return (
         problem.prior.neglog(theta)
-        + 0.5 * (logdet_t - problem.m + trace_term)
+        + 0.5 * (anchor.logdet() - problem.m + trace_term)
         + 0.5 * misfit
     )
 
@@ -98,11 +89,9 @@ def exact_surrogate_grad(problem, theta, theta_t, anchor=None, pieces=None):
     """
     theta = np.asarray(theta, dtype=float)
     _deriv_builders(problem)
-    _, psi_t_inv = anchor if anchor is not None else _anchor_pieces(problem, theta_t)
-    if pieces is None:
-        pieces = dense_objective_pieces(problem, theta)
-    pieces.check_theta(theta)
-    return dense_gradient(problem, pieces, psi_t_inv)
+    anchor = _pieces_at(problem, theta_t, anchor)
+    pieces = _pieces_at(problem, theta, pieces)
+    return dense_gradient(problem, pieces, anchor.inverse())
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +399,16 @@ def mm_optimize_exact(
         # one factorization serves the value, gradient and audit at a point
         # and the anchor it becomes next
         if last[0] is None or not np.array_equal(last[0].theta, th):
+            # the anchor keeps its own pieces: release the old point's first,
+            # so that at most two points' pieces are alive at once
+            last[0] = None
             last[0] = dense_objective_pieces(problem, th)
         return last[0]
 
     f_here = eval_F_exact(problem, theta, pieces_at(theta)).value
     for t in range(outer_iters):
         t0 = time.perf_counter()
-        anchor = _anchor_pieces(problem, theta, pieces_at(theta))
+        anchor = pieces_at(theta)
         inner = projected_gradient_min(
             lambda th: exact_surrogate(
                 problem, th, theta, anchor=anchor, pieces=pieces_at(th)

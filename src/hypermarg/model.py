@@ -77,12 +77,6 @@ class Box:
     def sample(self, rng):
         return self.lower + (self.upper - self.lower) * rng.random(self.p)
 
-    def sample_interior(self, rng, margin=0.1):
-        """Uniform draw from the box shrunk by ``margin`` per side."""
-        span = self.upper - self.lower
-        lo = self.lower + margin * span
-        return lo + (1.0 - 2.0 * margin) * span * rng.random(self.p)
-
 
 @dataclass(frozen=True)
 class HyperPrior:
@@ -189,13 +183,6 @@ class PsiOperator(SymOp):
             return a.matvec(q.matvec(a.rmatvec(v))) + r.matvec(v)
         return a.matmat(q.matmat(a.rmatmat(v))) + r.matmat(v)
 
-    def dense(self):
-        # one gemm, with Q applied to the block A^T: no n x n Q is formed
-        a = self.a_op.dense()
-        psi = a @ self.q_op._apply(a.T)
-        psi[np.diag_indices_from(psi)] += self.r_op.scale
-        return psi
-
 
 @dataclass
 class ProblemSpec:
@@ -269,10 +256,10 @@ class ProblemSpec:
         return -self.b.copy()
 
 
-def build_psi(problem, theta, check_box=True):
+def build_psi(problem, theta):
     """Assemble Psi(theta) = A Q A^T + sigma^2 I for a problem, with counted parts."""
     psi_params, y = problem.split(theta)
-    if check_box and not problem.box.contains(theta):
+    if not problem.box.contains(theta):
         raise ValueError(f"theta {np.asarray(theta)} is outside the feasible box")
     return PsiOperator(
         problem.build_a(y),
@@ -303,7 +290,6 @@ def reconstruct(problem, theta, pcg_tol=1e-8, maxit=500):
     A solve that does not converge within ``maxit`` raises
     :class:`NumericalError`.
     """
-    psi_params, y = problem.split(theta)
     psi_op = build_psi(problem, theta)
     rhs = -problem.residual_offset(theta)
     res = pcg_solve(psi_op, rhs, tol=pcg_tol, maxit=maxit)
@@ -312,6 +298,4 @@ def reconstruct(problem, theta, pcg_tol=1e-8, maxit=500):
             f"posterior-mean solve stalled at relative residual {res.relres:.3e} "
             f"after {maxit} iterations"
         )
-    a_op = problem.build_a(y)
-    q_op = problem.build_q(psi_params)
-    return problem.mu_x + q_op.matvec(a_op.rmatvec(res.x))
+    return problem.mu_x + psi_op.q_op.matvec(psi_op.a_op.rmatvec(res.x))

@@ -62,13 +62,6 @@ class NystromPreconditioner:
             d = d[:, None]
         return self.basis @ (coeff / d) + resid / self.shift
 
-    def dense(self):
-        eye = np.eye(self.m)
-        if self.rank == 0:
-            return self.shift * eye
-        u = self.basis
-        return u @ np.diag(self.eigenvalues) @ u.T + self.shift * eye
-
 
 def nystrom_preconditioner(op, shift, rank, seed):
     """Sketch ``op - shift * I`` and build a :class:`NystromPreconditioner`.

@@ -21,8 +21,8 @@ by the test-suite:
   optimizer minimizes), one Lanczos run over the whole probe block, misfit
   solved by CG;
 * ``grad_fd``  —  forward finite differences of any scalar objective,
-  bound-aware, used as the derivative-free fallback and the universal
-  cross-check.
+  bound-aware: the gradient of the sample-average surface that the
+  fixed-sample optimizer descends.
 
 ``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi, with the
 noise variance sigma^2 as its known shift.
@@ -104,16 +104,25 @@ class DensePieces:
             raise ValueError("dense pieces were built at a different theta")
 
 
+def _pieces_at(problem, theta, pieces):
+    """``pieces`` if it was built at ``theta``, else the dense pieces built there."""
+    if pieces is None:
+        pieces = dense_objective_pieces(problem, theta)
+    pieces.check_theta(theta)
+    return pieces
+
+
 def dense_objective_pieces(problem, theta):
     """Dense A and Psi, the Cholesky factor of Psi, and the misfit solve.
 
-    Shared by every exact objective, gradient and majorant path, so one
-    :class:`DensePieces` serves them all at the same theta.  Psi is
-    ``A (Q A^T)`` with Q applied to the block A^T, one gemm, and sigma^2
-    added on its diagonal.  The factorization is LAPACK ``potrf`` through
-    ``numpy.linalg``, the library that also does the product (scipy's own
-    LAPACK contends with numpy's BLAS threads); a failed factorization
-    raises :class:`NumericalError`.
+    The package's only dense Psi and dense factorization: every exact
+    objective, gradient, majorant and spectral-constant path reads one
+    :class:`DensePieces`.  Psi is ``A (Q A^T)`` with Q applied to the block
+    A^T, one gemm, and sigma^2 added on its diagonal; c is formed from the
+    dense A too, so the oracle charges nothing to the matvec ledger.  The
+    factorization is LAPACK ``potrf`` through ``numpy.linalg``, the library
+    that also does the product (scipy's own LAPACK contends with numpy's
+    BLAS threads); a failed factorization raises :class:`NumericalError`.
     """
     if problem.m > DENSE_LIMIT:
         raise ValueError(
@@ -128,7 +137,7 @@ def dense_objective_pieces(problem, theta):
         chol = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"dense Psi factorization failed: {exc}") from None
-    c = problem.residual_offset(theta)
+    c = a @ problem.mu_x - problem.b
     half = scipy.linalg.solve_triangular(chol, c, lower=True, check_finite=False)
     r = scipy.linalg.solve_triangular(
         chol, half, lower=True, trans="T", check_finite=False
@@ -144,9 +153,7 @@ def eval_F_exact(problem, theta, pieces=None):
     ``pieces`` may carry the :class:`DensePieces` already built at ``theta``.
     """
     theta = np.asarray(theta, dtype=float)
-    if pieces is None:
-        pieces = dense_objective_pieces(problem, theta)
-    pieces.check_theta(theta)
+    pieces = _pieces_at(problem, theta, pieces)
     logdet = pieces.logdet()
     misfit = float(np.dot(pieces.c, pieces.r))
     prior = problem.prior.neglog(theta)
@@ -324,43 +331,29 @@ def grad_F_exact(problem, theta, pieces=None):
     """
     theta = np.asarray(theta, dtype=float)
     _deriv_builders(problem)
-    if pieces is None:
-        pieces = dense_objective_pieces(problem, theta)
-    pieces.check_theta(theta)
+    pieces = _pieces_at(problem, theta, pieces)
     return dense_gradient(problem, pieces, pieces.inverse())
 
 
-def grad_fd(f, theta, box, eps_rel=1e-6, scheme="forward"):
-    """Finite-difference gradient of a scalar function, bound-aware.
+def grad_fd(f, theta, box, eps_rel=1e-6):
+    """Forward-difference gradient of a scalar function, bound-aware.
 
-    Step size h_j = eps_rel * max(1, |theta_j|).  ``scheme="forward"`` uses
-    p+1 evaluations, stepping into whichever side of the box has more room;
-    ``scheme="central"`` uses second-order differences wherever both sides
-    have room and falls back to a one-sided step near a bound.  A box
-    thinner than 2 h_j in any coordinate is an error either way.
+    Step size h_j = eps_rel * max(1, |theta_j|), taken into whichever side
+    of the box has more room; p+1 evaluations, f(theta) first.  A box
+    thinner than 2 h_j in any coordinate is an error.
     """
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
     if box.p != p:
         raise ValueError("box dimension does not match theta")
-    if scheme not in ("forward", "central"):
-        raise ValueError(f"unknown difference scheme {scheme!r}")
     h = eps_rel * np.maximum(1.0, np.abs(theta))
     if np.any(box.upper - box.lower < 2.0 * h):
         raise ValueError("box is thinner than twice the difference step in some coordinate")
-    f0 = None
+    f0 = f(theta)
     grad = np.zeros(p)
     for j in range(p):
         step = np.zeros(p)
-        room_up = box.upper[j] - theta[j]
-        room_dn = theta[j] - box.lower[j]
-        if scheme == "central" and room_up >= h[j] and room_dn >= h[j]:
-            step[j] = h[j]
-            grad[j] = (f(theta + step) - f(theta - step)) / (2.0 * h[j])
-            continue
-        if f0 is None:
-            f0 = f(theta)
-        sign = 1.0 if room_up >= room_dn else -1.0
+        sign = 1.0 if box.upper[j] - theta[j] >= theta[j] - box.lower[j] else -1.0
         step[j] = sign * h[j]
         grad[j] = sign * (f(theta + step) - f0) / h[j]
     return grad

@@ -9,22 +9,20 @@ problem can report into one ledger or into separate ones, at the builder's
 choice.
 
 Every operator applies to a vector or to a block of columns through one
-``_apply``.  Every forward map of the test problems is a :class:`SparseLinOp`,
-one CSR matrix per value of its parameters, so a block of columns costs one
-sparse product; :class:`DenseLinOp` serves small hand-built maps.  The noise
-covariance sigma^2 I is the :class:`ScaledIdentityOp` that
+``_apply``.  Every forward map is a :class:`SparseLinOp`, one CSR matrix per
+value of its parameters, so a block of columns costs one sparse product.  The
+noise covariance sigma^2 I is the :class:`ScaledIdentityOp` that
 ``ProblemSpec.build_r`` makes, and prior covariances are :class:`DenseSymOp`
 or :class:`ScaledIdentityOp`.
 
-Dense materialization (``dense()``) is an oracle path for small problems and
-never touches the counters.
+``SparseLinOp.dense`` materializes a forward map for the dense oracle
+(``objective.dense_objective_pieces``) and never touches the counters.
 """
 
 import functools
 import threading
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "DENSE_LIMIT",
@@ -34,9 +32,7 @@ __all__ = [
     "DenseSymOp",
     "ScaledIdentityOp",
     "LinOp",
-    "DenseLinOp",
     "SparseLinOp",
-    "dense_logdet",
 ]
 
 # Largest dimension for which dense materialization / dense factorizations
@@ -119,10 +115,6 @@ class SymOp:
     def _apply(self, v):
         raise NotImplementedError
 
-    def dense(self):
-        """Exact dense materialization (oracle path; does not count)."""
-        raise NotImplementedError(f"{type(self).__name__} has no dense form")
-
     @property
     def matvec_count(self):
         return self.counter.count
@@ -145,9 +137,6 @@ class DenseSymOp(SymOp):
     def _apply(self, v):
         return self.mat @ v
 
-    def dense(self):
-        return self.mat.copy()
-
 
 class ScaledIdentityOp(SymOp):
     """c * I on R^m."""
@@ -158,9 +147,6 @@ class ScaledIdentityOp(SymOp):
 
     def _apply(self, v):
         return self.scale * v
-
-    def dense(self):
-        return self.scale * np.eye(self.m)
 
 
 class LinOp:
@@ -209,30 +195,9 @@ class LinOp:
     def _apply_t(self, y):
         raise NotImplementedError
 
-    def dense(self):
-        raise NotImplementedError(f"{type(self).__name__} has no dense form")
-
     @property
     def matvec_count(self):
         return self.counter.count
-
-
-class DenseLinOp(LinOp):
-    def __init__(self, mat, counter=None):
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2:
-            raise ValueError("matrix must be two-dimensional")
-        super().__init__(mat.shape[0], mat.shape[1], counter)
-        self.mat = mat.copy()
-
-    def _apply(self, x):
-        return self.mat @ x
-
-    def _apply_t(self, y):
-        return self.mat.T @ y
-
-    def dense(self):
-        return self.mat.copy()
 
 
 class SparseLinOp(LinOp):
@@ -262,29 +227,3 @@ class SparseLinOp(LinOp):
         # faults each page in twice, so the zeros are written first
         return self.mat.toarray(out=np.full(self.shape, 0.0))
 
-
-def dense_logdet(mat):
-    """log det of a dense SPD matrix via Cholesky (LAPACK ``dpotrf``).
-
-    Raises
-    ------
-    NumericalError
-        If the factorization fails; the message names the failed pivot
-        index (1-based, as reported by LAPACK).
-    ValueError
-        If the matrix is not square or exceeds the dense limit.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix must be square")
-    if mat.shape[0] > DENSE_LIMIT:
-        raise ValueError(f"matrix order {mat.shape[0]} exceeds dense limit {DENSE_LIMIT}")
-    chol, info = scipy.linalg.lapack.dpotrf(mat, lower=1)
-    if info > 0:
-        raise NumericalError(
-            f"Cholesky factorization failed: leading minor of order {info} "
-            f"is not positive definite (pivot {info})"
-        )
-    if info < 0:
-        raise ValueError(f"illegal argument {-info} to dpotrf")
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))

@@ -17,7 +17,7 @@ import numpy as np
 from .bounds import SpectralConstants
 from .rng import stream
 
-__all__ = ["LogdetMatrix", "logdet_test_matrix", "symmetric_test_matrix"]
+__all__ = ["LogdetMatrix", "logdet_test_matrix"]
 
 
 @dataclass(frozen=True)
@@ -109,10 +109,3 @@ def logdet_test_matrix(m, kappa, seed=0):
         seed=seed,
     )
 
-
-def symmetric_test_matrix(m, seed=0):
-    """Dense symmetric (not necessarily definite) Gaussian test matrix."""
-    if m < 1:
-        raise ValueError("matrix size must be positive")
-    w = stream(seed, "symmetric-matrix").standard_normal((m, m))
-    return 0.5 * (w + w.T)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import hypermarg.bounds
 from hypermarg import Box
 from hypermarg.bounds import (
     M3cSchedule,
@@ -201,16 +202,18 @@ class TestEstimateSpectralConstants:
 
     def test_dense_mode_exact_on_scaled_identity(self):
         problem = self.scaled_identity_problem()
-        c = estimate_spectral_constants(problem, n_samples=4, seed=0, mode="dense")
+        c = estimate_spectral_constants(problem, n_samples=4, seed=0)
         assert abs(c.alpha - 1.0) < 1e-12
         assert abs(c.beta - 2.0) < 1e-12
         assert abs(c.lipschitz - 1.0) < 1e-12
         assert abs(c.frob_max - 2.0 * math.sqrt(6.0)) < 1e-12
         assert abs(c.two_max - 2.0) < 1e-12
 
-    def test_matfree_mode_exact_on_scaled_identity(self):
+    def test_matfree_mode_exact_on_scaled_identity(self, monkeypatch):
+        # the matrix-free estimator serves problems the dense oracle refuses
         problem = self.scaled_identity_problem()
-        c = estimate_spectral_constants(problem, n_samples=4, seed=0, mode="matfree")
+        monkeypatch.setattr(hypermarg.bounds, "DENSE_LIMIT", problem.m - 1)
+        c = estimate_spectral_constants(problem, n_samples=4, seed=0)
         assert abs(c.alpha - 1.0) < 1e-10
         assert abs(c.beta - 2.0) < 1e-10
         assert abs(c.lipschitz - 1.0) < 1e-10
@@ -224,15 +227,10 @@ class TestEstimateSpectralConstants:
         fixed = type(problem)(
             **{**problem.__dict__, "noise_index": None, "noise_var": 1.0}
         )
-        c = estimate_spectral_constants(fixed, n_samples=4, seed=0, mode="dense")
+        c = estimate_spectral_constants(fixed, n_samples=4, seed=0)
         assert c.lipschitz == 0.0
         assert abs(c.alpha - 1.0) < 1e-12
         assert abs(c.beta - 1.0) < 1e-12
-
-    def test_unknown_mode_raises(self):
-        problem = self.scaled_identity_problem()
-        with pytest.raises(ValueError, match="mode"):
-            estimate_spectral_constants(problem, mode="sparse")
 
 
 class TestSurrogateLipschitzDiagnostic:
@@ -240,18 +238,17 @@ class TestSurrogateLipschitzDiagnostic:
         # the trace half of the majorant inherits Lipschitz constant
         # m L / alpha from the operator family; sampled secant slopes must
         # stay below the estimated bundle's version of that bound
-        from hypermarg.mm import _anchor_pieces
-        from hypermarg.model import build_psi
+        from hypermarg.objective import dense_objective_pieces
         from hypermarg.problems import make_test_problem
         from hypermarg.rng import stream
 
         problem = make_test_problem("tomo", s=5, n_src=4, n_rec=6, seed=0)
-        k = estimate_spectral_constants(problem, n_samples=8, seed=0, mode="dense")
-        anchor = problem.box.center()
-        logdet_t, psi_t_inv = _anchor_pieces(problem, anchor)
+        k = estimate_spectral_constants(problem, n_samples=8, seed=0)
+        anchor = dense_objective_pieces(problem, problem.box.center())
+        logdet_t, psi_t_inv = anchor.logdet(), anchor.inverse()
 
         def trace_part(theta):
-            psi = build_psi(problem, theta, check_box=False).dense()
+            psi = dense_objective_pieces(problem, theta).psi
             return 0.5 * (logdet_t - problem.m + float(np.vdot(psi_t_inv, psi)))
 
         rng = stream(13, "surrogate-lipschitz")

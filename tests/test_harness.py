@@ -2,7 +2,9 @@
 
 import inspect
 import json
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -299,6 +301,17 @@ class TestSampleSizeReport:
         )
         assert report["eta"] is None
         json.dumps(report)
+
+    def test_schedule_gamma_is_finite_below_float_overflow(self):
+        # log gamma here lies between 700 and log(float max) = 709.78, so
+        # gamma is a finite float and the report must say which
+        report = sample_size_report(
+            eps=0.1, delta=0.1, m=1, p=147, radius=1.0,
+            alpha=1.0, beta=2.0, lipschitz=1.0, rho=0.5, iters=1,
+        )
+        (log_gamma,) = report["schedule"]["log_gamma"]
+        assert 700.0 < log_gamma < math.log(sys.float_info.max)
+        assert report["schedule"]["gamma"] == [math.exp(log_gamma)]
 
     def test_invalid_constants_are_config_errors(self):
         with pytest.raises(ConfigError):

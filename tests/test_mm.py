@@ -7,7 +7,6 @@ import hypermarg.mm
 from hypermarg import (
     Box,
     ProblemSpec,
-    build_psi,
     deblur_problem,
     make_test_problem,
     superres_problem,
@@ -22,10 +21,11 @@ from hypermarg.mm import (
     mm_optimize_exact,
     projected_gradient_min,
 )
-from hypermarg.objective import eval_F_exact, grad_F_exact, grad_fd
-from hypermarg.operators import NumericalError, dense_logdet
+from hypermarg.objective import dense_objective_pieces, eval_F_exact, grad_F_exact
+from hypermarg.operators import NumericalError
 from hypermarg.probes import canonical_probes, rademacher_probes
 
+from fd import grad_fd_central
 from test_objective import noise_only_problem, relerr
 
 
@@ -69,10 +69,13 @@ class TestExactSurrogate:
     def test_dominates_objective(self, make):
         problem = make()
         rng = np.random.default_rng(42)
+        # uniform over the box shrunk by a tenth of its span per side
+        span = problem.box.upper - problem.box.lower
+        lo = problem.box.lower + 0.1 * span
         for _ in range(3):
-            theta_t = problem.box.sample_interior(rng)
+            theta_t = lo + 0.8 * span * rng.random(problem.p)
             for _ in range(50):
-                theta = problem.box.sample_interior(rng)
+                theta = lo + 0.8 * span * rng.random(problem.p)
                 g = exact_surrogate(problem, theta, theta_t)
                 f = eval_F_exact(problem, theta).value
                 assert g >= f - 1e-9 * max(1.0, abs(f))
@@ -99,12 +102,11 @@ class TestExactSurrogate:
             theta_t = problem.theta_true
             theta = problem.box.project(1.15 * theta_t)
             g = exact_surrogate_grad(problem, theta, theta_t)
-            g_fd = grad_fd(
+            g_fd = grad_fd_central(
                 lambda th: exact_surrogate(problem, th, theta_t),
                 theta,
                 problem.box,
                 eps_rel=1e-6,
-                scheme="central",
             )
             assert relerr(g_fd, g) < 1e-5, problem.name
 
@@ -143,7 +145,8 @@ class TestStochasticSurrogate:
         surrogate = build_surrogate(
             problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-13
         )
-        shift = 0.5 * (dense_logdet(build_psi(problem, theta_t).dense()) - problem.m)
+        psi_t = dense_objective_pieces(problem, theta_t).psi
+        shift = 0.5 * (np.linalg.slogdet(psi_t)[1] - problem.m)
         g_hat = surrogate.value(theta) + shift
         g = exact_surrogate(problem, theta, theta_t)
         assert abs(g_hat - g) < 1e-7 * max(1.0, abs(g))
@@ -152,7 +155,8 @@ class TestStochasticSurrogate:
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=7)
         theta_t = problem.theta_true
         theta = problem.box.project(1.3 * theta_t)
-        shift = 0.5 * (dense_logdet(build_psi(problem, theta_t).dense()) - problem.m)
+        psi_t = dense_objective_pieces(problem, theta_t).psi
+        shift = 0.5 * (np.linalg.slogdet(psi_t)[1] - problem.m)
         target = exact_surrogate(problem, theta, theta_t)
         values = []
         for seed in range(150):
@@ -172,9 +176,7 @@ class TestStochasticSurrogate:
         probes = rademacher_probes(problem.m, 8, seed=3)
         surrogate = build_surrogate(problem, theta_t, probes, pcg_tol=1e-12)
         g = surrogate.gradient(theta)
-        g_fd = grad_fd(
-            surrogate.value, theta, problem.box, eps_rel=1e-6, scheme="central"
-        )
+        g_fd = grad_fd_central(surrogate.value, theta, problem.box, eps_rel=1e-6)
         assert relerr(g_fd, g) < 1e-5
 
     def test_anchor_solve_failure_is_hard_error(self):
@@ -214,7 +216,7 @@ class TestStochasticSurrogate:
         v_cold = cold.value(second)
         assert warm.pcg_iters - iters_before < cold.pcg_iters - cold_before
         # each misfit c^T r is within ||c||^2 tol / lambda_min(Psi) of exact
-        psi = build_psi(problem, second).dense()
+        psi = dense_objective_pieces(problem, second).psi
         c = problem.residual_offset(second)
         bound = float(c @ c) * tol / np.linalg.eigvalsh(psi)[0]
         assert abs(v_warm - v_cold) <= bound
@@ -226,7 +228,7 @@ class TestStochasticSurrogate:
         surrogate = build_surrogate(problem, problem.theta_true, probes, pcg_tol=1e-12)
         assert surrogate.probes is probes
         assert surrogate.z.shape == (problem.m, 5)
-        psi = build_psi(problem, problem.theta_true).dense()
+        psi = dense_objective_pieces(problem, problem.theta_true).psi
         resid = psi @ surrogate.z - probes.w
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(probes.w)
         assert not hasattr(probes, "z")
@@ -251,22 +253,20 @@ class TestNonzeroPriorMean:
         theta = problem.box.project(1.15 * theta_t)
 
         g_f = grad_F_exact(problem, theta)
-        g_f_fd = grad_fd(
+        g_f_fd = grad_fd_central(
             lambda th: eval_F_exact(problem, th).value,
             theta,
             problem.box,
             eps_rel=1e-6,
-            scheme="central",
         )
         assert relerr(g_f_fd, g_f) < 1e-5
 
         g = exact_surrogate_grad(problem, theta, theta_t)
-        g_fd = grad_fd(
+        g_fd = grad_fd_central(
             lambda th: exact_surrogate(problem, th, theta_t),
             theta,
             problem.box,
             eps_rel=1e-6,
-            scheme="central",
         )
         assert relerr(g_fd, g) < 1e-5
 

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from hypermarg import (
     Box,
-    DenseLinOp,
     HyperPrior,
     ProblemSpec,
     PsiOperator,
     ScaledIdentityOp,
+    SparseLinOp,
     build_psi,
     deblur_problem,
     make_test_problem,
@@ -16,6 +17,7 @@ from hypermarg import (
     synthesize_data,
     tomo_problem,
 )
+from hypermarg.objective import dense_objective_pieces
 from hypermarg.rng import stream
 
 ALL_KINDS = ["deblur", "tomo", "superres"]
@@ -94,7 +96,7 @@ def test_psi_dense_matches_matvec():
         problem = small_problem(kind)
         theta = problem.box.project(problem.theta_true)
         psi_op = build_psi(problem, theta)
-        dense = psi_op.dense()
+        dense = dense_objective_pieces(problem, theta).psi
         v = stream(3, "psi-dense", kind).standard_normal(problem.m)
         assert np.allclose(psi_op.matvec(v), dense @ v, atol=1e-10 * np.abs(dense).max())
 
@@ -105,7 +107,7 @@ def test_psi_positive_definite_across_box():
         rng = stream(17, "spd-sweep", kind)
         for _ in range(10):
             theta = problem.box.sample(rng)
-            dense = build_psi(problem, theta).dense()
+            dense = dense_objective_pieces(problem, theta).psi
             min_eig = float(np.linalg.eigvalsh(dense).min())
             assert min_eig > 0.0, (kind, theta, min_eig)
 
@@ -126,7 +128,7 @@ def test_theta_true_inside_box():
 
 
 def test_synthesize_data_noise_scale():
-    a_op = DenseLinOp(np.eye(50))
+    a_op = SparseLinOp(scipy.sparse.csr_matrix(np.eye(50)))
     x = np.full(50, 2.0)
     b, var = synthesize_data(a_op, x, noise_level=0.1, seed=3)
     # rms of the clean signal is 2, so sd should be 0.2 exactly
@@ -142,8 +144,8 @@ def test_reconstruct_matches_dense_formula():
     x_hat = reconstruct(problem, theta, pcg_tol=1e-12)
     psi_params, y = problem.split(theta)
     a = problem.build_a(y).dense()
-    q = problem.build_q(psi_params).dense()
-    r = problem.build_r(psi_params).dense()
+    q = problem.build_q(psi_params).mat
+    r = problem.build_r(psi_params).scale * np.eye(problem.m)
     psi_dense = a @ q @ a.T + r
     expected = q @ a.T @ np.linalg.solve(psi_dense, problem.b)
     assert np.allclose(x_hat, expected, atol=1e-7 * max(1.0, np.abs(expected).max()))
@@ -165,13 +167,13 @@ def test_make_test_problem_dispatch():
 
 
 def test_psi_operator_dimension_checks():
-    a = DenseLinOp(np.ones((3, 4)))
+    a = SparseLinOp(scipy.sparse.csr_matrix(np.ones((3, 4))))
     with pytest.raises(ValueError):
         PsiOperator(a, ScaledIdentityOp(1.0, 3), ScaledIdentityOp(1.0, 3))
     with pytest.raises(ValueError):
         PsiOperator(a, ScaledIdentityOp(1.0, 4), ScaledIdentityOp(1.0, 4))
     psi_op = PsiOperator(a, ScaledIdentityOp(1.0, 4), ScaledIdentityOp(1.0, 3))
-    dense = psi_op.dense()
+    dense = psi_op.matmat(np.eye(3))
     assert np.allclose(dense, np.ones((3, 4)) @ np.ones((4, 3)) + np.eye(3))
 
 
@@ -187,7 +189,7 @@ def noise_spec(**noise):
         b=np.ones(3),
         box=Box(np.array([0.1, 0.1]), np.array([2.0, 2.0])),
         prior=HyperPrior.uniform(2),
-        a_builder=lambda y: DenseLinOp(np.eye(3)),
+        a_builder=lambda y: SparseLinOp(scipy.sparse.csr_matrix(np.eye(3))),
         q_builder=lambda psi: ScaledIdentityOp(psi[1], 3),
         dq_builders=(None, lambda psi: ScaledIdentityOp(1.0, 3)),
         **noise,

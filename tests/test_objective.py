@@ -29,6 +29,8 @@ from hypermarg.operators import NumericalError, ScaledIdentityOp, SparseLinOp
 from hypermarg.pcg import pcg_solve
 from hypermarg.probes import canonical_probes, rademacher_probes
 
+from fd import grad_fd_central
+
 
 def noise_only_problem(b, prior=None, box=None):
     """Psi(theta) = theta_1 * I: A = 0, so only the noise variance matters."""
@@ -53,6 +55,11 @@ def noise_only_problem(b, prior=None, box=None):
         dq_builders=(None,),
         noise_index=0,
     )
+
+
+def constant_prior_mean(problem, value):
+    """The same problem with mu_x = value everywhere."""
+    return ProblemSpec(**{**problem.__dict__, "mu_x": np.full(problem.n, value)})
 
 
 def relerr(a, b):
@@ -87,7 +94,7 @@ class TestExactObjective:
         problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=1)
         theta = problem.theta_true
         out = eval_F_exact(problem, theta)
-        psi = build_psi(problem, theta).dense()
+        psi = build_psi(problem, theta).matmat(np.eye(problem.m))
         c = problem.residual_offset(theta)
         np.testing.assert_allclose(psi @ out.r, c, atol=1e-10)
 
@@ -139,12 +146,8 @@ class TestExactGradient:
         problem = make()
         theta = problem.theta_true
         g = grad_F_exact(problem, theta)
-        g_fd = grad_fd(
-            lambda t: eval_F_exact(problem, t).value,
-            theta,
-            problem.box,
-            eps_rel=1e-6,
-            scheme="central",
+        g_fd = grad_fd_central(
+            lambda t: eval_F_exact(problem, t).value, theta, problem.box, eps_rel=1e-6
         )
         assert relerr(g_fd, g) < 1e-5
 
@@ -167,12 +170,14 @@ class TestDenseOracleLedger:
             lambda: deblur_problem(s=8, seed=4),
             lambda: tomo_problem(s=6, n_src=5, n_rec=6, seed=4),
             lambda: superres_problem(s=8, decim=2, frames=2, seed=4),
+            lambda: constant_prior_mean(deblur_problem(s=6, seed=4), 0.3),
         ],
-        ids=["deblur", "tomo", "superres"],
+        ids=["deblur", "tomo", "superres", "deblur-nonzero-mean"],
     )
     def test_dense_oracle_charges_no_ledger(self, make):
-        # the oracle's operators act through their uncounted _apply, so the
-        # matvec ledger measures only the matrix-free paths
+        # the oracle's operators act through their uncounted _apply and its
+        # residual offset A mu_x - b uses the dense A, so the matvec ledger
+        # measures only the matrix-free paths
         problem = make()
         theta_t = problem.theta_true
         theta = problem.box.project(1.1 * theta_t)
@@ -189,27 +194,14 @@ class TestFiniteDifferences:
         f = lambda t: float(np.sin(t[0]) + t[0] * t[1] ** 2)
         theta = np.array([0.3, -1.2])
         expected = np.array([np.cos(0.3) + 1.44, 2.0 * 0.3 * (-1.2)])
-        for scheme, tol in (("forward", 1e-5), ("central", 1e-9)):
-            g = grad_fd(f, theta, box, eps_rel=1e-6, scheme=scheme)
+        for grad, tol in ((grad_fd, 1e-5), (grad_fd_central, 1e-9)):
+            g = grad(f, theta, box, eps_rel=1e-6)
             np.testing.assert_allclose(g, expected, rtol=tol, atol=tol)
-
-    def test_central_near_bound_falls_back_one_sided(self):
-        box = Box(lower=np.array([0.0]), upper=np.array([1.0]))
-        f = lambda t: float(t[0] ** 2)
-        # theta sits exactly on the lower bound; the central stencil cannot
-        # straddle it, so the step must go up and stay inside the box.
-        g = grad_fd(f, np.array([0.0]), box, eps_rel=1e-7, scheme="central")
-        assert abs(g[0]) < 1e-6
 
     def test_box_too_thin_raises(self):
         box = Box(lower=np.array([0.0]), upper=np.array([1e-9]))
         with pytest.raises(ValueError, match="thinner"):
             grad_fd(lambda t: 0.0, np.array([5e-10]), box, eps_rel=1e-6)
-
-    def test_unknown_scheme_raises(self):
-        box = Box(lower=np.array([0.0]), upper=np.array([1.0]))
-        with pytest.raises(ValueError, match="scheme"):
-            grad_fd(lambda t: 0.0, np.array([0.5]), box, scheme="spectral")
 
 
 class TestSlqObjective:
@@ -248,7 +240,7 @@ class TestSlqObjective:
         problem = tomo_problem(s=8, n_src=5, n_rec=6, seed=4)
         theta = problem.theta_true
         exact = eval_F_exact(problem, theta)
-        psi = build_psi(problem, theta).dense()
+        psi = dense_objective_pieces(problem, theta).psi
         lam, vec = np.linalg.eigh(psi)
         log_psi = (vec * np.log(lam)) @ vec.T
         off = log_psi - np.diag(np.diag(log_psi))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypermarg import DenseSymOp, build_psi, pcg_solve, rademacher_probes, tomo_problem
+from hypermarg.objective import dense_objective_pieces
 from hypermarg.rng import stream
 
 
@@ -61,11 +62,12 @@ def test_block_solve_charges_one_psi_apply_per_column_iteration():
     # stops at the same step as its separate solve; at theta_true (kappa ~
     # 9e3) the block's summation order moves those steps by a few.
     problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=1)
-    psi = build_psi(problem, problem.box.center())
+    center = problem.box.center()
+    psi = build_psi(problem, center)
     w = rademacher_probes(problem.m, 5, seed=0).w
     # an eigenvector converges in one step and a zero column in none, so the
     # columns leave the block at different steps
-    w[:, 1] = np.linalg.eigh(psi.dense())[1][:, -1]
+    w[:, 1] = np.linalg.eigh(dense_objective_pieces(problem, center).psi)[1][:, -1]
     w[:, 3] = 0.0
     singles = [pcg_solve(psi, w[:, j]).iterations for j in range(5)]
     assert singles[1] == 1 and singles[3] == 0 and max(singles) > 1
