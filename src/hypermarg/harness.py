@@ -187,8 +187,10 @@ def majorant_slice(cfg):
     for g in grid:
         theta = anchor.copy()
         theta[axis] = g
-        f_val = eval_F_exact(problem, theta).value
-        g_val = exact_surrogate(problem, theta, anchor, anchor=pieces)
+        # one factorization per grid point serves F and the majorant
+        here = dense_objective_pieces(problem, theta)
+        f_val = eval_F_exact(problem, theta, pieces=here).value
+        g_val = exact_surrogate(problem, theta, anchor, anchor=pieces, pieces=here)
         rows.append({name: float(g), "F": f_val, "G": g_val})
     write_csv(os.path.join(outdir, "slice.csv"), (name, "F", "G"), rows)
     return rows

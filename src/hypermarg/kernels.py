@@ -10,7 +10,6 @@ carries amplitude**2), ``lengthscale`` the correlation length.
 """
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "matern_kernel",
@@ -34,9 +33,19 @@ def _check_nu(nu):
 
 
 def pairwise_distances(points):
-    """Euclidean distance matrix for an (n, d) point array."""
+    """Euclidean distance matrix for an (n, d) point array.
+
+    The squared coordinate differences are summed one coordinate at a time,
+    in coordinate order, so only n x n arrays are formed and no (n, n, d)
+    one.
+    """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    return cdist(points, points)
+    total = np.zeros((points.shape[0], points.shape[0]))
+    for coord in points.T:
+        diff = np.subtract.outer(coord, coord)
+        diff *= diff
+        total += diff
+    return np.sqrt(total, out=total)
 
 
 def matern_kernel(dists, amplitude, lengthscale, nu=0.5):

@@ -12,6 +12,7 @@ Psi = A Q A^T + mu * I, whose shift mu is the problem's noise variance
 Matrix Anal. Appl. 2023).
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,20 +48,21 @@ class NystromPreconditioner:
     def rank(self):
         return self.basis.shape[1]
 
-    def apply_inverse(self, v):
-        """P^{-1} v = U diag(1/(lam + shift)) U^T v + (I - U U^T) v / shift.
+    @functools.cached_property
+    def _correction_basis(self):
+        """U diag(1/(lam + shift) - 1/shift), so that P^{-1} = I / shift + (this) U^T."""
+        return self.basis * (1.0 / (self.eigenvalues + self.shift) - 1.0 / self.shift)
 
-        ``v`` is a vector or a block of columns.
+    def apply_inverse(self, v):
+        """P^{-1} v = v / shift + U diag(1/(lam + shift) - 1/shift) U^T v.
+
+        ``v`` is a vector or a block of columns.  Two products with U: one
+        with U^T and one with the scaled basis, formed once per preconditioner.
         """
         v = np.asarray(v, dtype=float)
         if self.rank == 0:
             return v / self.shift
-        coeff = self.basis.T @ v
-        resid = v - self.basis @ coeff
-        d = self.eigenvalues + self.shift
-        if v.ndim == 2:
-            d = d[:, None]
-        return self.basis @ (coeff / d) + resid / self.shift
+        return v / self.shift + self._correction_basis @ (self.basis.T @ v)
 
 
 def nystrom_preconditioner(op, shift, rank, seed):

@@ -14,8 +14,11 @@ by the test-suite:
   one factorization; the gradient is ``dense_gradient``, which the exact MM
   majorant reuses with the anchor's Psi^{-1} in place of Psi(theta)^{-1}.
   Only A is densified: Q, dQ and dA act through their own uncounted
-  ``_apply`` or their sparse entries, so each evaluation costs one cubic
-  product for Psi and one for the gradient;
+  ``_apply`` or their sparse entries.  A value costs one gemm for Psi and
+  one Cholesky factorization; a gradient costs one gemm (P A), plus one
+  application of Q and of each dQ to an m-column block.  Each dA is built
+  once per gradient and costs two O(nnz) passes, a gather and a CSR matvec;
+  all else is O(m^2) or vector work;
 * ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature on
   Psi over a fixed probe set (the sample-average surface the fixed-sample
   optimizer minimizes), one Lanczos run over the whole probe block, misfit
@@ -132,7 +135,9 @@ def dense_objective_pieces(problem, theta):
     psi_op = build_psi(problem, theta)
     a = psi_op.a_op.dense()
     psi = a @ psi_op.q_op._apply(a.T)
-    psi[np.diag_indices_from(psi)] += psi_op.r_op.scale
+    # sigma^2 onto the diagonal through its flat stride: no index arrays
+    diagonal = psi.reshape(-1)[:: psi.shape[0] + 1]
+    diagonal += psi_op.r_op.scale
     try:
         chol = np.linalg.cholesky(psi)
     except np.linalg.LinAlgError as exc:
@@ -281,12 +286,14 @@ def dense_gradient(problem, pieces, p_mat):
 
         <P, A dQ A^T> = <P A, (dQ A^T)^T>,      r^T A dQ A^T r = s^T dQ s,
         <P, dA Q A^T + A Q dA^T> = 2 <P A Q, dA> = 2 sum_e dA_e (P A Q)_e,
-        r^T (dA Q A^T + A Q dA^T) r = 2 (r^T dA) . (Q s),
+        r^T (dA Q A^T + A Q dA^T) r - 2 r^T dA mu_x = 2 r^T dA (Q s - mu_x),
         <P, I> = trace P,  r^T I r = r . r  at the noise-variance component,
 
     where Q and dQ act through their uncounted ``_apply``, P A Q is
     ``(Q (P A)^T)^T``, and the sum over e runs over the stored entries of
-    dA's CSR matrix.
+    dA's CSR matrix, gathered from P A Q at their ``flat_positions``.  Each
+    dA is built once and enters through two O(nnz) passes: that gather and
+    one CSR matvec.
     """
     _deriv_builders(problem)
     psi_params, y = problem.split(pieces.theta)
@@ -307,19 +314,18 @@ def dense_gradient(problem, pieces, p_mat):
         grad[j] += 0.5 * trace_term - 0.5 * misfit_term
 
     if problem.ell:
-        p_a_q = q_op._apply(p_a.T).T
-        q_s = q_op._apply(s)
-        mu_nonzero = bool(np.any(problem.mu_x != 0.0))
+        p_a_q = q_op._apply(p_a.T).T.reshape(-1)
+        q_s = q_op._apply(s) - problem.mu_x
+        positions = gathered = None
         for i in range(problem.ell):
-            j = problem.q_dim + i
-            da = problem.da_builders[i](y).mat
-            # flat positions in P A Q of dA's stored entries, row by row
-            at = np.repeat(np.arange(da.shape[0]) * da.shape[1], np.diff(da.indptr))
-            trace_term = 2.0 * float(da.data @ np.take(p_a_q, at + da.indices))
-            misfit_term = 2.0 * float((r @ da) @ q_s)
-            if mu_nonzero:
-                misfit_term -= 2.0 * float(r @ (da @ problem.mu_x))
-            grad[j] += 0.5 * trace_term - 0.5 * misfit_term
+            da_op = problem.da_builders[i](y)
+            # dA's that share one CSR structure share one gather
+            if da_op.flat_positions is not positions:
+                positions = da_op.flat_positions
+                gathered = p_a_q[positions]
+            trace_term = 2.0 * float(da_op.mat.data @ gathered)
+            misfit_term = 2.0 * float(r @ (da_op.mat @ q_s))
+            grad[problem.q_dim + i] += 0.5 * trace_term - 0.5 * misfit_term
 
     return grad
 

@@ -204,8 +204,10 @@ class SparseLinOp(LinOp):
     """CSR-backed map; its CSR transpose is built on the first adjoint and kept.
 
     Building the transpose lazily keeps construction cheap for the maps that
-    are only ever materialized by ``dense()`` (every dense-oracle evaluation
-    builds its forward map and derivatives afresh).
+    are only ever materialized by ``dense()`` or read entry by entry
+    (every dense-oracle evaluation builds its forward map and derivatives
+    afresh); ``flat_positions`` is likewise computed on first use, unless a
+    subclass that shares one structure between instances supplies it.
     """
 
     def __init__(self, mat, counter=None):
@@ -215,6 +217,12 @@ class SparseLinOp(LinOp):
     @functools.cached_property
     def mat_t(self):
         return self.mat.T.tocsr()
+
+    @functools.cached_property
+    def flat_positions(self):
+        """Row-major position of each stored entry in the dense m x n matrix."""
+        mat = self.mat
+        return np.repeat(np.arange(self.m) * self.n, np.diff(mat.indptr)) + mat.indices
 
     def _apply(self, x):
         return np.asarray(self.mat @ x)

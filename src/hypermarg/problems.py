@@ -65,10 +65,24 @@ def phantom_image(s):
 # ---------------------------------------------------------------------------
 
 
+# The tap offsets (di, dj) of a PSF depend only on its halfwidth, so they are
+# built once per halfwidth and shared read-only by every stencil and stencil
+# derivative; the exact MM chain evaluates thousands of them.
+@functools.lru_cache(maxsize=None)
 def _psf_quadform_parts(halfwidth):
-    off = np.arange(-halfwidth, halfwidth + 1)
+    off = np.arange(-halfwidth, halfwidth + 1).astype(float)
     di, dj = np.meshgrid(off, off, indexing="ij")
-    return di.astype(float), dj.astype(float)
+    for grid in (di, dj):
+        grid.setflags(write=False)
+    return di, dj
+
+
+def _psf_weights(y, halfwidth):
+    """The offset grids, the shear term l1 di + l2 dj and the PSF weights."""
+    l1, l2, l3 = (float(v) for v in y)
+    di, dj = _psf_quadform_parts(halfwidth)
+    shear = l1 * di + l2 * dj
+    return di, dj, shear, np.exp(-0.5 * (shear**2 + (l3 * dj) ** 2))
 
 
 def psf_stencil(y, halfwidth=3):
@@ -77,25 +91,20 @@ def psf_stencil(y, halfwidth=3):
     Unnormalized — the center weight is always 1, so large l1, l3 collapse
     the stencil to the identity.
     """
-    l1, l2, l3 = (float(v) for v in y)
-    di, dj = _psf_quadform_parts(halfwidth)
-    quad = (l1 * di + l2 * dj) ** 2 + (l3 * dj) ** 2
-    return np.exp(-0.5 * quad)
+    return _psf_weights(y, halfwidth)[3]
 
 
 def psf_stencil_derivative(y, j, halfwidth=3):
     """d stencil / d y_j for j in {0: l1, 1: l2, 2: l3}."""
-    l1, l2, l3 = (float(v) for v in y)
-    di, dj = _psf_quadform_parts(halfwidth)
-    p = psf_stencil(y, halfwidth)
-    if j == 0:
-        dquad = 2.0 * (l1 * di + l2 * dj) * di
-    elif j == 1:
-        dquad = 2.0 * (l1 * di + l2 * dj) * dj
-    elif j == 2:
-        dquad = 2.0 * l3 * dj**2
-    else:
+    if j not in (0, 1, 2):
         raise ValueError(f"PSF parameter index must be 0, 1 or 2, got {j}")
+    di, dj, shear, p = _psf_weights(y, halfwidth)
+    if j == 0:
+        dquad = 2.0 * shear * di
+    elif j == 1:
+        dquad = 2.0 * shear * dj
+    else:
+        dquad = 2.0 * float(y[2]) * dj**2
     return -0.5 * dquad * p
 
 
@@ -103,8 +112,9 @@ class ConvolutionOp(SparseLinOp):
     """Zero-padded stencil correlation on s x s images (square, n = s^2).
 
     Forward: out(i,j) = sum_{di,dj} stencil(di,dj) x(i+di, j+dj).  All
-    stencils of one (s, halfwidth) share one CSR structure; a stencil only
-    gathers its taps into the stored values.
+    stencils of one (s, halfwidth) share one CSR structure, and with it the
+    flat positions of its entries; a stencil only gathers its taps into the
+    stored values.
     """
 
     def __init__(self, stencil, s, counter=None):
@@ -112,20 +122,22 @@ class ConvolutionOp(SparseLinOp):
         if stencil.ndim != 2 or stencil.shape[0] != stencil.shape[1] or stencil.shape[0] % 2 == 0:
             raise ValueError("stencil must be square with odd side")
         n = int(s) ** 2
-        indptr, indices, taps = _convolution_pattern(int(s), stencil.shape[0] // 2)
+        indptr, indices, taps, flat = _convolution_pattern(int(s), stencil.shape[0] // 2)
         mat = scipy.sparse.csr_matrix((stencil.ravel()[taps], indices, indptr), shape=(n, n))
         super().__init__(mat, counter)
+        self.flat_positions = flat
 
 
 @functools.lru_cache(maxsize=None)
 def _convolution_pattern(s, halfwidth):
     """CSR structure of an s x s stencil correlation, shared by all stencils.
 
-    Returns ``(indptr, indices, taps)``: the CSR row pointers and column
-    indices of every in-range entry and, for each stored entry, the index of
-    the stencil tap (row-major over the ``(2 halfwidth + 1)^2`` taps) that
-    supplies its value.  Each entry has its own tap, and within a row the
-    columns ascend with the tap index, so the structure is canonical.
+    Returns ``(indptr, indices, taps, flat)``: the CSR row pointers and
+    column indices of every in-range entry, for each stored entry the index
+    of the stencil tap (row-major over the ``(2 halfwidth + 1)^2`` taps) that
+    supplies its value, and its row-major position in the dense s^2 x s^2
+    matrix.  Each entry has its own tap, and within a row the columns ascend
+    with the tap index, so the structure is canonical.
     """
     side = 2 * halfwidth + 1
     off = np.arange(side) - halfwidth
@@ -133,12 +145,15 @@ def _convolution_pattern(s, halfwidth):
     rows = i[:, None, None] + off[None, :, None]
     cols = j[:, None, None] + off[None, None, :]
     valid = (rows >= 0) & (rows < s) & (cols >= 0) & (cols < s)
-    indices = (rows * s + cols)[valid].astype(np.int32)
+    columns = (rows * s + cols)[valid]
+    indices = columns.astype(np.int32)
     taps = np.broadcast_to(np.arange(side * side).reshape(side, side), valid.shape)[valid]
-    indptr = np.concatenate([[0], np.cumsum(valid.sum(axis=(1, 2)))]).astype(np.int32)
-    for arr in (indptr, indices, taps):
+    counts = valid.sum(axis=(1, 2))
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)
+    flat = np.repeat(np.arange(s * s) * (s * s), counts) + columns
+    for arr in (indptr, indices, taps, flat):
         arr.setflags(write=False)
-    return indptr, indices, taps
+    return indptr, indices, taps, flat
 
 
 def deblur_problem(

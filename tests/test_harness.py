@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from hypermarg import harness, objective
 from hypermarg.bounds import SpectralConstants, lanczos_steps_bound, slq_samples_bound
 from hypermarg.cli import main
 from hypermarg.config import _M3C_SCHEMA, _SAA_SCHEMA, ConfigError
@@ -207,6 +208,20 @@ class TestMajorantSlice:
         cfg = self.cfg(tmp_path / "s", grid_max=3.5)
         with pytest.raises(ConfigError, match="grid"):
             majorant_slice(cfg)
+
+    def test_one_factorization_per_grid_point(self, tmp_path, monkeypatch):
+        # the anchor's pieces plus one per grid point, shared by F and G
+        calls = []
+        real = objective.dense_objective_pieces
+
+        def counted(problem, theta):
+            calls.append(np.array(theta))
+            return real(problem, theta)
+
+        monkeypatch.setattr(objective, "dense_objective_pieces", counted)
+        monkeypatch.setattr(harness, "dense_objective_pieces", counted)
+        majorant_slice(self.cfg(tmp_path / "s", grid_count=9))
+        assert len(calls) == 10
 
     def test_superres_shift_slice_crosses_zero(self, tmp_path):
         cfg = {

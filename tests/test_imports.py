@@ -7,9 +7,10 @@ counts as used when it is read anywhere in the module or listed in its
 ``__all__``.  The private-name check runs over the package sources: a
 module-level name with one leading underscore must be read in its own
 module or imported by another package module; an import by a test does not
-count, so no private name is kept for the tests alone.  A last check runs
-the three optimizers in a fresh interpreter and asserts that none of them
-imports ``scipy.optimize``.
+count, so no private name is kept for the tests alone.  The last checks run
+in a fresh interpreter: none of the three optimizers imports
+``scipy.optimize``, and importing the package and building a tomography
+problem imports no ``scipy.spatial``.
 """
 
 import ast
@@ -112,6 +113,22 @@ def test_checker_flags_an_unread_private_name():
     assert unread_private_names(source, {"_B", "_K"}) == [(3, "_C"), (5, "_f")]
 
 
+def modules_after(script, prefix):
+    """Names of the loaded modules under ``prefix`` after ``script``, in a fresh interpreter."""
+    script += f"\nprint(sorted(m for m in sys.modules if m.startswith({prefix!r})))\n"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_optimizers_do_not_import_scipy_optimize():
     # Importing scipy.optimize alone adds about 6 MB to a run's peak RSS.
     script = """
@@ -123,16 +140,15 @@ problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=0)
 m3c_optimize(problem, outer_iters=2, n_probes=4, seed=0)
 saa_optimize(problem, n_probes=4, k_steps=8, seed=0, max_iters=3)
 mm_optimize_exact(problem, outer_iters=2)
-print(sorted(m for m in sys.modules if m.startswith("scipy.optimize")))
 """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        cwd=ROOT,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert modules_after(script, "scipy.optimize") == "[]"
+
+
+def test_package_and_tomo_build_do_not_import_scipy_spatial():
+    # scipy.spatial, and scipy.special with it, lengthen every run's start-up
+    script = """
+import sys
+import hypermarg
+hypermarg.tomo_problem(s=8, n_src=8, n_rec=9, seed=0)
+"""
+    assert modules_after(script, "scipy.spatial") == "[]"

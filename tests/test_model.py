@@ -247,3 +247,15 @@ def test_matern_lengthscale_derivative_matches_fd():
         ) / (2.0 * h)
         analytic = matern_dlengthscale(dists, amp, ell, nu)
         assert np.abs(analytic - fd).max() <= 1e-7
+
+
+def test_pairwise_distances_bit_identical_to_cdist():
+    from scipy.spatial.distance import cdist
+
+    from hypermarg import pairwise_distances
+
+    for s in (5, 8, 16):
+        centers = np.array([((i + 0.5) / s, (j + 0.5) / s) for i in range(s) for j in range(s)])
+        assert np.array_equal(pairwise_distances(centers), cdist(centers, centers))
+    pts = stream(8, "pairwise").standard_normal((30, 3))
+    assert np.array_equal(pairwise_distances(pts), cdist(pts, pts))

@@ -75,3 +75,22 @@ def test_exact_rank_capture():
     op = DenseSymOp(mat)
     pre = nystrom_preconditioner(op, 1.0, 3, seed=6)
     assert np.sort(pre.eigenvalues + pre.shift) == pytest.approx([3.0, 6.0, 10.0], abs=1e-8)
+
+
+@pytest.mark.parametrize("rank", [3, 8])
+def test_apply_inverse_matches_dense_inverse_for_vectors_and_blocks(rank):
+    m = 40
+    rng = stream(5, "inverse")
+    g = rng.standard_normal((m, 6))
+    op = DenseSymOp(g @ g.T + 0.3 * np.eye(m))
+    pre = nystrom_preconditioner(op, 0.3, rank, seed=5)
+    u = pre.basis
+    dense = u @ np.diag(pre.eigenvalues) @ u.T + pre.shift * np.eye(m)
+    inverse = np.linalg.inv(dense)
+    v = rng.standard_normal(m)
+    block = rng.standard_normal((m, 4))
+    for x in (v, block):
+        out = pre.apply_inverse(x)
+        assert out.shape == x.shape
+        ref = inverse @ x
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -163,6 +163,61 @@ class TestExactGradient:
             grad_F_exact(broken, problem.theta_true)
 
 
+def dense_gradient_reference(problem, theta, p_mat):
+    """prior + 1/2 tr(P dPsi_j) - 1/2 r^T dPsi_j r (+ r^T dA_j mu_x), all dense.
+
+    Each dPsi_j is formed as an m x m array from dense A, Q, dQ and dA
+    (A dQ A^T, dA Q A^T + A Q dA^T, and I at the noise component), and r
+    solves the dense Psi(theta) by LU, so nothing is shared with the oracle.
+    """
+    psi_params, y = problem.split(theta)
+    a = problem.build_a(y).dense()
+    eye_n = np.eye(problem.n)
+    q = problem.build_q(psi_params)._apply(eye_n)
+    psi = a @ q @ a.T + problem.noise_variance(psi_params) * np.eye(problem.m)
+    r = np.linalg.solve(psi, a @ problem.mu_x - problem.b)
+    grad = problem.prior.grad_neglog(theta)
+    for j in range(problem.p):
+        dpsi = np.zeros((problem.m, problem.m))
+        dc_term = 0.0
+        if j < problem.q_dim:
+            if problem.dq_builders[j] is not None:
+                dq = problem.dq_builders[j](psi_params)._apply(eye_n)
+                dpsi += a @ dq @ a.T
+            if j == problem.noise_index:
+                dpsi += np.eye(problem.m)
+        else:
+            da = problem.da_builders[j - problem.q_dim](y).dense()
+            dpsi += da @ q @ a.T + a @ q @ da.T
+            dc_term = float(r @ (da @ problem.mu_x))
+        grad[j] += 0.5 * np.sum(p_mat * dpsi) - 0.5 * r @ dpsi @ r + dc_term
+    return grad
+
+
+class TestDenseGradientReference:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: deblur_problem(s=6, seed=3),
+            lambda: constant_prior_mean(deblur_problem(s=6, seed=3), 0.3),
+            lambda: tomo_problem(s=5, n_src=4, n_rec=6, seed=3),
+            lambda: superres_problem(s=8, decim=2, frames=2, seed=3),
+        ],
+        ids=["deblur", "deblur-nonzero-mean", "tomo", "superres"],
+    )
+    def test_matches_dense_dpsi_formula(self, make):
+        # both the gradient of F (P = Psi(theta)^{-1}) and of the majorant
+        # (P the inverse at another point) against the dense formula
+        problem = make()
+        theta = problem.box.project(problem.theta_true)
+        other = problem.box.project(theta + 0.05 * (problem.box.upper - problem.box.lower))
+        pieces = dense_objective_pieces(problem, theta)
+        for p_mat in (pieces.inverse(), dense_objective_pieces(problem, other).inverse()):
+            g = dense_gradient(problem, pieces, p_mat)
+            ref = dense_gradient_reference(problem, theta, p_mat)
+            assert np.abs(g - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
 class TestDenseOracleLedger:
     @pytest.mark.parametrize(
         "make",

@@ -10,7 +10,8 @@ from hypermarg import (
     ray_matrix,
     superres_problem,
 )
-from hypermarg.problems import SuperresDerivOp, psf_stencil_derivative
+from hypermarg.operators import SparseLinOp
+from hypermarg.problems import SuperresDerivOp, _psf_quadform_parts, psf_stencil_derivative
 from hypermarg.rng import stream
 
 
@@ -40,6 +41,38 @@ def test_psf_stencil_derivative_matches_fd():
         ej[j] = h
         fd = (psf_stencil(y + ej) - psf_stencil(y - ej)) / (2.0 * h)
         assert np.abs(psf_stencil_derivative(y, j) - fd).max() <= 1e-8
+
+
+def test_psf_grids_are_cached_read_only_and_stencils_are_fresh():
+    di, dj = _psf_quadform_parts(3)
+    assert _psf_quadform_parts(3)[0] is di
+    for grid in (di, dj):
+        assert not grid.flags.writeable
+        with pytest.raises(ValueError):
+            grid[0, 0] = 0.0
+    y = [1.0, 0.3, 0.8]
+    first = psf_stencil(y)
+    assert first.flags.writeable
+    first[0, 0] = -1.0
+    assert psf_stencil(y)[0, 0] > 0.0
+    assert psf_stencil_derivative(y, 1).flags.writeable
+
+
+def test_psf_stencil_derivative_rejects_bad_index():
+    with pytest.raises(ValueError, match="0, 1 or 2"):
+        psf_stencil_derivative([1.0, 0.3, 0.8], 3)
+
+
+@pytest.mark.parametrize("s, halfwidth", [(6, 1), (8, 3), (5, 3)])
+def test_convolution_shared_positions_match_its_csr(s, halfwidth):
+    stencil = stream(9, "conv-pos").standard_normal((2 * halfwidth + 1,) * 2)
+    op = ConvolutionOp(stencil, s)
+    generic = SparseLinOp(op.mat).flat_positions
+    assert np.array_equal(op.flat_positions, generic)
+    assert np.array_equal(op.dense().ravel()[op.flat_positions], op.mat.data)
+    # every stencil of one (s, halfwidth) reads the same read-only positions
+    assert ConvolutionOp(2.0 * stencil, s).flat_positions is op.flat_positions
+    assert not op.flat_positions.flags.writeable
 
 
 def test_convolution_adjoint_identity():
