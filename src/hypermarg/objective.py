@@ -16,9 +16,9 @@ by the test-suite:
   Only A is densified: Q, dQ and dA act through their own uncounted
   ``_apply`` or their sparse entries.  A value costs one gemm for Psi and
   one Cholesky factorization; a gradient costs one gemm (P A), plus one
-  application of Q and of each dQ to an m-column block.  Each dA is built
-  once per gradient and costs two O(nnz) passes, a gather and a CSR matvec;
-  all else is O(m^2) or vector work;
+  product of each dense Q or dQ with an m-row block (a scaled identity
+  forms none).  Each dA is built once per gradient and costs two O(nnz)
+  passes, a gather and a CSR matvec; all else is O(m^2) or vector work;
 * ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature on
   Psi over a fixed probe set (the sample-average surface the fixed-sample
   optimizer minimizes), one Lanczos run over the whole probe block, misfit
@@ -289,11 +289,12 @@ def dense_gradient(problem, pieces, p_mat):
         r^T (dA Q A^T + A Q dA^T) r - 2 r^T dA mu_x = 2 r^T dA (Q s - mu_x),
         <P, I> = trace P,  r^T I r = r . r  at the noise-variance component,
 
-    where Q and dQ act through their uncounted ``_apply``, P A Q is
-    ``(Q (P A)^T)^T``, and the sum over e runs over the stored entries of
-    dA's CSR matrix, gathered from P A Q at their ``flat_positions``.  Each
-    dA is built once and enters through two O(nnz) passes: that gather and
-    one CSR matvec.
+    where the pairings <u, v dQ> and the entries of P A Q come from the
+    operators' uncounted ``_pair`` and ``_take`` (a scaled identity forms no
+    product), and the sum over e runs over the stored entries of dA's CSR
+    matrix, at their ``flat_positions``.  Each dA is built once and enters
+    through two O(nnz) passes: a gather of P A Q, shared by the dA's of one
+    structure, and one CSR matvec.
     """
     _deriv_builders(problem)
     psi_params, y = problem.split(pieces.theta)
@@ -306,25 +307,23 @@ def dense_gradient(problem, pieces, p_mat):
         trace_term = misfit_term = 0.0
         if problem.dq_builders[j] is not None:
             dq_op = problem.dq_builders[j](psi_params)
-            trace_term += float(np.vdot(p_a, dq_op._apply(a.T).T))
-            misfit_term += float(s @ dq_op._apply(s))
+            trace_term += dq_op._pair(p_a, a)
+            misfit_term += dq_op._pair(s, s)
         if j == problem.noise_index:
             trace_term += float(np.trace(p_mat))
             misfit_term += float(r @ r)
         grad[j] += 0.5 * trace_term - 0.5 * misfit_term
 
     if problem.ell:
-        p_a_q = q_op._apply(p_a.T).T.reshape(-1)
+        da_ops = [builder(y) for builder in problem.da_builders]
+        # P A Q at the stored entries of each distinct dA structure, from one
+        # product with Q; the dA's of one stencil share their structure
+        structures = {id(da.flat_positions): da.flat_positions for da in da_ops}
+        p_a_q = dict(zip(structures, q_op._take(p_a, structures.values())))
         q_s = q_op._apply(s) - problem.mu_x
-        positions = gathered = None
-        for i in range(problem.ell):
-            da_op = problem.da_builders[i](y)
-            # dA's that share one CSR structure share one gather
-            if da_op.flat_positions is not positions:
-                positions = da_op.flat_positions
-                gathered = p_a_q[positions]
-            trace_term = 2.0 * float(da_op.mat.data @ gathered)
-            misfit_term = 2.0 * float(r @ (da_op.mat @ q_s))
+        for i, da in enumerate(da_ops):
+            trace_term = 2.0 * float(da.mat.data @ p_a_q[id(da.flat_positions)])
+            misfit_term = 2.0 * float(r @ (da.mat @ q_s))
             grad[problem.q_dim + i] += 0.5 * trace_term - 0.5 * misfit_term
 
     return grad

@@ -9,7 +9,9 @@ problem can report into one ledger or into separate ones, at the builder's
 choice.
 
 Every operator applies to a vector or to a block of columns through one
-``_apply``.  Every forward map is a :class:`SparseLinOp`, one CSR matrix per
+``_apply``; symmetric operators also give the dense oracle two uncounted
+reductions, ``_pair`` and ``_take``, which a scaled identity computes
+without forming a product.  Every forward map is a :class:`SparseLinOp`, one CSR matrix per
 value of its parameters, so a block of columns costs one sparse product.  The
 noise covariance sigma^2 I is the :class:`ScaledIdentityOp` that
 ``ProblemSpec.build_r`` makes, and prior covariances are :class:`DenseSymOp`
@@ -115,6 +117,23 @@ class SymOp:
     def _apply(self, v):
         raise NotImplementedError
 
+    def _pair(self, u, v):
+        """Uncounted sum over all entries of u * (v S), with S this operator.
+
+        ``u`` and ``v`` are vectors of length m, or equal-shape blocks whose
+        rows have length m.
+        """
+        return float(np.vdot(u, self._apply(v.T).T))
+
+    def _take(self, b, positions):
+        """Uncounted entries of b S at each array of row-major flat positions.
+
+        ``b`` is a block whose rows have length m; ``positions`` is an
+        iterable of index arrays, and b S is formed once for all of them.
+        """
+        product = self._apply(b.T).T.reshape(-1)
+        return [product[p] for p in positions]
+
     @property
     def matvec_count(self):
         return self.counter.count
@@ -147,6 +166,17 @@ class ScaledIdentityOp(SymOp):
 
     def _apply(self, v):
         return self.scale * v
+
+    # c I needs no product: the pairing and the entries are those of v and b, scaled
+    def _pair(self, u, v):
+        return self.scale * float(np.vdot(u, v))
+
+    def _take(self, b, positions):
+        flat = b.reshape(-1)
+        entries = [flat[p] for p in positions]
+        for e in entries:
+            e *= self.scale
+        return entries
 
 
 class LinOp:

@@ -137,3 +137,31 @@ def test_scaled_identity_ops():
     op = ScaledIdentityOp(2.0, 5)
     assert np.allclose(op.matvec(np.ones(5)), 2.0)
 
+
+
+def _random_symmetric(m):
+    g = stream(12, "sym").standard_normal((m, m))
+    return g + g.T
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda m: ScaledIdentityOp(1.7, m), lambda m: DenseSymOp(_random_symmetric(m))],
+    ids=["scaled-identity", "dense"],
+)
+def test_uncounted_pair_and_take_match_the_dense_product(make):
+    m = 6
+    op = make(m)
+    dense = op._apply(np.eye(m))
+    rng = stream(11, "pair-take")
+    u, v = rng.standard_normal((2, 4, m))
+    assert op._pair(u, v) == pytest.approx(np.sum(u * (v @ dense)), rel=1e-13)
+    x, y = rng.standard_normal((2, m))
+    assert op._pair(x, y) == pytest.approx(x @ dense @ y, rel=1e-13)
+    positions = [np.array([0, 5, 23]), np.array([7])]
+    product = (u @ dense).ravel()
+    taken = op._take(u, positions)
+    assert len(taken) == 2
+    for got, pos in zip(taken, positions):
+        assert np.allclose(got, product[pos], rtol=1e-13, atol=0.0)
+    assert op.matvec_count == 0
