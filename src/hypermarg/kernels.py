@@ -84,5 +84,6 @@ def matern_covariance(dists, amplitude, lengthscale, nu=0.5, jitter=MATERN_JITTE
     """Dense Matern covariance matrix with a small diagonal jitter."""
     mat = matern_kernel(dists, amplitude, lengthscale, nu)
     if jitter:
-        mat = mat + jitter * amplitude**2 * np.eye(mat.shape[0])
+        # onto the fresh kernel's diagonal in place, through its flat stride
+        mat.flat[:: mat.shape[0] + 1] += jitter * amplitude**2
     return mat

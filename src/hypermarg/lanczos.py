@@ -30,6 +30,7 @@ __all__ = [
 # A beta below this multiple of the operator's estimated spectral scale
 # terminates the recurrence (Krylov space exhausted).
 BREAKDOWN_RTOL = 1e-12
+_TINY = np.finfo(float).tiny
 
 
 def _tridiagonals(alpha, beta):
@@ -138,22 +139,24 @@ def lanczos_decompose(op, v, k):
     beta = np.zeros((k - 1, n))
     steps = np.full(n, k)
     active = np.ones(n, dtype=bool)
-    basis[:, 0] = vt / vnorm[:, None]
+    all_active = True
+    # q holds the current basis vectors as C-ordered rows, so the operator
+    # gets the contiguous block q.T; broken-down columns' rows stay zero
+    q = np.divide(vt, vnorm[:, None], order="C")
     q_prev = np.zeros((n, m))
     beta_prev = np.zeros(n)
     norm_est = np.zeros(n)
 
     for j in range(k):
-        q = basis[:, j]
+        basis[:, j] = q
         if j == 0:
             raw = op.matmat(v).T
             u = raw / vnorm[:, None]
             a = _row_dots(vt, raw) / vsq
         else:
-            if active.all():
+            if all_active:
                 u = op.matmat(q.T).T
             else:
-                # broken-down columns stay zero
                 u = np.zeros_like(q)
                 u[active] = op.matmat(q[active].T).T
             a = _row_dots(q, u)
@@ -168,16 +171,23 @@ def lanczos_decompose(op, v, k):
             break
         # Gershgorin row bound on T as a running scale estimate
         norm_est = np.maximum(norm_est, np.abs(a) + np.abs(beta_prev) + b)
-        dead = active & (b <= BREAKDOWN_RTOL * np.maximum(norm_est, np.finfo(float).tiny))
-        # Krylov space exhausted before the requested step count
-        steps[dead] = j + 1
-        active &= ~dead
-        if not active.any():
-            break
-        beta_prev = np.where(active, b, 0.0)
-        beta[j] = beta_prev
+        dead = active & (b <= BREAKDOWN_RTOL * np.maximum(norm_est, _TINY))
+        if dead.any():
+            # Krylov space exhausted before the requested step count
+            steps[dead] = j + 1
+            active &= ~dead
+            all_active = False
+            if not active.any():
+                break
         q_prev = q
-        basis[active, j + 1] = u[active] / b[active, None]
+        if all_active:
+            beta_prev = b
+            q = np.divide(u, b[:, None], order="C")
+        else:
+            beta_prev = np.where(active, b, 0.0)
+            q = np.zeros((n, m))
+            q[active] = u[active] / b[active, None]
+        beta[j] = beta_prev
 
     return LanczosDecomp(basis=basis, alpha=alpha, beta=beta, vnorm=vnorm, steps=steps)
 

@@ -12,9 +12,12 @@ reported costs exact.
 
 The marginal covariance  Psi(theta) = A(y) Q(psi) A(y)^T + sigma^2 I  is exposed
 as :class:`PsiOperator`; one application costs two A-applications (forward
-plus adjoint) and one Q-application by construction.
+plus adjoint), one Q- and one R-application by construction.  The legs run
+through the operators' uncounted applies, and each Psi application charges
+the ledger once per column with those same counts.
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +59,17 @@ class Box:
     def p(self):
         return self.lower.shape[0]
 
+    @functools.cached_property
+    def _slack_scale(self):
+        """max(1, |lower|, |upper|) per coordinate: the unit of ``contains``' slack."""
+        return np.maximum(1.0, np.maximum(np.abs(self.lower), np.abs(self.upper)))
+
     def contains(self, theta, slack=1e-9):
         theta = np.asarray(theta, dtype=float)
-        scale = np.maximum(1.0, np.maximum(np.abs(self.lower), np.abs(self.upper)))
+        scale = self._slack_scale
         return bool(
-            np.all(theta >= self.lower - slack * scale)
-            and np.all(theta <= self.upper + slack * scale)
+            (theta >= self.lower - slack * scale).all()
+            and (theta <= self.upper + slack * scale).all()
         )
 
     def project(self, theta):
@@ -177,11 +185,14 @@ class PsiOperator(SymOp):
         self.r_op = r_op
 
     def _apply(self, v):
-        # the legs go through the counted applies, one per column
+        # v was validated by ``matvec``/``matmat``; the legs run uncounted
+        # and are charged here, per column
         a, q, r = self.a_op, self.q_op, self.r_op
-        if v.ndim == 1:
-            return a.matvec(q.matvec(a.rmatvec(v))) + r.matvec(v)
-        return a.matmat(q.matmat(a.rmatmat(v))) + r.matmat(v)
+        k = 1 if v.ndim == 1 else v.shape[1]
+        a.counter.increment(2 * k)
+        q.counter.increment(k)
+        r.counter.increment(k)
+        return a._apply(q._apply(a._apply_t(v))) + r._apply(v)
 
 
 @dataclass

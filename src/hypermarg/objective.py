@@ -235,7 +235,8 @@ class _DerivativeActions:
         psi_params, y = problem.split(theta)
         self.problem = problem
         self.a_op = problem.build_a(y)
-        self.q_op = problem.build_q(psi_params)
+        # only the dA terms apply Q
+        self.q_op = problem.build_q(psi_params) if problem.ell else None
         self.dq_ops = [
             None if b is None else b(psi_params) for b in problem.dq_builders
         ]

@@ -6,7 +6,10 @@ construction: each symmetric operator application and each rectangular
 operator application (forward or adjoint) bumps a counter.  Counters may be
 shared between operators — a forward map and its derivative built for the same
 problem can report into one ledger or into separate ones, at the builder's
-choice.
+choice.  A composite operator may run its parts through their uncounted
+``_apply``/``_apply_t`` and charge their counters itself: ``model.PsiOperator``
+charges A, Q and R per column, in one call each, the same counts their counted
+applies would have made.
 
 Every operator applies to a vector or to a block of columns through one
 ``_apply``; symmetric operators also give the dense oracle two uncounted
@@ -146,12 +149,18 @@ class DenseSymOp(SymOp):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        atol = 1e-12 * max(1.0, np.abs(mat).max())
-        # a NaN anywhere makes the comparison false
-        if not np.abs(mat - mat.T).max() <= atol:
-            raise ValueError("matrix must be symmetric")
+        diff = mat - mat.T
+        # all zero exactly when M is symmetric and finite (an inf or a NaN
+        # entry leaves an inf or a NaN): then 0.5 (M + M^T) is M itself, and
+        # M is copied
+        exact = not diff.any()
+        if not exact:
+            atol = 1e-12 * max(1.0, np.abs(mat).max())
+            # a NaN anywhere makes the comparison false
+            if not np.abs(diff).max() <= atol:
+                raise ValueError("matrix must be symmetric")
         super().__init__(mat.shape[0], counter)
-        self.mat = 0.5 * (mat + mat.T)
+        self.mat = mat.copy() if exact else 0.5 * (mat + mat.T)
 
     def _apply(self, v):
         return self.mat @ v

@@ -67,7 +67,10 @@ def pcg_solve(op, rhs, pre=None, tol=1e-8, maxit=500, x0=None):
     PcgResult
         Solution, iteration count, a ``converged`` flag (callers decide
         whether a non-converged solve is an error), and the final relative
-        residual.
+        residual.  The steps run on the unconverged columns only; a
+        column's solution, residual and step count are written to the
+        result when it converges, and those of the columns still running
+        when the loop ends (all converged, or ``maxit`` reached).
     """
     m = op.m
     rhs = np.asarray(rhs, dtype=float)
@@ -89,7 +92,7 @@ def pcg_solve(op, rhs, pre=None, tol=1e-8, maxit=500, x0=None):
     iters = np.zeros(rhs.shape[1:], dtype=int)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    if x0 is not None and np.any(live):
+    if x0 is not None and live.any():
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != rhs.shape:
             raise ValueError("x0 must have the shape of rhs")
@@ -98,13 +101,15 @@ def pcg_solve(op, rhs, pre=None, tol=1e-8, maxit=500, x0=None):
     relres[...] = np.sqrt(dot(r, r)) / np.where(live, bnorm, 1.0)
 
     # ``cols`` picks the unconverged columns of x and of the per-column
-    # records; r, p, rz and b hold those columns only.
+    # records; xw, r, p, rz and b hold those columns only, and a column's
+    # records are written when it leaves them.  A vector is one column, and
+    # its ``cols`` is ``...``.
     if block:
         cols = np.flatnonzero(relres > tol)
-        r, b = r[:, cols], bnorm[cols]
+        xw, r, b = x[:, cols], r[:, cols], bnorm[cols]
         pending = cols.size > 0
     else:
-        cols, b = ..., bnorm
+        cols, xw, b = ..., x, bnorm
         pending = relres > tol
     if pending:
         z = precond(r)
@@ -120,11 +125,9 @@ def pcg_solve(op, rhs, pre=None, tol=1e-8, maxit=500, x0=None):
                     "operator is not positive definite"
                 )
             alpha = rz / pap
-            x[:, cols] += alpha * p
+            xw += alpha * p
             r = r - alpha * ap
             res = np.sqrt(dot(r, r)) / b
-            relres[cols] = res
-            iters[cols] = it
             done = res <= tol
             # scalar tests for a vector: array reductions cost more per step
             # than the arithmetic of a small solve
@@ -134,14 +137,18 @@ def pcg_solve(op, rhs, pre=None, tol=1e-8, maxit=500, x0=None):
             elif done.all():
                 break
             elif done.any():
+                left = cols[done]
+                x[:, left], relres[left], iters[left] = xw[:, done], res[done], it
                 keep = ~done
-                cols, r, p, rz, b = cols[keep], r[:, keep], p[:, keep], rz[keep], b[keep]
+                cols, xw, r, p = cols[keep], xw[:, keep], r[:, keep], p[:, keep]
+                rz, b = rz[keep], b[keep]
             z = precond(r)
             rz_new = dot(r, z)
             p = z + (rz_new / rz) * p
             rz = rz_new
+        x[:, cols], relres[cols], iters[cols] = xw, res, it
 
-    converged = bool(np.all(relres <= tol))
+    converged = bool((relres <= tol).all())
     if block:
         return PcgResult(x=x, iterations=int(iters.sum()), converged=converged, relres=relres)
     return PcgResult(x=x, iterations=int(iters), converged=converged, relres=float(relres))

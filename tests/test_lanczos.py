@@ -172,6 +172,33 @@ def test_batch_matches_per_probe_path():
     assert dec.quadform_log()[2] == pytest.approx(np.log(np.linalg.eigvalsh(spd)[0]), rel=1e-12)
 
 
+def test_mid_block_breakdown_leaves_the_other_columns_running():
+    # Column 2 starts in a 3-dimensional invariant subspace and breaks down
+    # after 3 steps; from there on the block takes the partial-step path.
+    m, k = 24, 10
+    op = DenseSymOp(np.diag(np.linspace(1.0, 5.0, m)))
+    w = stream(4, "mid-block").standard_normal((m, 5))
+    w[:, 2] = 0.0
+    w[[3, 9, 17], 2] = [1.0, -2.0, 0.5]
+    before = op.matvec_count
+    dec = lanczos_decompose(op, w, k)
+    assert list(dec.steps) == [k, k, 3, k, k]
+    assert op.matvec_count - before == dec.k_eff == 4 * k + 3
+    # past its breakdown a column's coefficients and basis rows are zero
+    assert np.all(dec.alpha[3:, 2] == 0.0) and np.all(dec.beta[2:, 2] == 0.0)
+    assert np.all(dec.basis[2, 3:] == 0.0)
+    # Each column is its own one-column run, to roundoff: a one-column block
+    # is contiguous, and numpy sums its row products in another order.
+    for j in range(5):
+        s = lanczos_decompose(op, w[:, [j]], k)
+        assert s.steps[0] == dec.steps[j], j
+        np.testing.assert_allclose(dec.alpha[:, j], s.alpha[:, 0], rtol=1e-12, atol=1e-13)
+        np.testing.assert_allclose(dec.beta[:, j], s.beta[:, 0], rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(dec.basis[j], s.basis[0], rtol=0.0, atol=1e-10)
+        gram = dec.basis[j, : dec.steps[j]] @ dec.basis[j, : dec.steps[j]].T
+        assert np.abs(gram - np.eye(dec.steps[j])).max() <= 1e-12, j
+
+
 def test_batch_identity_gives_zero():
     w_block = np.where(stream(2, "wi").random((10, 5)) < 0.5, -1.0, 1.0)
     vals = slq_logdet_batch(np.eye(10), w_block, 4)

@@ -76,12 +76,16 @@ def test_psi_counter_invariant():
         problem = small_problem(kind)
         theta = problem.box.project(problem.theta_true)
         psi_op = build_psi(problem, theta)
-        before = problem.counters.snapshot()
-        psi_op.matvec(np.ones(problem.m))
-        after = problem.counters.snapshot()
-        assert after["a"] - before["a"] == 2, kind
-        assert after["q"] - before["q"] == 1, kind
-        assert after["psi"] - before["psi"] == 1, kind
+        # a vector is one column; a block of k columns is charged per column
+        for apply, v, k in (
+            (psi_op.matvec, np.ones(problem.m), 1),
+            (psi_op.matmat, np.ones((problem.m, 3)), 3),
+        ):
+            before = problem.counters.snapshot()
+            apply(v)
+            after = problem.counters.snapshot()
+            charged = {key: after[key] - before[key] for key in after}
+            assert charged == {"a": 2 * k, "q": k, "r": k, "psi": k}, kind
 
 
 def test_build_psi_rejects_out_of_box():

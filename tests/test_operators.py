@@ -120,6 +120,7 @@ def test_symmetry_enforced():
         np.array([[1.0, 2.0], [2.0 + 1e-9, 1.0]]),
         np.array([[1.0, np.nan], [np.nan, 1.0]]),
         np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
     ],
 )
 def test_asymmetric_or_nan_matrix_raises(mat):
@@ -129,8 +130,22 @@ def test_asymmetric_or_nan_matrix_raises(mat):
 
 def test_symmetry_tolerance_scales_with_entries():
     # within 1e-12 of the largest entry is symmetric enough, and is symmetrized
-    op = DenseSymOp(np.array([[1e3, 2.0], [2.0 + 1e-10, 1.0]]))
+    mat = np.array([[1e3, 2.0], [2.0 + 1e-10, 1.0]])
+    op = DenseSymOp(mat)
     np.testing.assert_array_equal(op.mat, op.mat.T)
+    np.testing.assert_array_equal(op.mat, 0.5 * (mat + mat.T))
+    assert op.mat[1, 0] != mat[1, 0]
+
+
+def test_exactly_symmetric_matrix_is_stored_as_a_copy():
+    mat = _random_symmetric(6)
+    mat[2, 4] = mat[4, 2] = -0.0
+    op = DenseSymOp(mat)
+    assert op.mat.tobytes() == mat.tobytes()
+    assert not np.shares_memory(op.mat, mat)
+    stored = op.mat.copy()
+    mat[0, 1] = mat[1, 0] = 99.0
+    np.testing.assert_array_equal(op.mat, stored)
 
 
 def test_scaled_identity_ops():

@@ -81,6 +81,33 @@ def test_block_solve_charges_one_psi_apply_per_column_iteration():
     np.testing.assert_array_equal(res.x[:, 3], 0.0)
 
 
+def test_block_records_each_column_where_it_stopped():
+    # Column 0 has two eigencomponents and converges at step 2, column 1
+    # runs into maxit, column 2 is zero and takes no step.
+    d = np.logspace(0.0, 4.0, 40)
+    op = DenseSymOp(np.diag(d))
+    rhs = np.zeros((40, 3))
+    rhs[[0, 5], 0] = 1.0
+    rhs[:, 1] = 1.0
+    tol, maxit = 1e-10, 6
+    singles = [pcg_solve(op, rhs[:, j], tol=tol, maxit=maxit) for j in range(3)]
+    assert [s.iterations for s in singles] == [2, maxit, 0]
+    before = op.matvec_count
+    res = pcg_solve(op, rhs, tol=tol, maxit=maxit)
+    assert op.matvec_count - before == res.iterations == 2 + maxit
+    assert res.converged is False
+    assert res.relres[0] <= tol < res.relres[1]
+    np.testing.assert_array_equal(res.x[:, 2], 0.0)
+    assert res.relres[2] == 0.0
+    # each column's record is the residual of its own returned solution
+    bnorm = np.linalg.norm(rhs, axis=0)
+    true = np.linalg.norm(rhs - op.mat @ res.x, axis=0) / np.where(bnorm > 0, bnorm, 1.0)
+    np.testing.assert_allclose(res.relres, true, rtol=1e-6, atol=1e-14)
+    for j, s in enumerate(singles):
+        np.testing.assert_allclose(res.x[:, j], s.x, rtol=1e-12, atol=1e-15)
+        assert res.relres[j] == pytest.approx(s.relres, rel=1e-9, abs=1e-15)
+
+
 def _spd(m, seed):
     rng = stream(seed, "x0")
     a = rng.standard_normal((m, m))
