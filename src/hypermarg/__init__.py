@@ -72,7 +72,6 @@ from .bounds import (
     M3cSchedule,
     SlqPlan,
     SpectralConstants,
-    covering_number_bound,
     covering_number_log,
     estimate_spectral_constants,
     lanczos_steps_bound,

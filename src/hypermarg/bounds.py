@@ -44,7 +44,6 @@ __all__ = [
     "SpectralConstants",
     "SlqPlan",
     "M3cSchedule",
-    "covering_number_bound",
     "covering_number_log",
     "lanczos_steps_bound",
     "slq_samples_bound",
@@ -115,11 +114,6 @@ def covering_number_log(radius, eta, p):
     if eta > radius:
         return 0.0
     return p * math.log(3.0 * radius / eta)
-
-
-def covering_number_bound(radius, eta, p):
-    """The covering bound itself: max((3 r / eta)^p, 1).  May overflow to inf."""
-    return _exp_or_inf(covering_number_log(radius, eta, p))
 
 
 def lanczos_steps_bound(kappa, m, eps):

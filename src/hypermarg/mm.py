@@ -19,20 +19,24 @@ which matches G in expectation up to the theta-independent constant
 evaluate.  The anchor solves are paid once per outer iteration; the inner
 minimizer then works against a fixed sample.
 
-An audit step guards the stochastic chain: each proposed re-anchoring is
-accepted only if an independent estimate of F actually decreased, otherwise
-the anchor is kept and the probe budget is enlarged.
+Both optimizers run one outer loop: build the majorant at the anchor,
+minimize it over the box, and audit the proposal with an estimate of F that
+is fixed for the run.  A proposal that raises the audited F beyond a small
+relative slack is rejected and the anchor kept.  The exact chain builds the
+dense majorant and audits with F itself; m3c builds the sampled one, audits
+with an independent estimate, and doubles its probe budget after a
+rejection.
 """
 
 import time
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
 from .model import build_psi
 from .objective import (
     _DerivativeActions,
-    _deriv_builders,
     _pieces_at,
     dense_gradient,
     dense_objective_pieces,
@@ -88,7 +92,6 @@ def exact_surrogate_grad(problem, theta, theta_t, anchor=None, pieces=None):
     in the trace terms; ``anchor`` and ``pieces`` as in ``exact_surrogate``.
     """
     theta = np.asarray(theta, dtype=float)
-    _deriv_builders(problem)
     anchor = _pieces_at(problem, theta_t, anchor)
     pieces = _pieces_at(problem, theta, pieces)
     return dense_gradient(problem, pieces, anchor.inverse())
@@ -116,6 +119,10 @@ class StochasticSurrogate:
     pcg_iters: int = 0  # accumulated over all evaluations
     failed_trials: int = 0  # trial points whose misfit solve failed
     _cache: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def n_probes(self):
+        return self.probes.n_probes
 
     def _solve_misfit(self, theta, psi_op=None):
         """``(c, r)`` with r = Psi(theta)^{-1} c, cached for the last theta.
@@ -328,7 +335,7 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
 
 
 # ---------------------------------------------------------------------------
-# outer loops
+# the outer loop
 
 
 @dataclass
@@ -356,23 +363,91 @@ class M3cResult:
     audit_mode: str
 
 
-def _resolve_audit(problem, audit):
-    if audit == "auto":
-        return "exact" if problem.m <= DENSE_LIMIT else "slq"
-    if audit in ("exact", "slq"):
-        return audit
-    raise ValueError(f"unknown audit mode {audit!r}")
+def box_start(problem, theta0):
+    if theta0 is None:
+        return problem.box.center()
+    theta0 = np.asarray(theta0, dtype=float)
+    if not problem.box.contains(theta0):
+        raise ValueError("starting point is outside the feasible box")
+    return theta0.copy()
 
 
-def _make_auditor(problem, audit_mode, seed, audit_probes, audit_k, pcg_tol):
-    """An independent, fixed estimate of F used to accept or reject anchors."""
-    if audit_mode == "exact":
-        return lambda theta: eval_F_exact(problem, theta).value
-    probes = rademacher_probes(problem.m, audit_probes, seed, "audit")
-    k = min(audit_k, problem.m)
-    return lambda theta: eval_F_slq(
-        problem, theta, probes, k_steps=k, pcg_tol=pcg_tol
-    ).value
+def _mm_chain(
+    problem, theta0, majorant, audit_mode, audit, outer_iters, tol,
+    inner_iters, inner_tol, audit_slack_rel, callback,
+):
+    """The majorize-minimize outer loop of both optimizers.
+
+    ``majorant(t, theta_t, widen)`` builds the majorant at the anchor
+    theta_t, with ``widen`` set when the last proposal was rejected; it
+    returns an object with ``value``, ``gradient``, ``n_probes`` and
+    ``pcg_iters``.  ``projected_gradient_min`` minimizes it over the box from
+    the anchor.  The proposal is accepted, and becomes the next anchor, when
+    ``audit`` puts it at most ``audit_slack_rel * max(1, |F|)`` above the
+    anchor; one the audit cannot evaluate (a :class:`NumericalError`) is
+    rejected.  The chain converges on an accepted step of at most ``tol``
+    relative to theta, unless the inner minimizer gave up at the anchor:
+    that null step is accepted, but it is no evidence of stationarity.
+    ``callback`` gets each :class:`OuterRecord`.
+    """
+    theta = box_start(problem, theta0)
+    f_here = audit(theta)
+    records = []
+    converged = False
+    widen = False
+    for t in range(outer_iters):
+        t0 = time.perf_counter()
+        surrogate = majorant(t, theta, widen)
+        inner = projected_gradient_min(
+            surrogate.value,
+            surrogate.gradient,
+            theta,
+            problem.box,
+            max_iters=inner_iters,
+            tol=inner_tol,
+        )
+        try:
+            f_new = audit(inner.theta)
+        except NumericalError:
+            f_new = np.inf  # a proposal the audit cannot evaluate is rejected
+        slack = audit_slack_rel * max(1.0, abs(f_here))
+        accepted = f_new <= f_here + slack
+        rel_step = float(np.linalg.norm(inner.theta - theta)) / max(
+            1.0, float(np.linalg.norm(theta))
+        )
+        stuck = not inner.converged and np.array_equal(inner.theta, theta)
+        if accepted:
+            theta = inner.theta
+            f_here = f_new
+        widen = not accepted
+        records.append(
+            OuterRecord(
+                outer_iter=t,
+                theta=theta.copy(),
+                f_audit=f_here,
+                inner_iters=inner.iterations,
+                fn_evals=inner.fn_evals,
+                n_probes=surrogate.n_probes,
+                accepted=accepted,
+                rel_step=rel_step if accepted else np.nan,
+                wall_time_s=time.perf_counter() - t0,
+                pcg_iters=surrogate.pcg_iters,
+                counters=problem.counters.snapshot(),
+            )
+        )
+        if callback is not None:
+            callback(records[-1])
+        if accepted and rel_step <= tol and not stuck:
+            converged = True
+            break
+    return M3cResult(
+        theta=theta,
+        f_value=f_here,
+        converged=converged,
+        outer_iters=len(records),
+        records=records,
+        audit_mode=audit_mode,
+    )
 
 
 def mm_optimize_exact(
@@ -388,11 +463,11 @@ def mm_optimize_exact(
 
     Each outer step minimizes the exact majorant anchored at the current
     iterate; by tangency + domination the objective F is non-increasing
-    along the chain.  Dense only; desk-scale problems.
+    along the chain.  Its proposals pass the exact audit, F itself with
+    m3c's default slack of 1e-9, and the same stop test as m3c's (see
+    ``_mm_chain``), so a proposal that raises F is rejected and a null step
+    is not convergence.  Dense only; desk-scale problems.
     """
-    theta = box_start(problem, theta0)
-    records = []
-    converged = False
     last = [None]
 
     def pieces_at(th):
@@ -405,54 +480,25 @@ def mm_optimize_exact(
             last[0] = dense_objective_pieces(problem, th)
         return last[0]
 
-    f_here = eval_F_exact(problem, theta, pieces_at(theta)).value
-    for t in range(outer_iters):
-        t0 = time.perf_counter()
-        anchor = pieces_at(theta)
-        inner = projected_gradient_min(
-            lambda th: exact_surrogate(
-                problem, th, theta, anchor=anchor, pieces=pieces_at(th)
+    def majorant(t, theta_t, widen):
+        anchor = pieces_at(theta_t)
+        return SimpleNamespace(
+            value=lambda th: exact_surrogate(
+                problem, th, theta_t, anchor=anchor, pieces=pieces_at(th)
             ),
-            lambda th: exact_surrogate_grad(
-                problem, th, theta, anchor=anchor, pieces=pieces_at(th)
+            gradient=lambda th: exact_surrogate_grad(
+                problem, th, theta_t, anchor=anchor, pieces=pieces_at(th)
             ),
-            theta,
-            problem.box,
-            max_iters=inner_iters,
-            tol=inner_tol,
+            n_probes=0,
+            pcg_iters=0,
         )
-        rel_step = float(np.linalg.norm(inner.theta - theta)) / max(
-            1.0, float(np.linalg.norm(theta))
-        )
-        theta = inner.theta
-        f_here = eval_F_exact(problem, theta, pieces_at(theta)).value
-        records.append(
-            OuterRecord(
-                outer_iter=t,
-                theta=theta.copy(),
-                f_audit=f_here,
-                inner_iters=inner.iterations,
-                fn_evals=inner.fn_evals,
-                n_probes=0,
-                accepted=True,
-                rel_step=rel_step,
-                wall_time_s=time.perf_counter() - t0,
-                pcg_iters=0,
-                counters=problem.counters.snapshot(),
-            )
-        )
-        if callback is not None:
-            callback(records[-1])
-        if rel_step <= tol:
-            converged = True
-            break
-    return M3cResult(
-        theta=theta,
-        f_value=f_here,
-        converged=converged,
-        outer_iters=len(records),
-        records=records,
-        audit_mode="exact",
+
+    def audit(th):
+        return eval_F_exact(problem, th, pieces_at(th)).value
+
+    return _mm_chain(
+        problem, theta0, majorant, "exact", audit, outer_iters, tol,
+        inner_iters, inner_tol, 1e-9, callback,
     )
 
 
@@ -460,13 +506,19 @@ def mm_optimize_exact(
 PRECOND_RANK = 32
 
 
-def box_start(problem, theta0):
-    if theta0 is None:
-        return problem.box.center()
-    theta0 = np.asarray(theta0, dtype=float)
-    if not problem.box.contains(theta0):
-        raise ValueError("starting point is outside the feasible box")
-    return theta0.copy()
+def _auditor(problem, audit, seed, audit_probes, audit_k, pcg_tol):
+    """m3c's audit mode and its independent, fixed estimate of F."""
+    if audit == "auto":
+        audit = "exact" if problem.m <= DENSE_LIMIT else "slq"
+    if audit == "exact":
+        return audit, lambda theta: eval_F_exact(problem, theta).value
+    if audit != "slq":
+        raise ValueError(f"unknown audit mode {audit!r}")
+    probes = rademacher_probes(problem.m, audit_probes, seed, "audit")
+    k = min(audit_k, problem.m)
+    return audit, lambda theta: eval_F_slq(
+        problem, theta, probes, k_steps=k, pcg_tol=pcg_tol
+    ).value
 
 
 def m3c_optimize(
@@ -488,17 +540,15 @@ def m3c_optimize(
 ):
     """Stochastic majorize-minimize with per-anchor Monte-Carlo surrogates.
 
-    Per outer iteration t: draw a fresh probe block (seeded by (seed, t)),
-    pay the anchor solves, minimize the sampled majorant over the box, and
-    audit the proposal against an independent fixed estimate of F.  A
-    proposal that fails the audit is rejected: the anchor is kept, the probe
-    budget doubles, and the step does not count toward convergence.  The
-    budget stops at m: from there on the probes are the m canonical ones,
-    whose sampled trace is exact, so the surrogate is the exact majorant.  Nor
-    does a proposal that stayed at the anchor because the inner minimizer
-    gave up without converging; it is accepted as a null step.  The
-    audit is exact (dense) when the problem allows it, otherwise a fixed
-    probe set shared across all iterations keeps rejections comparable.
+    The outer loop, its audit and its stop test are ``_mm_chain``'s.  Per
+    outer iteration t, m3c draws a fresh probe block seeded by (seed, t),
+    pays the anchor solves and hands the sampled majorant to the loop.  A
+    rejected proposal says the sample was too small to trust, so the probe
+    budget doubles.  It stops at m: from there on the probes are the m
+    canonical ones, whose sampled trace is exact, so the surrogate is the
+    exact majorant.  The audit is exact (dense) when the problem allows it,
+    otherwise a fixed probe set shared across all iterations keeps
+    rejections comparable.
 
     Every CG solve is preconditioned by a randomized Nystrom preconditioner
     of rank ``min(PRECOND_RANK, m)``, built once per anchor with the noise
@@ -507,81 +557,28 @@ def m3c_optimize(
     It changes only how fast CG reaches ``pcg_tol``, not the sampled
     majorant or the audit.  Inside the inner minimization a trial point
     whose misfit solve fails is rejected by the line search (the surrogate's
-    value there is ``inf``); a proposal the audit cannot evaluate is
-    rejected; a failed solve at an anchor is a :class:`NumericalError`.
+    value there is ``inf``); a failed solve at an anchor is a
+    :class:`NumericalError`.
 
     Returns the audited chain with per-iteration cost records.
     """
-    theta = box_start(problem, theta0)
-    audit_mode = _resolve_audit(problem, audit)
-    audit_f = _make_auditor(
-        problem, audit_mode, seed, audit_probes, audit_k, pcg_tol
-    )
-    f_here = audit_f(theta)
-    records = []
-    converged = False
+    audit_mode, audit_f = _auditor(problem, audit, seed, audit_probes, audit_k, pcg_tol)
     n_now = int(n_probes)
-    for t in range(outer_iters):
-        t0 = time.perf_counter()
+
+    def majorant(t, theta_t, widen):
+        nonlocal n_now
+        if widen:
+            n_now = min(2 * n_now, problem.m)
         if n_now < problem.m:
             probes = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
             probes = canonical_probes(problem.m)
-        pre = psi_preconditioner(problem, theta, rank=PRECOND_RANK, seed=seed)
-        surrogate = build_surrogate(
-            problem, theta, probes, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
+        pre = psi_preconditioner(problem, theta_t, rank=PRECOND_RANK, seed=seed)
+        return build_surrogate(
+            problem, theta_t, probes, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )
-        inner = projected_gradient_min(
-            surrogate.value,
-            surrogate.gradient,
-            theta,
-            problem.box,
-            max_iters=inner_iters,
-            tol=inner_tol,
-        )
-        try:
-            f_new = audit_f(inner.theta)
-        except NumericalError:
-            f_new = np.inf  # a proposal the audit cannot evaluate is rejected
-        slack = audit_slack_rel * max(1.0, abs(f_here))
-        accepted = f_new <= f_here + slack
-        rel_step = float(np.linalg.norm(inner.theta - theta)) / max(
-            1.0, float(np.linalg.norm(theta))
-        )
-        # a proposal left at the anchor because the inner minimizer gave up
-        # (backtracking exhausted) is no evidence of stationarity
-        stuck = not inner.converged and np.array_equal(inner.theta, theta)
-        if accepted:
-            theta = inner.theta
-            f_here = f_new
-        else:
-            # keep the anchor; the sample was too small to trust
-            n_now = min(2 * n_now, problem.m)
-        records.append(
-            OuterRecord(
-                outer_iter=t,
-                theta=theta.copy(),
-                f_audit=f_here,
-                inner_iters=inner.iterations,
-                fn_evals=inner.fn_evals,
-                n_probes=probes.n_probes,
-                accepted=accepted,
-                rel_step=rel_step if accepted else np.nan,
-                wall_time_s=time.perf_counter() - t0,
-                pcg_iters=surrogate.pcg_iters,
-                counters=problem.counters.snapshot(),
-            )
-        )
-        if callback is not None:
-            callback(records[-1])
-        if accepted and rel_step <= tol and not stuck:
-            converged = True
-            break
-    return M3cResult(
-        theta=theta,
-        f_value=f_here,
-        converged=converged,
-        outer_iters=len(records),
-        records=records,
-        audit_mode=audit_mode,
+
+    return _mm_chain(
+        problem, theta0, majorant, audit_mode, audit_f, outer_iters, tol,
+        inner_iters, inner_tol, audit_slack_rel, callback,
     )

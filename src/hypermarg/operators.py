@@ -149,7 +149,8 @@ class DenseSymOp(SymOp):
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError("matrix must be square")
-        diff = mat - mat.T
+        with np.errstate(invalid="ignore"):  # inf - inf where an inf meets its mirror
+            diff = mat - mat.T
         # all zero exactly when M is symmetric and finite (an inf or a NaN
         # entry leaves an inf or a NaN): then 0.5 (M + M^T) is M itself, and
         # M is copied

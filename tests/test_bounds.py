@@ -10,7 +10,6 @@ from hypermarg.bounds import (
     M3cSchedule,
     SlqPlan,
     SpectralConstants,
-    covering_number_bound,
     covering_number_log,
     estimate_spectral_constants,
     lanczos_steps_bound,
@@ -50,27 +49,28 @@ class TestSpectralConstants:
 
 
 class TestCoveringBound:
+    # covering_number_log is the log of the bound max((3 r / eta)^p, 1)
+
     def test_unit_ball_unit_resolution(self):
-        assert covering_number_bound(1.0, 1.0, 3) == pytest.approx(27.0)
+        assert covering_number_log(1.0, 1.0, 3) == pytest.approx(3.0 * math.log(3.0))
 
     def test_radius_two(self):
-        assert covering_number_bound(2.0, 1.0, 1) == pytest.approx(6.0)
+        assert covering_number_log(2.0, 1.0, 1) == pytest.approx(math.log(6.0))
 
     def test_coarse_resolution_needs_one_point(self):
-        assert covering_number_bound(1.0, 1.5, 4) == 1.0
+        assert covering_number_log(1.0, 1.5, 4) == 0.0
         assert covering_number_log(1.0, math.inf, 4) == 0.0
 
     def test_log_matches_bound(self):
-        log_n = covering_number_log(3.0, 0.1, 5)
-        assert abs(math.exp(log_n) - covering_number_bound(3.0, 0.1, 5)) < 1e-6
+        assert covering_number_log(3.0, 0.1, 5) == pytest.approx(5.0 * math.log(90.0))
 
     def test_invalid_arguments_raise(self):
         with pytest.raises(ValueError):
-            covering_number_bound(-1.0, 0.5, 2)
+            covering_number_log(-1.0, 0.5, 2)
         with pytest.raises(ValueError):
-            covering_number_bound(1.0, 0.0, 2)
+            covering_number_log(1.0, 0.0, 2)
         with pytest.raises(ValueError):
-            covering_number_bound(1.0, 0.5, 0)
+            covering_number_log(1.0, 0.5, 0)
 
 
 class TestLanczosStepsBound:

@@ -72,7 +72,7 @@ class TestRunExperiment:
         assert summary["total_matvecs_Q"] == sum(int(r["matvecs_Q"]) for r in rows)
         assert summary["total_iter"] == len(rows)
         # written summary round-trips
-        on_disk = json.load(open(outdir / "summary.json"))
+        on_disk = json.loads((outdir / "summary.json").read_text())
         assert on_disk["theta_hat"] == summary["theta_hat"]
         # trace has start point + one row per outer iteration
         tfields, trows = read_csv(outdir / "theta_trace.csv")
@@ -108,8 +108,8 @@ class TestRunExperiment:
         )
         for name in ("theta_trace.csv", "xhat.bin"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-        sa = json.load(open(tmp_path / "a" / "summary.json"))
-        sb = json.load(open(tmp_path / "b" / "summary.json"))
+        sa = json.loads((tmp_path / "a" / "summary.json").read_text())
+        sb = json.loads((tmp_path / "b" / "summary.json").read_text())
         sa.pop("runtime_s"), sb.pop("runtime_s")
         assert sa == sb
 

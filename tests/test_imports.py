@@ -1,4 +1,4 @@
-"""Every name a module imports is used, and every private name is read.
+"""Every imported name is used, and every private and public name is read.
 
 No linter ships with the package's dependencies, so these are small stdlib
 ``ast`` checks.  The import check runs over the package sources
@@ -7,14 +7,19 @@ counts as used when it is read anywhere in the module or listed in its
 ``__all__``.  The private-name check runs over the package sources: a
 module-level name with one leading underscore must be read in its own
 module or imported by another package module; an import by a test does not
-count, so no private name is kept for the tests alone.  The last checks run
-in a fresh interpreter: none of the three optimizers imports
-``scipy.optimize``, and importing the package and building a tomography
-problem imports no ``scipy.spatial``.
+count, so no private name is kept for the tests alone.  The public-name
+check runs over the package sources too: a name in a module's ``__all__``
+must be read by package, demo or benchmark code, or be named in the README;
+its own definition, its ``__all__`` entry and the ``__init__.py`` re-export
+do not count, and an allowlist names the few kept public for the tests'
+sake, each with its reason.  The last checks run in a fresh interpreter:
+none of the three optimizers imports ``scipy.optimize``, and importing the
+package and building a tomography problem imports no ``scipy.spatial``.
 """
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +31,15 @@ PACKAGE = sorted(
     p for p in (ROOT / "src" / "hypermarg").glob("*.py") if p.name != "__init__.py"
 )
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = (
+    PACKAGE + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+)
+
+# public names that no package, demo or benchmark code reads, kept on purpose
+NO_READER_NEEDED = {
+    "grad_F_exact": "the dense reference gradient that tests compare others against",
+    "strip_timing": "the documented way to compare the artifacts of two reruns",
+}
 
 
 def unused_imports(source):
@@ -86,6 +100,45 @@ def unread_private_names(source, imported_elsewhere=frozenset()):
     )
 
 
+def names_read(node, skip=None):
+    """Names read in ``node`` as a variable or an attribute, outside ``skip``."""
+    if node is skip:
+        return set()
+    read = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        read.add(node.id)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        read.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        read |= names_read(child, skip)
+    return read
+
+
+def unread_public_names(source, readers=(), text=""):
+    """Names in ``__all__`` that no reader source reads and ``text`` never names.
+
+    In ``source`` itself a read counts unless it lies inside the name's own
+    top-level definition.
+    """
+    tree = ast.parse(source)
+    public, defined = [], {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = [e.value for e in node.value.elts if isinstance(e, ast.Constant)]
+    read = set().union(*(names_read(ast.parse(r)) for r in readers))
+    return [
+        name
+        for name in public
+        if name not in read
+        and not re.search(rf"\b{re.escape(name)}\b", text)
+        and name not in names_read(tree, skip=defined.get(name))
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -97,6 +150,23 @@ def test_no_unread_private_names(path):
     others.append(ROOT / "src" / "hypermarg" / "__init__.py")
     imported = set().union(*(from_imported_names(p.read_text()) for p in others))
     assert unread_private_names(path.read_text(), imported) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_public_name_has_a_reader(path):
+    readers = [p.read_text() for p in READERS if p != path]
+    readme = (ROOT / "README.md").read_text()
+    unread = unread_public_names(path.read_text(), readers, readme)
+    assert [name for name in unread if name not in NO_READER_NEEDED] == []
+
+
+def test_every_allowlisted_public_name_still_lacks_a_reader():
+    readme = (ROOT / "README.md").read_text()
+    unread = set()
+    for path in PACKAGE:
+        readers = [p.read_text() for p in READERS if p != path]
+        unread.update(unread_public_names(path.read_text(), readers, readme))
+    assert unread == set(NO_READER_NEEDED)
 
 
 def test_checker_flags_an_unused_name():
@@ -111,6 +181,21 @@ def test_checker_flags_an_unread_private_name():
     )
     assert unread_private_names(source) == [(2, "_B"), (3, "_C"), (5, "_f"), (7, "_K")]
     assert unread_private_names(source, {"_B", "_K"}) == [(3, "_C"), (5, "_f")]
+
+
+def test_checker_flags_a_public_name_without_a_reader():
+    source = (
+        '__all__ = ["f", "g", "h", "K", "L"]\n'
+        "def f():\n    return f\n"
+        "def g():\n    pass\n"
+        "def h():\n    pass\n"
+        "class K:\n    pass\n"
+        "class L:\n    pass\n"
+        "def run():\n    return K()\n"
+    )
+    assert unread_public_names(source) == ["f", "g", "h", "L"]
+    reader = "import mod\nmod.g()\n"
+    assert unread_public_names(source, [reader], "call `h` first") == ["f", "L"]
 
 
 def modules_after(script, prefix):

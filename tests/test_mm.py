@@ -503,6 +503,45 @@ class TestExactMMChain:
         with pytest.raises(ValueError, match="box"):
             mm_optimize_exact(problem, theta0=bad)
 
+    def test_null_step_from_stalled_inner_loop_is_not_convergence(self, monkeypatch):
+        # An inner loop that gives up at the anchor proposes a step of 0;
+        # the audit accepts it, but it must not count as convergence.
+        def stalled(fun, grad, theta0, box, **kwargs):
+            theta = np.array(theta0, dtype=float)
+            return InnerResult(
+                theta=theta, value=fun(theta), iterations=1, fn_evals=1,
+                grad_evals=0, converged=False, stop="line_search",
+            )
+
+        monkeypatch.setattr(hypermarg.mm, "projected_gradient_min", stalled)
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=4)
+        out = mm_optimize_exact(problem, outer_iters=3)
+        assert not out.converged
+        assert out.outer_iters == 3
+        assert all(rec.accepted and rec.rel_step == 0.0 for rec in out.records)
+
+    def test_proposal_that_raises_the_audited_f_is_rejected(self, monkeypatch):
+        # Each audit reads 1e6 higher than the one before, so no proposal
+        # passes: every one is rejected and the chain stays at its start.
+        real = hypermarg.mm.eval_F_exact
+        calls = []
+
+        def rising(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.value += 1e6 * len(calls)
+            calls.append(None)
+            return out
+
+        monkeypatch.setattr(hypermarg.mm, "eval_F_exact", rising)
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=4)
+        start = problem.box.center()
+        out = mm_optimize_exact(problem, outer_iters=3)
+        assert len(calls) == 4
+        assert [rec.accepted for rec in out.records] == [False, False, False]
+        assert all(np.isnan(rec.rel_step) for rec in out.records)
+        np.testing.assert_array_equal(out.theta, start)
+        assert not out.converged
+
 
 class TestM3cChain:
     def test_descends_and_mostly_accepts(self):

@@ -123,6 +123,7 @@ def test_symmetry_enforced():
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
     ],
 )
+@pytest.mark.filterwarnings("error")
 def test_asymmetric_or_nan_matrix_raises(mat):
     with pytest.raises(ValueError, match="symmetric"):
         DenseSymOp(mat)
