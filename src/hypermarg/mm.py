@@ -25,7 +25,10 @@ is fixed for the run.  A proposal that raises the audited F beyond a small
 relative slack is rejected and the anchor kept.  The exact chain builds the
 dense majorant and audits with F itself; m3c builds the sampled one, audits
 with an independent estimate, and doubles its probe budget after a
-rejection.
+rejection.  Each inner minimization starts its line search from the step
+the last one ended with, and stops halving at the scale of its tolerance:
+a sampled majorant's value is only as good as its misfit solve, and below
+that scale a failed trial says nothing.
 """
 
 import time
@@ -232,14 +235,19 @@ class InnerResult:
     fn_evals: int
     grad_evals: int
     converged: bool
-    stop: str  # "move", "flat", "stationary", "line_search" or "max_iters"
+    # "move", "flat" or "stationary" (converged), "line_search" (no step
+    # found at the start point, or the halvings ran out) or "max_iters"
+    stop: str
+    step: float  # the first trial step of the next iteration, were there one
 
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
 
 
-def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, callback=None):
+def projected_gradient_min(
+    fun, grad, theta0, box, max_iters=100, tol=1e-6, callback=None, step0=None
+):
     """Projected gradient descent with Armijo backtracking on a box.
 
     Coordinates with a positive lower bound move in u = log theta (Rasmussen
@@ -247,24 +255,34 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
     is theta * g; the others move in theta.  ``fun`` and ``grad`` see the
     start point exactly as given (after projection), every later point
     clipped into the box.  Armijo's test uses c = 1e-4 along the projected
-    path, and the step halves up to 40 times.
+    path, and a failed trial halves the step.  The halving stops once a
+    finite trial fails with a step d in u of at most ``tol`` relative to u:
+    no step the loop would count as a move is left to find.  A trial valued
+    inf or NaN gives no such evidence, so there the step halves up to 40
+    times.
 
-    The first trial step is max(1, |u0|)/max(1, |g_u0|).  After that it is
-    the Barzilai-Borwein step of the last accepted move d in u and the change
-    y in the u-gradient (Barzilai & Borwein 1988): d'd/d'y on odd iterations
-    and d'y/y'y on even ones, alternating the long and short forms as in
-    projected BB methods (Dai & Fletcher 2005), clipped to [1e-10, 1e10].
+    The first trial step is ``step0``, or max(1, |u0|)/max(1, |g_u0|) when
+    that is None.  After that it is the Barzilai-Borwein step of the last
+    accepted move d in u and the change y in the u-gradient (Barzilai &
+    Borwein 1988): d'd/d'y on odd iterations and d'y/y'y on even ones,
+    alternating the long and short forms as in projected BB methods (Dai &
+    Fletcher 2005), clipped to [1e-10, 1e10].
     When d'y <= 0 the step instead doubles after an unhindered success and
     stays after a backtracked one.
 
     ``stop`` says why the loop ended.  It converged on ``"move"`` (the
-    accepted step in u is below ``tol`` relative to u), ``"flat"`` (the
-    accepted step left f unchanged, so Armijo passed only within f's
-    resolution) or ``"stationary"`` (the projected step is null: theta is
-    stationary on the box).  It did not on ``"line_search"`` (the halvings
-    ran out, and theta is the last accepted point) or ``"max_iters"``.
-    ``callback(theta, f)`` runs at the end of every iteration, after its
-    last evaluation.
+    accepted step in u is below ``tol`` relative to u, or, after a move, the
+    line search stopped at that scale), ``"flat"`` (the accepted step left f
+    unchanged, so Armijo passed only within f's resolution) or
+    ``"stationary"`` (the projected step is null: theta is stationary on the
+    box).  It did not on ``"line_search"`` (the line search found no step
+    from the start point, which comes back bit for bit, or its halvings ran
+    out after a move, and theta is the last accepted point) or
+    ``"max_iters"``.  ``step`` is the trial step the next iteration would
+    start from, for a later call on a nearby function to take as ``step0``
+    (spectral projected gradient carries its step across iterations the
+    same way: Birgin, Martinez & Raydan 2000).  ``callback(theta, f)`` runs
+    at the end of every iteration, after its last evaluation.
     """
     log = box.lower > 0
     lo = np.log(box.lower, out=box.lower.copy(), where=log)
@@ -276,7 +294,7 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
     grad_evals = 0
     g_u = None
     g_prev = None
-    step = None
+    step = step0
     stop = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
@@ -284,15 +302,16 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
             g_u = grad(theta)
             grad_evals += 1
             g_u = np.where(log, theta * g_u, g_u)
-        if step is None:
-            step = max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(g_u)))
-        else:  # every iteration after the first follows an accepted step d
+        if it > 1:  # every iteration after the first follows an accepted step d
             y = g_u - g_prev
             dy = float(np.dot(d, y))
             if dy > 0:
                 bb = float(np.dot(d, d)) / dy if it % 2 else dy / float(np.dot(y, y))
                 step = min(max(bb, 1e-10), 1e10)
+        elif step is None:
+            step = max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(g_u)))
         s = step
+        floor = tol * max(1.0, float(np.linalg.norm(u)))
         accepted = False
         for backtracks in range(_MAX_BACKTRACKS):
             u_cand = np.clip(u - s * g_u, lo, hi)
@@ -305,6 +324,11 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
             fn_evals += 1
             if f_cand <= f + _ARMIJO_C * float(np.dot(g_u, d)):
                 accepted = True
+                break
+            if np.isfinite(f_cand) and float(np.linalg.norm(d)) <= floor:
+                # after a move this is a move below tol; at the start point,
+                # no evidence of stationarity
+                stop = "move" if it > 1 else "line_search"
                 break
             s *= 0.5
         else:
@@ -331,6 +355,7 @@ def projected_gradient_min(fun, grad, theta0, box, max_iters=100, tol=1e-6, call
         grad_evals=grad_evals,
         converged=stop in ("move", "flat", "stationary"),
         stop=stop,
+        step=step,
     )
 
 
@@ -344,6 +369,7 @@ class OuterRecord:
     theta: np.ndarray
     f_audit: float
     inner_iters: int
+    inner_stop: str  # the InnerResult.stop of the inner minimization
     fn_evals: int
     n_probes: int
     accepted: bool
@@ -395,6 +421,7 @@ def _mm_chain(
     records = []
     converged = False
     widen = False
+    step = None
     for t in range(outer_iters):
         t0 = time.perf_counter()
         surrogate = majorant(t, theta, widen)
@@ -405,7 +432,9 @@ def _mm_chain(
             problem.box,
             max_iters=inner_iters,
             tol=inner_tol,
+            step0=step,
         )
+        step = inner.step
         try:
             f_new = audit(inner.theta)
         except NumericalError:
@@ -426,6 +455,7 @@ def _mm_chain(
                 theta=theta.copy(),
                 f_audit=f_here,
                 inner_iters=inner.iterations,
+                inner_stop=inner.stop,
                 fn_evals=inner.fn_evals,
                 n_probes=surrogate.n_probes,
                 accepted=accepted,
@@ -468,20 +498,22 @@ def mm_optimize_exact(
     ``_mm_chain``), so a proposal that raises F is rejected and a null step
     is not convergence.  Dense only; desk-scale problems.
     """
-    last = [None]
+    held = {"anchor": None, "last": None}
 
     def pieces_at(th):
-        # one factorization serves the value, gradient and audit at a point
-        # and the anchor it becomes next
-        if last[0] is None or not np.array_equal(last[0].theta, th):
-            # the anchor keeps its own pieces: release the old point's first,
-            # so that at most two points' pieces are alive at once
-            last[0] = None
-            last[0] = dense_objective_pieces(problem, th)
-        return last[0]
+        # one factorization serves the value, gradient and audit at a point,
+        # the anchor it becomes next, and that anchor for as long as it stays
+        for key in held:
+            if held[key] is not None and np.array_equal(held[key].theta, th):
+                return held[key]
+        # release the old point's pieces first, so that at most two points'
+        # pieces (the anchor's and the last point's) are alive at once
+        held["last"] = None
+        held["last"] = dense_objective_pieces(problem, th)
+        return held["last"]
 
     def majorant(t, theta_t, widen):
-        anchor = pieces_at(theta_t)
+        anchor = held["anchor"] = pieces_at(theta_t)
         return SimpleNamespace(
             value=lambda th: exact_surrogate(
                 problem, th, theta_t, anchor=anchor, pieces=pieces_at(th)

@@ -336,7 +336,6 @@ def grad_F_exact(problem, theta, pieces=None):
     ``pieces`` may carry the :class:`DensePieces` already built at ``theta``.
     """
     theta = np.asarray(theta, dtype=float)
-    _deriv_builders(problem)
     pieces = _pieces_at(problem, theta, pieces)
     return dense_gradient(problem, pieces, pieces.inverse())
 

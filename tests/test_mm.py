@@ -457,6 +457,67 @@ class TestProjectedGradient:
         assert out.converged and out.stop == "move"
 
 
+    def test_line_search_stops_at_the_noise_floor_after_a_move(self):
+        # f is a smooth bowl plus a sawtooth of height 1e-7 and period 1e-4,
+        # as a value computed by an iterative solve is only good to its
+        # tolerance.  Near the minimum at 0.37 the sawtooth outweighs the
+        # slope, so every trial short of the next tooth fails Armijo, down
+        # to the 40th halving.  A step below tol would be no move anyway, so
+        # the line search stops at that scale and the loop has converged.
+        box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
+        seen = []
+
+        def fun(t):
+            seen.append(None)
+            return float(2.0 * np.sinh((t[0] - 0.37) / 2.0) ** 2 + 1e-7 * ((t[0] / 1e-4) % 1.0))
+
+        ends = []
+        out = projected_gradient_min(
+            fun,
+            lambda t: np.array([np.sinh(t[0] - 0.37)]),
+            np.array([-3.0]),
+            box,
+            callback=lambda t, f: ends.append(len(seen)),
+        )
+        assert out.converged and out.stop == "move"
+        assert out.iterations > 1
+        assert ends[-1] - ends[-2] < 20  # the last iteration's trials
+        assert abs(out.theta[0] - 0.37) < 1e-3
+
+    def test_start_point_with_only_roundoff_scale_descent_is_returned(self):
+        # Only steps of 1e-10 or less in theta descend from theta0 = 10: the
+        # line search stops at the tolerance scale, far above that, without
+        # a move and without evidence of stationarity.
+        box = Box(lower=np.array([0.05]), upper=np.array([30.0]))
+        theta0 = np.array([10.0])
+        seen = []
+
+        def fun(t):
+            seen.append(None)
+            return -(t[0] - 10.0) if t[0] - 10.0 <= 1e-10 else 1.0
+
+        out = projected_gradient_min(fun, lambda t: np.array([-1.0]), theta0, box)
+        assert not out.converged and out.stop == "line_search"
+        assert out.iterations == 1
+        assert out.theta.tobytes() == theta0.tobytes()
+        assert out.fn_evals == len(seen) < 41
+
+    def test_first_trial_step_is_step0_when_given(self):
+        box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
+        seen = []
+
+        def fun(t):
+            seen.append(t[0])
+            return 0.5 * (t[0] - 3.0) ** 2
+
+        out = projected_gradient_min(
+            fun, lambda t: np.array([t[0] - 3.0]), np.array([0.0]), box,
+            max_iters=1, step0=0.25,
+        )
+        assert seen[1] == 0.75  # 0 - 0.25 * (0 - 3), accepted at once
+        assert out.step == 0.5  # an unhindered success doubles the step
+
+
 class TestExactMMChain:
     def test_monotone_descent_on_tomo(self):
         problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=4)
@@ -510,7 +571,7 @@ class TestExactMMChain:
             theta = np.array(theta0, dtype=float)
             return InnerResult(
                 theta=theta, value=fun(theta), iterations=1, fn_evals=1,
-                grad_evals=0, converged=False, stop="line_search",
+                grad_evals=0, converged=False, stop="line_search", step=1.0,
             )
 
         monkeypatch.setattr(hypermarg.mm, "projected_gradient_min", stalled)
@@ -533,6 +594,14 @@ class TestExactMMChain:
             return out
 
         monkeypatch.setattr(hypermarg.mm, "eval_F_exact", rising)
+        built = []
+        real_pieces = hypermarg.mm.dense_objective_pieces
+
+        def spy(problem, theta, *args, **kwargs):
+            built.append(np.array(theta).tobytes())
+            return real_pieces(problem, theta, *args, **kwargs)
+
+        monkeypatch.setattr(hypermarg.mm, "dense_objective_pieces", spy)
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=4)
         start = problem.box.center()
         out = mm_optimize_exact(problem, outer_iters=3)
@@ -541,9 +610,28 @@ class TestExactMMChain:
         assert all(np.isnan(rec.rel_step) for rec in out.records)
         np.testing.assert_array_equal(out.theta, start)
         assert not out.converged
+        # the kept anchor keeps its factorization across the rejections
+        assert built.count(start.tobytes()) == 1
 
 
 class TestM3cChain:
+    def test_each_inner_loop_starts_from_the_last_ones_step(self, monkeypatch):
+        real = hypermarg.mm.projected_gradient_min
+        given, ended = [], []
+
+        def recorder(*args, step0=None, **kwargs):
+            given.append(step0)
+            out = real(*args, step0=step0, **kwargs)
+            ended.append(out.step)
+            return out
+
+        monkeypatch.setattr(hypermarg.mm, "projected_gradient_min", recorder)
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
+        out = m3c_optimize(problem, outer_iters=4, n_probes=8, seed=5)
+        assert len(given) == out.outer_iters >= 3
+        assert given == [None] + ended[:-1]
+        assert all(step > 0 for step in ended)
+
     def test_descends_and_mostly_accepts(self):
         problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=8)
         f0 = eval_F_exact(problem, problem.box.center()).value
@@ -653,10 +741,10 @@ class TestM3cChain:
         assert out.f_value < eval_F_exact(problem, problem.box.center()).value
 
     def test_null_step_from_stalled_inner_loop_is_not_convergence(self):
-        # From the box center the inner loop exhausts its backtracking and
-        # proposes the anchor itself; the audit accepts that null step, but
-        # it is no evidence of stationarity (the exact gradient there has
-        # norm about 190).
+        # From the box center an inner loop finds no step above its
+        # tolerance scale and proposes the anchor itself; the audit accepts
+        # that null step, but it is no evidence of stationarity (the exact
+        # gradient there has norm about 190).
         problem = superres_problem(s=16, decim=2, frames=2, seed=0)
         center = problem.box.center()
         out = m3c_optimize(problem, theta0=center, outer_iters=4, seed=0)
@@ -690,6 +778,42 @@ class TestConvergesInLogTheta:
         assert out.converged
         assert eval_F_exact(problem, out.theta).value <= -339.9
         assert time.time() - t0 < 150, "runtime budget of 150 s exceeded"
+
+
+class TestQuickStartM3c:
+    """What the quick start's m3c run costs and records."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        stops = []
+        real = hypermarg.mm.projected_gradient_min
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            stops.append(out.stop)
+            return out
+
+        problem = make_test_problem("tomo", s=8, n_src=8, n_rec=9, seed=0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypermarg.mm, "projected_gradient_min", spy)
+            out = m3c_optimize(
+                problem, problem.box.center(), outer_iters=25, n_probes=16, seed=0
+            )
+        return problem, out, stops
+
+    def test_surrogate_evaluations_stay_within_budget(self, run):
+        # 1,044 evaluations and 64,253 Psi applications when each line
+        # search halved up to 40 times at the misfit solve's noise floor and
+        # every inner loop guessed its first step afresh
+        problem, out, _ = run
+        assert out.converged
+        assert sum(rec.fn_evals for rec in out.records) <= 700
+        assert problem.counters.snapshot()["psi"] <= 48_000
+
+    def test_records_carry_the_inner_stop(self, run):
+        _, out, stops = run
+        assert [rec.inner_stop for rec in out.records] == stops
+        assert set(stops) <= {"move", "flat", "stationary", "line_search", "max_iters"}
 
 
 class TestInnerLoopsFinishBelowTheirCaps:
