@@ -534,10 +534,6 @@ def mm_optimize_exact(
     )
 
 
-# rank of m3c's per-anchor Nystrom preconditioner, capped at m
-PRECOND_RANK = 32
-
-
 def _auditor(problem, audit, seed, audit_probes, audit_k, pcg_tol):
     """m3c's audit mode and its independent, fixed estimate of F."""
     if audit == "auto":
@@ -583,14 +579,16 @@ def m3c_optimize(
     rejections comparable.
 
     Every CG solve is preconditioned by a randomized Nystrom preconditioner
-    of rank ``min(PRECOND_RANK, m)``, built once per anchor with the noise
-    variance as its shift (Frangella, Tropp & Udell 2023); it serves the
-    anchor's probe solves and every misfit solve of that outer iteration.
-    It changes only how fast CG reaches ``pcg_tol``, not the sampled
-    majorant or the audit.  Inside the inner minimization a trial point
-    whose misfit solve fails is rejected by the line search (the surrogate's
-    value there is ``inf``); a failed solve at an anchor is a
-    :class:`NumericalError`.
+    of rank ``min(64, m)`` (``objective.PRECOND_RANK``), built once per
+    anchor with the noise variance as its shift (Frangella, Tropp & Udell
+    2023); it serves the anchor's probe solves and every misfit solve of
+    that outer iteration.  Rank 64 holds all of A Q A^T on the quick-start
+    tomo problem (n = 64), where rank 32 left CG to find the rest of its
+    spectrum.  The preconditioner changes only how fast CG reaches
+    ``pcg_tol``, not the sampled majorant or the audit.  Inside the inner
+    minimization a trial point whose misfit solve fails is rejected by the
+    line search (the surrogate's value there is ``inf``); a failed solve at
+    an anchor is a :class:`NumericalError`.
 
     Returns the audited chain with per-iteration cost records.
     """
@@ -605,7 +603,7 @@ def m3c_optimize(
             probes = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
             probes = canonical_probes(problem.m)
-        pre = psi_preconditioner(problem, theta_t, rank=PRECOND_RANK, seed=seed)
+        pre = psi_preconditioner(problem, theta_t, seed=seed)
         return build_surrogate(
             problem, theta_t, probes, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )

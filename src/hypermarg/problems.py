@@ -330,15 +330,19 @@ def tomo_problem(
     def a_builder(y):
         return a_shared
 
+    @functools.lru_cache(maxsize=1)
+    def covariance(amplitude, lengthscale):
+        # Q and dQ/dth2 at the same (th2, th3) read one kernel evaluation
+        cov = matern_covariance(dists, amplitude, lengthscale, nu)
+        cov.flags.writeable = False
+        return cov
+
     def q_builder(psi):
-        return DenseSymOp(matern_covariance(dists, psi[1], psi[2], nu), ledger.q)
+        return DenseSymOp(covariance(psi[1], psi[2]), ledger.q)
 
     def dq_dth2(psi):
         # Q scales as th2^2 (jitter included), so dQ/dth2 = 2 Q / th2
-        return DenseSymOp(
-            (2.0 / psi[1]) * matern_covariance(dists, psi[1], psi[2], nu),
-            MatvecCounter(),
-        )
+        return DenseSymOp((2.0 / psi[1]) * covariance(psi[1], psi[2]), MatvecCounter())
 
     def dq_dth3(psi):
         return DenseSymOp(matern_dlengthscale(dists, psi[1], psi[2], nu), MatvecCounter())

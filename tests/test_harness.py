@@ -372,9 +372,11 @@ class TestCliExitCodes:
         assert "theta0" in err and "outside the feasible box" in err
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
-        # m = 72 exceeds the preconditioner's rank 32, so one CG step cannot converge
+        # A Q A^T has rank n = 81 > 64, the preconditioner's rank, so one CG
+        # step leaves the anchor solves unconverged (at s=8, n = 64 and the
+        # preconditioner holds all of A Q A^T: one step converges)
         cfg = {
-            "problem": {"kind": "tomo", "s": 8, "n_src": 8, "n_rec": 9, "seed": 0},
+            "problem": {"kind": "tomo", "s": 9, "n_src": 8, "n_rec": 9, "seed": 0},
             "method": {
                 "name": "m3c",
                 "outer_iters": 2,

@@ -12,7 +12,9 @@ check runs over the package sources too: a name in a module's ``__all__``
 must be read by package, demo or benchmark code, or be named in the README;
 its own definition, its ``__all__`` entry and the ``__init__.py`` re-export
 do not count, and an allowlist names the few kept public for the tests'
-sake, each with its reason.  The last checks run in a fresh interpreter:
+sake, each with its reason.  ``nystrom.py`` must not use ``scipy.linalg``,
+so the preconditioner build stays in numpy's BLAS.  The last checks run in
+a fresh interpreter:
 none of the three optimizers imports ``scipy.optimize``, and importing the
 package and building a tomography problem imports no ``scipy.spatial``.
 """
@@ -237,3 +239,45 @@ import hypermarg
 hypermarg.tomo_problem(s=8, n_src=8, n_rec=9, seed=0)
 """
     assert modules_after(script, "scipy.spatial") == "[]"
+
+
+def scipy_linalg_uses(source):
+    """Line numbers where ``source`` imports ``scipy.linalg`` or reads ``scipy.linalg``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr == "linalg"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "scipy"
+        ):
+            names = ["scipy.linalg"]
+        else:
+            continue
+        if any(n == "scipy.linalg" or n.startswith("scipy.linalg.") for n in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_nystrom_build_uses_numpy_blas_only():
+    # scipy bundles an OpenBLAS of its own: a scipy.linalg call between
+    # numpy's products makes two BLAS thread pools contend for the same
+    # cores, which made the sketch's triangular solve several times slower
+    source = (ROOT / "src" / "hypermarg" / "nystrom.py").read_text()
+    assert scipy_linalg_uses(source) == []
+
+
+def test_checker_flags_every_form_of_scipy_linalg():
+    source = (
+        "import scipy.linalg\n"
+        "from scipy import linalg\n"
+        "from scipy.linalg import solve_triangular\n"
+        "import scipy\n"
+        "scipy.linalg.cholesky\n"
+        "import numpy.linalg\n"
+    )
+    assert scipy_linalg_uses(source) == [1, 2, 3, 5]

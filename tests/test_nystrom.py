@@ -94,3 +94,17 @@ def test_apply_inverse_matches_dense_inverse_for_vectors_and_blocks(rank):
         assert out.shape == x.shape
         ref = inverse @ x
         assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_full_rank_sketch_inverts_the_operator():
+    # at rank m the sketch holds all of C, so P = C + shift * I is the operator itself
+    m = 48
+    rng = stream(8, "full")
+    g = rng.standard_normal((m, m))
+    shift = 0.05
+    op = DenseSymOp(g @ g.T + shift * np.eye(m))
+    pre = nystrom_preconditioner(op, shift, m, seed=8)
+    assert pre.rank == m
+    v = rng.standard_normal(m)
+    out = pre.apply_inverse(op.mat @ v)
+    assert np.linalg.norm(out - v) <= 1e-10 * np.linalg.norm(v)
