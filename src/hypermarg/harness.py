@@ -101,9 +101,9 @@ def run_experiment(cfg):
     to the optimizer.  Per-row matvec columns in metrics.csv are counter
     deltas between the optimizer's records, the first taken from a
     snapshot just before the call, so their column sums equal the ledger
-    movement of the run exactly; the reconstruction solve happens after
-    the last record and is deliberately off the books.  Returns the
-    summary dict.
+    movement of the run exactly; the reconstruction solve, with the
+    method's ``pcg_tol`` and ``pcg_maxit``, happens after the last record
+    and is deliberately off the books.  Returns the summary dict.
     """
     cfg = validate_run_config(cfg)
     problem = _build_problem(cfg["problem"])
@@ -127,7 +127,8 @@ def run_experiment(cfg):
     write_csv(os.path.join(outdir, "metrics.csv"), fields, rows)
     write_theta_trace(os.path.join(outdir, "theta_trace.csv"), theta0, result.records)
 
-    xhat = reconstruct(problem, result.theta, pcg_tol=method.get("pcg_tol", 1e-8))
+    solve = {"pcg_tol": method.get("pcg_tol", 1e-8), "maxit": method.get("pcg_maxit", 500)}
+    xhat = reconstruct(problem, result.theta, **solve)
     write_xhat(os.path.join(outdir, "xhat.bin"), xhat)
     rel_error = None
     if problem.x_true is not None:

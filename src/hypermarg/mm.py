@@ -28,7 +28,8 @@ with an independent estimate, and doubles its probe budget after a
 rejection.  Each inner minimization starts its line search from the step
 the last one ended with, and stops halving at the scale of its tolerance:
 a sampled majorant's value is only as good as its misfit solve, and below
-that scale a failed trial says nothing.
+that scale a failed trial says nothing.  A trial whose evaluation raises
+:class:`NumericalError` is backtracked from there too, for all optimizers.
 """
 
 import time
@@ -120,7 +121,6 @@ class StochasticSurrogate:
     pcg_tol: float = 1e-8
     pcg_maxit: int = 500
     pcg_iters: int = 0  # accumulated over all evaluations
-    failed_trials: int = 0  # trial points whose misfit solve failed
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -159,21 +159,14 @@ class StochasticSurrogate:
     def value(self, theta):
         """G_hat(theta): one Psi(theta) application per probe, plus a solve.
 
-        A trial point other than the anchor whose misfit solve fails gets
-        the value ``inf``, so a line search backtracks from it; at the
-        anchor the failure is a :class:`NumericalError`.
+        A failed misfit solve raises :class:`NumericalError` at the anchor as
+        at a trial point; ``projected_gradient_min`` backtracks from the latter.
         """
         theta = np.asarray(theta, dtype=float)
         psi_op = build_psi(self.problem, theta)
         psi_w = psi_op.matmat(self.probes.w)
         quad = float(np.sum(self.z * psi_w)) / (2.0 * self.probes.n_probes)
-        try:
-            c, r = self._solve_misfit(theta, psi_op)
-        except NumericalError:
-            if np.array_equal(theta, self.theta_t):
-                raise
-            self.failed_trials += 1
-            return np.inf
+        c, r = self._solve_misfit(theta, psi_op)
         return self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
 
     def gradient(self, theta):
@@ -232,8 +225,9 @@ class InnerResult:
     theta: np.ndarray
     value: float
     iterations: int
-    fn_evals: int
+    fn_evals: int  # evaluations of fun that returned a value
     grad_evals: int
+    failed_trials: int  # line-search trial points whose evaluation raised
     converged: bool
     # "move", "flat" or "stationary" (converged), "line_search" (no step
     # found at the start point, or the halvings ran out) or "max_iters"
@@ -258,8 +252,9 @@ def projected_gradient_min(
     path, and a failed trial halves the step.  The halving stops once a
     finite trial fails with a step d in u of at most ``tol`` relative to u:
     no step the loop would count as a move is left to find.  A trial valued
-    inf or NaN gives no such evidence, so there the step halves up to 40
-    times.
+    inf or NaN, or at which ``fun`` raises :class:`NumericalError` (counted
+    in ``failed_trials``), gives no such evidence, so there the step halves
+    up to 40 times; that error at the start point, or from ``grad``, propagates.
 
     The first trial step is ``step0``, or max(1, |u0|)/max(1, |g_u0|) when
     that is None.  After that it is the Barzilai-Borwein step of the last
@@ -292,6 +287,7 @@ def projected_gradient_min(
     f = fun(theta)
     fn_evals = 1
     grad_evals = 0
+    failed_trials = 0
     g_u = None
     g_prev = None
     step = step0
@@ -320,8 +316,12 @@ def projected_gradient_min(
                 stop = "stationary"
                 break
             cand = box.project(np.where(log, np.exp(u_cand), u_cand))
-            f_cand = fun(cand)
-            fn_evals += 1
+            try:
+                f_cand = fun(cand)
+                fn_evals += 1
+            except NumericalError:
+                f_cand = np.inf
+                failed_trials += 1
             if f_cand <= f + _ARMIJO_C * float(np.dot(g_u, d)):
                 accepted = True
                 break
@@ -353,6 +353,7 @@ def projected_gradient_min(
         iterations=it,
         fn_evals=fn_evals,
         grad_evals=grad_evals,
+        failed_trials=failed_trials,
         converged=stop in ("move", "flat", "stationary"),
         stop=stop,
         step=step,
@@ -371,6 +372,7 @@ class OuterRecord:
     inner_iters: int
     inner_stop: str  # the InnerResult.stop of the inner minimization
     fn_evals: int
+    failed_trials: int  # the InnerResult.failed_trials of the inner minimization
     n_probes: int
     accepted: bool
     rel_step: float
@@ -398,9 +400,15 @@ def box_start(problem, theta0):
     return theta0.copy()
 
 
+# The audit passes a proposal that raises F by at most this, relative to
+# max(1, |F|): room for rounding in F at a proposal a tiny step from the
+# anchor, and far below the decreases an MM chain makes.
+AUDIT_SLACK_REL = 1e-9
+
+
 def _mm_chain(
     problem, theta0, majorant, audit_mode, audit, outer_iters, tol,
-    inner_iters, inner_tol, audit_slack_rel, callback,
+    inner_iters, inner_tol, callback,
 ):
     """The majorize-minimize outer loop of both optimizers.
 
@@ -408,12 +416,13 @@ def _mm_chain(
     theta_t, with ``widen`` set when the last proposal was rejected; it
     returns an object with ``value``, ``gradient``, ``n_probes`` and
     ``pcg_iters``.  ``projected_gradient_min`` minimizes it over the box from
-    the anchor.  The proposal is accepted, and becomes the next anchor, when
-    ``audit`` puts it at most ``audit_slack_rel * max(1, |F|)`` above the
-    anchor; one the audit cannot evaluate (a :class:`NumericalError`) is
-    rejected.  The chain converges on an accepted step of at most ``tol``
-    relative to theta, unless the inner minimizer gave up at the anchor:
-    that null step is accepted, but it is no evidence of stationarity.
+    the anchor, backtracking from trial points whose value raises.  The
+    proposal is accepted, and becomes the next anchor, when ``audit`` puts
+    it at most ``AUDIT_SLACK_REL * max(1, |F|)`` above the anchor; one the
+    audit cannot evaluate (a :class:`NumericalError`) is rejected.  The
+    chain converges on an accepted step of at most ``tol`` relative to
+    theta, unless the inner minimizer gave up at the anchor: that null step
+    is accepted, but it is no evidence of stationarity.
     ``callback`` gets each :class:`OuterRecord`.
     """
     theta = box_start(problem, theta0)
@@ -439,7 +448,7 @@ def _mm_chain(
             f_new = audit(inner.theta)
         except NumericalError:
             f_new = np.inf  # a proposal the audit cannot evaluate is rejected
-        slack = audit_slack_rel * max(1.0, abs(f_here))
+        slack = AUDIT_SLACK_REL * max(1.0, abs(f_here))
         accepted = f_new <= f_here + slack
         rel_step = float(np.linalg.norm(inner.theta - theta)) / max(
             1.0, float(np.linalg.norm(theta))
@@ -457,6 +466,7 @@ def _mm_chain(
                 inner_iters=inner.iterations,
                 inner_stop=inner.stop,
                 fn_evals=inner.fn_evals,
+                failed_trials=inner.failed_trials,
                 n_probes=surrogate.n_probes,
                 accepted=accepted,
                 rel_step=rel_step if accepted else np.nan,
@@ -494,7 +504,7 @@ def mm_optimize_exact(
     Each outer step minimizes the exact majorant anchored at the current
     iterate; by tangency + domination the objective F is non-increasing
     along the chain.  Its proposals pass the exact audit, F itself with
-    m3c's default slack of 1e-9, and the same stop test as m3c's (see
+    m3c's slack ``AUDIT_SLACK_REL``, and the same stop test as m3c's (see
     ``_mm_chain``), so a proposal that raises F is rejected and a null step
     is not convergence.  Dense only; desk-scale problems.
     """
@@ -530,7 +540,7 @@ def mm_optimize_exact(
 
     return _mm_chain(
         problem, theta0, majorant, "exact", audit, outer_iters, tol,
-        inner_iters, inner_tol, 1e-9, callback,
+        inner_iters, inner_tol, callback,
     )
 
 
@@ -563,7 +573,6 @@ def m3c_optimize(
     audit="auto",
     audit_probes=32,
     audit_k=30,
-    audit_slack_rel=1e-9,
     callback=None,
 ):
     """Stochastic majorize-minimize with per-anchor Monte-Carlo surrogates.
@@ -586,9 +595,9 @@ def m3c_optimize(
     tomo problem (n = 64), where rank 32 left CG to find the rest of its
     spectrum.  The preconditioner changes only how fast CG reaches
     ``pcg_tol``, not the sampled majorant or the audit.  Inside the inner
-    minimization a trial point whose misfit solve fails is rejected by the
-    line search (the surrogate's value there is ``inf``); a failed solve at
-    an anchor is a :class:`NumericalError`.
+    minimization a trial point whose misfit solve fails is backtracked from
+    by the line search and counted in ``OuterRecord.failed_trials``; a
+    failed solve at an anchor is a :class:`NumericalError`.
 
     Returns the audited chain with per-iteration cost records.
     """
@@ -610,5 +619,5 @@ def m3c_optimize(
 
     return _mm_chain(
         problem, theta0, majorant, audit_mode, audit_f, outer_iters, tol,
-        inner_iters, inner_tol, audit_slack_rel, callback,
+        inner_iters, inner_tol, callback,
     )

@@ -16,11 +16,10 @@ inputs retraces the same arithmetic.
 
 Each theta is evaluated once per run: a finite-difference base point the
 line search has just accepted reads the value already computed.  Armijo
-steps never increase F_hat, and there is one record per iteration.  A trial
-point whose misfit solve does not converge has F_hat = inf, so the line
-search backtracks from it; at the start point, or next to the iterate in a
-finite difference, the failure raises
-:class:`~hypermarg.operators.NumericalError`.
+steps never increase F_hat, and there is one record per iteration.  The
+box minimizer backtracks from a trial point whose misfit solve raises
+:class:`~hypermarg.operators.NumericalError`; at the start point, or next
+to the iterate in a finite difference, the error ends the run.
 """
 
 import time
@@ -53,7 +52,8 @@ class SaaResult:
     f_value: float  # F_hat at the returned point
     converged: bool
     iterations: int
-    fn_evals: int
+    fn_evals: int  # distinct thetas evaluated successfully
+    failed_trials: int  # line-search trial points whose evaluation raised
     records: list
 
 
@@ -76,7 +76,8 @@ def saa_optimize(
     never redrawn.  One projected-gradient run of at most ``max_iters``
     iterations minimizes it, leaving one record per iteration.  Gradients
     are forward differences of F_hat, so the only linear algebra is Lanczos
-    quadrature and CG.  ``fn_evals`` counts distinct thetas.
+    quadrature and CG.  ``fn_evals`` counts distinct thetas evaluated,
+    ``failed_trials`` those whose evaluation raised.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
@@ -90,32 +91,19 @@ def saa_optimize(
     def fhat(th):
         key = th.tobytes()
         if key not in seen:
-            try:
-                res = eval_F_slq(
-                    problem,
-                    th,
-                    probes,
-                    k_steps=k_steps,
-                    pcg_tol=pcg_tol,
-                    pcg_maxit=pcg_maxit,
-                )
-            except NumericalError:
-                if not seen:  # the start point
-                    raise
-                seen[key] = np.inf
-            else:
-                pcg_iters[0] += res.pcg_iterations
-                seen[key] = res.value
+            res = eval_F_slq(
+                problem, th, probes, k_steps=k_steps, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
+            )
+            pcg_iters[0] += res.pcg_iterations
+            seen[key] = res.value
         return seen[key]
 
     def grad(th):
-        g = grad_fd(fhat, th, problem.box, eps_rel=grad_eps)
-        if not np.all(np.isfinite(g)):
-            raise NumericalError(
-                f"finite-difference gradient at theta={th} is not finite: "
-                "the misfit solve failed at a neighbouring point"
-            )
-        return g
+        try:
+            return grad_fd(fhat, th, problem.box, eps_rel=grad_eps)
+        except NumericalError as exc:
+            msg = f"finite-difference gradient at theta={th} failed at a neighbour: {exc}"
+            raise NumericalError(msg) from exc
 
     records = []
     mark = [time.perf_counter(), 0, 0]  # wall time, evaluations, CG iterations
@@ -146,5 +134,6 @@ def saa_optimize(
         converged=inner.converged,
         iterations=inner.iterations,
         fn_evals=len(seen),
+        failed_trials=inner.failed_trials,
         records=records,
     )

@@ -143,6 +143,23 @@ class TestRunExperiment:
         keys = set(schema) - {"name", "theta0"}
         assert keys <= set(params), sorted(keys - set(params))
 
+    def test_reconstruction_solves_with_the_configured_cg_settings(self, tmp_path, monkeypatch):
+        # metrics.csv is written before the reconstruction, so a solve that
+        # stopped at its own iteration cap would end a finished run with no
+        # summary.json
+        real = harness.reconstruct
+        settings = []
+
+        def spy(*args, **kwargs):
+            bound = inspect.signature(real).bind(*args, **kwargs)
+            bound.apply_defaults()
+            settings.append((bound.arguments["pcg_tol"], bound.arguments["maxit"]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reconstruct", spy)
+        run_experiment(run_cfg(tmp_path / "run", pcg_tol=1e-9, pcg_maxit=777))
+        assert settings == [(1e-9, 777)]
+
     def test_tomo_reconstruction_improves(self, tmp_path):
         cfg = {
             "problem": {"kind": "tomo", "s": 6, "n_src": 5, "n_rec": 6, "seed": 0},

@@ -13,8 +13,10 @@ must be read by package, demo or benchmark code, or be named in the README;
 its own definition, its ``__all__`` entry and the ``__init__.py`` re-export
 do not count, and an allowlist names the few kept public for the tests'
 sake, each with its reason.  ``nystrom.py`` must not use ``scipy.linalg``,
-so the preconditioner build stays in numpy's BLAS.  The last checks run in
-a fresh interpreter:
+so the preconditioner build stays in numpy's BLAS.  ``NumericalError`` is
+caught only at the few sites that own a failure rule, so a bad trial point
+is handled in one place for every optimizer.  The last checks run in a
+fresh interpreter:
 none of the three optimizers imports ``scipy.optimize``, and importing the
 package and building a tomography problem imports no ``scipy.spatial``.
 """
@@ -41,6 +43,14 @@ READERS = (
 NO_READER_NEEDED = {
     "grad_F_exact": "the dense reference gradient that tests compare others against",
     "strip_timing": "the documented way to compare the artifacts of two reruns",
+}
+
+# the only functions that catch NumericalError, each once, with what it does
+NUMERICAL_ERROR_HANDLERS = {
+    ("mm.py", "projected_gradient_min"): "backtracks from a trial point that raises",
+    ("mm.py", "_mm_chain"): "rejects a proposal the audit cannot evaluate",
+    ("saa.py", "saa_optimize.grad"): "names the finite-difference gradient that failed",
+    ("cli.py", "main"): "exits with status 3",
 }
 
 
@@ -214,6 +224,48 @@ def modules_after(script, prefix):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
+
+
+def numerical_error_handlers(source):
+    """Qualified names of the functions whose ``except`` clauses name ``NumericalError``.
+
+    One entry per clause, in source order; ``<module>`` for a clause outside
+    any function or class.
+    """
+    sites = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (
+                isinstance(child, ast.ExceptHandler)
+                and child.type is not None
+                and "NumericalError" in names_read(child.type)
+            ):
+                sites.append(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sites
+
+
+def test_numerical_error_is_caught_only_where_a_failure_rule_lives():
+    found = [(p.name, site) for p in PACKAGE for site in numerical_error_handlers(p.read_text())]
+    assert sorted(found) == sorted(NUMERICAL_ERROR_HANDLERS)
+
+
+def test_checker_finds_every_numerical_error_handler():
+    source = (
+        "def f():\n    try:\n        pass\n    except NumericalError:\n        pass\n"
+        "class K:\n    def g(self):\n        def h():\n            try:\n"
+        "                pass\n            except (ValueError, ops.NumericalError):\n"
+        "                pass\n"
+        "try:\n    pass\nexcept ValueError:\n    pass\n"
+        "try:\n    pass\nexcept NumericalError as exc:\n    pass\n"
+    )
+    assert numerical_error_handlers(source) == ["f", "K.g.h", "<module>"]
 
 
 def test_optimizers_do_not_import_scipy_optimize():

@@ -14,6 +14,7 @@ from hypermarg import (
 )
 from hypermarg.mm import (
     InnerResult,
+    StochasticSurrogate,
     build_surrogate,
     exact_surrogate,
     exact_surrogate_grad,
@@ -187,18 +188,32 @@ class TestStochasticSurrogate:
                 problem, problem.theta_true, probes, pcg_tol=1e-14, pcg_maxit=1
             )
 
-    def test_failed_trial_solve_is_inf_and_failed_anchor_solve_raises(self):
+    def test_failed_misfit_solve_raises_and_m3c_backtracks_from_it(self, monkeypatch):
         problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=1)
         theta_t = problem.theta_true
         probes = rademacher_probes(problem.m, 2, seed=0)
         surrogate = build_surrogate(problem, theta_t, probes, pcg_tol=1e-14)
         surrogate.pcg_maxit = 1
-        trial = problem.box.project(1.1 * theta_t)
-        assert surrogate.value(trial) == np.inf
-        assert surrogate.failed_trials == 1
-        with pytest.raises(NumericalError, match="misfit solve"):
-            surrogate.value(theta_t)
-        assert surrogate.failed_trials == 1
+        for theta in (problem.box.project(1.1 * theta_t), theta_t):
+            with pytest.raises(NumericalError, match="misfit solve"):
+                surrogate.value(theta)
+        # In a run, every misfit solve below half the start's noise variance
+        # fails: the line search backtracks from those trial points, the
+        # records count them, and the run completes above that floor.
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=0)
+        start = problem.box.center()
+        real = StochasticSurrogate._solve_misfit
+
+        def failing(self, theta, psi_op=None):
+            if theta[0] < 0.5 * start[0]:
+                raise NumericalError("misfit solve stalled")
+            return real(self, theta, psi_op)
+
+        monkeypatch.setattr(StochasticSurrogate, "_solve_misfit", failing)
+        out = m3c_optimize(problem, outer_iters=4, n_probes=4, seed=0)
+        assert out.records[0].failed_trials > 0
+        assert out.theta[0] >= 0.5 * start[0]
+        assert out.f_value < eval_F_exact(problem, start).value
 
     def test_warm_started_value_matches_cold_within_cg_tolerance(self):
         problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=5)
@@ -329,6 +344,28 @@ class TestProjectedGradient:
         assert out.converged
         assert out.iterations == 1
         assert out.theta[0] == 0.0
+
+    def test_trial_point_that_raises_is_backtracked_from(self):
+        # The minimizer 2 lies above the failing region t < 1, and the first
+        # trial from 10 lands at 0: that trial raises, the step halves, and
+        # the run still converges.  A failure at the start point propagates.
+        box = Box(lower=np.array([-5.0]), upper=np.array([20.0]))
+        failed = []
+
+        def fun(t):
+            if t[0] < 1.0:
+                failed.append(t[0])
+                raise NumericalError("misfit solve stalled")
+            return 0.5 * float((t[0] - 2.0) ** 2)
+
+        grad = lambda t: np.array([t[0] - 2.0])
+        out = projected_gradient_min(fun, grad, np.array([10.0]), box, tol=1e-12)
+        assert failed[0] == 0.0
+        assert out.failed_trials == len(failed) > 0
+        assert out.converged
+        assert abs(out.theta[0] - 2.0) < 1e-8
+        with pytest.raises(NumericalError, match="misfit solve"):
+            projected_gradient_min(fun, grad, np.array([0.5]), box)
 
     def test_descent_against_active_bound_stops(self):
         # minimum at -3, box floor at 0: iterates pin to the floor and the
@@ -571,7 +608,8 @@ class TestExactMMChain:
             theta = np.array(theta0, dtype=float)
             return InnerResult(
                 theta=theta, value=fun(theta), iterations=1, fn_evals=1,
-                grad_evals=0, converged=False, stop="line_search", step=1.0,
+                grad_evals=0, failed_trials=0, converged=False,
+                stop="line_search", step=1.0,
             )
 
         monkeypatch.setattr(hypermarg.mm, "projected_gradient_min", stalled)
@@ -612,6 +650,25 @@ class TestExactMMChain:
         assert not out.converged
         # the kept anchor keeps its factorization across the rejections
         assert built.count(start.tobytes()) == 1
+
+    def test_trial_whose_factorization_fails_is_backtracked_from(self, monkeypatch):
+        # Every factorization below half the start's noise variance fails.
+        # The line search backtracks from those trial points, the records
+        # count them, and the chain completes above that floor.
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=0)
+        start = problem.box.center()
+        real = hypermarg.mm.dense_objective_pieces
+
+        def failing(problem, theta, *args, **kwargs):
+            if theta[0] < 0.5 * start[0]:
+                raise NumericalError("dense Psi factorization failed")
+            return real(problem, theta, *args, **kwargs)
+
+        monkeypatch.setattr(hypermarg.mm, "dense_objective_pieces", failing)
+        out = mm_optimize_exact(problem)
+        assert sum(rec.failed_trials for rec in out.records) > 0
+        assert out.theta[0] >= 0.5 * start[0]
+        assert out.f_value < eval_F_exact(problem, start).value
 
 
 class TestM3cChain:
@@ -654,14 +711,8 @@ class TestM3cChain:
         # rejection path deterministically.  The doubling stops at m = 15,
         # where the probes are the canonical ones.
         assert problem.m == 15
-        out = m3c_optimize(
-            problem,
-            theta0=theta0,
-            outer_iters=3,
-            n_probes=4,
-            seed=1,
-            audit_slack_rel=-100.0,
-        )
+        monkeypatch.setattr(hypermarg.mm, "AUDIT_SLACK_REL", -100.0)
+        out = m3c_optimize(problem, theta0=theta0, outer_iters=3, n_probes=4, seed=1)
         assert not out.converged
         assert all(not rec.accepted for rec in out.records)
         assert [rec.n_probes for rec in out.records] == [4, 8, 15]

@@ -110,6 +110,7 @@ class TestSaaOptimize:
         monkeypatch.setattr(hypermarg.saa, "eval_F_slq", failing(lambda t: t < 2.0))
         out = saa_optimize(problem, theta0=np.array([10.0]), **kw)
         assert failed and out.converged
+        assert out.failed_trials == len(failed)
         assert abs(out.theta[0] - 10.0 / 3.0) < 1e-6
         # a failure at the start point is an error
         with pytest.raises(NumericalError, match="misfit solve"):
