@@ -10,7 +10,7 @@ from .operators import (
     SparseLinOp,
     SymOp,
 )
-from .probes import ProbeSet, canonical_probes, rademacher_probes
+from .probes import canonical_probes, rademacher_probes
 from .lanczos import (
     LanczosDecomp,
     lanczos_decompose,

@@ -211,8 +211,9 @@ def m3c_sample_schedule(eps0, delta, rho, n_iters, m, p, radius, constants):
 
         N_t = ceil( 16 (2 sF^2 + eps_t s2) / eps_t^2 * ln(2 gamma_t / delta_t) ),
 
-    gamma_t the covering bound at resolution eps_t alpha / (12 r m L)
-    ... i.e. with radius-proportional argument (12 r m L / (eps_t alpha))^p.
+    with gamma_t the covering bound at resolution eta_t = eps_t alpha / (4 m L):
+    log gamma_t = p ln(3 r / eta_t) = p ln(12 r m L / (eps_t alpha)) when that
+    is positive, and 0 otherwise (and for a theta-independent Psi, L = 0).
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must be in (0, 1)")
@@ -252,17 +253,27 @@ def m3c_sample_schedule(eps0, delta, rho, n_iters, m, p, radius, constants):
 # empirical constants
 
 
-def _sample_thetas(box, n_samples, seed, max_vertices=32):
+# estimate_spectral_constants' budgets: at most this many box vertices
+# (all of them when there are no more), and on the matrix-free path the
+# Lanczos depth for the eigenvalue extremes (capped at m), the power
+# iterations per secant and the Hutchinson probes per Frobenius norm
+MAX_VERTICES = 32
+LANCZOS_K = 30
+POWER_ITERS = 40
+FROB_PROBES = 16
+
+
+def _sample_thetas(box, n_samples, seed):
     """Box vertices (which realize the extremes for monotone families) plus
     seeded interior points."""
     p = box.p
     thetas = []
-    if 2**p <= max_vertices:
+    if 2**p <= MAX_VERTICES:
         for corner in itertools.product(*zip(box.lower, box.upper)):
             thetas.append(np.array(corner, dtype=float))
     else:
         rng = stream(seed, "constants", "vertices")
-        for _ in range(max_vertices):
+        for _ in range(MAX_VERTICES):
             pick = rng.integers(0, 2, size=p).astype(bool)
             thetas.append(np.where(pick, box.upper, box.lower).astype(float))
     rng = stream(seed, "constants", "interior")
@@ -285,23 +296,17 @@ def _power_norm(apply, m, iters, rng):
     return est
 
 
-def estimate_spectral_constants(
-    problem,
-    n_samples=8,
-    seed=0,
-    lanczos_k=30,
-    power_iters=40,
-    frob_probes=16,
-):
+def estimate_spectral_constants(problem, n_samples=8, seed=0):
     """Empirical SpectralConstants for a problem's covariance family.
 
-    Evaluates Psi at the box vertices and ``n_samples`` seeded interior
-    points; ``alpha``/``beta`` are the observed eigenvalue extremes,
-    ``frob_max``/``two_max`` the observed norm maxima, and ``lipschitz`` the
-    steepest observed secant |Psi(t) - Psi(t')|_2 / |t - t'| over sample
+    Evaluates Psi at up to ``MAX_VERTICES`` box vertices and ``n_samples``
+    seeded interior points; ``alpha``/``beta`` are the observed eigenvalue
+    extremes, ``frob_max``/``two_max`` the observed norm maxima, and
+    ``lipschitz`` the steepest observed secant |Psi(t) - Psi(t')|_2 / |t - t'| over sample
     pairs.  Up to ``DENSE_LIMIT`` rows each sample is measured exactly on
-    the dense oracle's Psi; larger problems use Lanczos extremes,
-    Hutchinson Frobenius estimates, and power iteration on differences.
+    the dense oracle's Psi; larger problems use Lanczos extremes
+    (``LANCZOS_K`` steps), Hutchinson Frobenius estimates (``FROB_PROBES``
+    probes) and power iteration on differences (``POWER_ITERS`` steps).
     Sampled extremes are diagnostics, not certified bounds.
     """
     thetas = _sample_thetas(problem.box, n_samples, seed)
@@ -324,7 +329,7 @@ def estimate_spectral_constants(
             lipschitz = max(lipschitz, dpsi / dt)
     else:
         ops = [build_psi(problem, th) for th in thetas]
-        k = min(lanczos_k, problem.m)
+        k = min(LANCZOS_K, problem.m)
         rng = stream(seed, "constants", "vectors")
         for op in ops:
             v = rng.standard_normal((op.m, 1))
@@ -332,7 +337,7 @@ def estimate_spectral_constants(
             ritz = np.linalg.eigvalsh(decomp.tridiagonal())
             alpha = min(alpha, float(ritz[0]))
             beta = max(beta, float(ritz[-1]))
-            w = rademacher_probes(op.m, frob_probes, seed, "constants").w
+            w = rademacher_probes(op.m, FROB_PROBES, seed, "constants")
             frob_sq = float(np.mean(np.sum(op.matmat(w) ** 2, axis=0)))
             frob_max = max(frob_max, math.sqrt(frob_sq))
         lipschitz = 0.0
@@ -346,7 +351,7 @@ def estimate_spectral_constants(
                 continue
             a, b = ops[ia], ops[ib]
             dpsi = _power_norm(
-                lambda v: a.matvec(v) - b.matvec(v), problem.m, power_iters, rng
+                lambda v: a.matvec(v) - b.matvec(v), problem.m, POWER_ITERS, rng
             )
             lipschitz = max(lipschitz, dpsi / dt)
     two_max = beta

@@ -168,9 +168,6 @@ _M3C_SCHEMA = dict(
     outer_iters=_POS_INT,
     inner_iters=_POS_INT,
     inner_tol=_POS_NUM,
-    audit=((str,), lambda v: None if v in ("auto", "exact", "slq") else "must be auto/exact/slq"),
-    audit_probes=_POS_INT,
-    audit_k=_POS_INT,
 )
 
 _SAA_SCHEMA = dict(
@@ -279,9 +276,11 @@ def validate_bench_config(cfg):
     out = dict(block)
     out.setdefault("matrix_seed", 0)
     out.setdefault("seed", 0)
+    if out["matrix_kind"] == "identity" and "kappa" in out:
+        raise ConfigError("trace_bench.kappa is only valid for matrix_kind 'spd-logdet'")
     out.setdefault("kappa", 1.0)
-    if out["matrix_kind"] == "spd-logdet" and out["kappa"] < 1.0:
-        raise ConfigError("trace_bench.kappa must be >= 1 for the SPD family")
+    if out["mode"] == "bound" and "k_steps" in out:
+        raise ConfigError("trace_bench.k_steps is only valid in sweep mode")
     if out["mode"] == "sweep":
         if "sweep_probes" not in out:
             raise ConfigError("trace_bench.sweep_probes is required in sweep mode")

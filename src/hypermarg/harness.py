@@ -127,7 +127,7 @@ def run_experiment(cfg):
     write_csv(os.path.join(outdir, "metrics.csv"), fields, rows)
     write_theta_trace(os.path.join(outdir, "theta_trace.csv"), theta0, result.records)
 
-    solve = {"pcg_tol": method.get("pcg_tol", 1e-8), "maxit": method.get("pcg_maxit", 500)}
+    solve = {k: method[k] for k in ("pcg_tol", "pcg_maxit") if k in method}
     xhat = reconstruct(problem, result.theta, **solve)
     write_xhat(os.path.join(outdir, "xhat.bin"), xhat)
     rel_error = None
@@ -215,18 +215,18 @@ def trace_bench(cfg):
     One row per trial: the estimate, its absolute error, and the accuracy
     budget it was sized for.  In ``bound`` mode N and K come from the
     sample-complexity calculators at (eps, delta); in ``sweep`` mode N
-    runs over ``sweep_probes`` (K from the depth bound unless pinned),
-    which is how the error-vs-N decay is measured.  The ``seed`` column
-    is the per-trial probe stream tag.
+    runs over ``sweep_probes`` (K from the depth bound unless ``k_steps``
+    pins it), which is how the error-vs-N decay is measured.  The ``seed``
+    column is the per-trial probe stream tag.
     """
     cfg = validate_bench_config(cfg)
     tb = cfg["trace_bench"]
     outdir = _ensure_outdir(cfg["output"])
 
-    kappa = 1.0 if tb["matrix_kind"] == "identity" else float(tb["kappa"])
+    kappa = float(tb["kappa"])  # 1 for the identity, which takes no kappa
     mat = logdet_test_matrix(tb["m"], kappa, seed=tb["matrix_seed"])
     eps, delta = float(tb["eps"]), float(tb["delta"])
-    k_bound = lanczos_steps_bound(max(kappa, 1.0), tb["m"], eps)
+    k_bound = lanczos_steps_bound(kappa, tb["m"], eps)
 
     if tb["mode"] == "bound":
         n_bound = slq_samples_bound(eps, delta, tb["m"], p=1, radius=1.0, constants=mat.constants())
@@ -237,7 +237,7 @@ def trace_bench(cfg):
 
     rows = []
     for trial, (n_probes, k) in enumerate(plan):
-        w = rademacher_probes(mat.m, n_probes, tb["seed"], "bench", trial).w
+        w = rademacher_probes(mat.m, n_probes, tb["seed"], "bench", trial)
         est = float(slq_logdet_batch(mat.mat, w, k=min(k, mat.m)).mean())
         rows.append(
             {

@@ -80,10 +80,9 @@ def matern_dlengthscale(dists, amplitude, lengthscale, nu=0.5):
     return a2 * (s**2 * (1.0 + s) / (3.0 * lengthscale)) * np.exp(-s)
 
 
-def matern_covariance(dists, amplitude, lengthscale, nu=0.5, jitter=MATERN_JITTER):
-    """Dense Matern covariance matrix with a small diagonal jitter."""
+def matern_covariance(dists, amplitude, lengthscale, nu=0.5):
+    """Dense Matern covariance matrix with the diagonal jitter ``MATERN_JITTER``."""
     mat = matern_kernel(dists, amplitude, lengthscale, nu)
-    if jitter:
-        # onto the fresh kernel's diagonal in place, through its flat stride
-        mat.flat[:: mat.shape[0] + 1] += jitter * amplitude**2
+    # onto the fresh kernel's diagonal in place, through its flat stride
+    mat.flat[:: mat.shape[0] + 1] += MATERN_JITTER * amplitude**2
     return mat

@@ -69,10 +69,10 @@ class LanczosDecomp:
         """Lanczos steps run, summed over the columns."""
         return int(np.sum(self.steps))
 
-    def tridiagonal(self, j=0):
-        """The steps[j] x steps[j] tridiagonal matrix of column j's run."""
-        s = self.steps[j]
-        return _tridiagonals(self.alpha[:s, j : j + 1], self.beta[: s - 1, j : j + 1])[0]
+    def tridiagonal(self):
+        """The tridiagonal matrix of the first column's run, steps[0] on a side."""
+        s = self.steps[0]
+        return _tridiagonals(self.alpha[:s, :1], self.beta[: s - 1, :1])[0]
 
     def quadform_log(self):
         """||v_j||^2 * e_1^T log(T_j) e_1, one value per column j."""

@@ -115,7 +115,7 @@ class StochasticSurrogate:
 
     problem: object
     theta_t: np.ndarray
-    probes: object
+    w: np.ndarray  # (m, N) probe block W
     z: np.ndarray  # (m, N) anchor solves Psi_t^{-1} W
     pre: object = None
     pcg_tol: float = 1e-8
@@ -125,7 +125,7 @@ class StochasticSurrogate:
 
     @property
     def n_probes(self):
-        return self.probes.n_probes
+        return self.w.shape[1]
 
     def _solve_misfit(self, theta, psi_op=None):
         """``(c, r)`` with r = Psi(theta)^{-1} c, cached for the last theta.
@@ -164,8 +164,8 @@ class StochasticSurrogate:
         """
         theta = np.asarray(theta, dtype=float)
         psi_op = build_psi(self.problem, theta)
-        psi_w = psi_op.matmat(self.probes.w)
-        quad = float(np.sum(self.z * psi_w)) / (2.0 * self.probes.n_probes)
+        psi_w = psi_op.matmat(self.w)
+        quad = float(np.sum(self.z * psi_w)) / (2.0 * self.n_probes)
         c, r = self._solve_misfit(theta, psi_op)
         return self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
 
@@ -174,8 +174,8 @@ class StochasticSurrogate:
         theta = np.asarray(theta, dtype=float)
         problem = self.problem
         actions = _DerivativeActions(problem, theta)
-        d_w = actions.apply_all(self.probes.w)  # (p, m, N)
-        quad = np.einsum("jmn,mn->j", d_w, self.z) / (2.0 * self.probes.n_probes)
+        d_w = actions.apply_all(self.w)  # (p, m, N)
+        quad = np.einsum("jmn,mn->j", d_w, self.z) / (2.0 * self.n_probes)
         c, r = self._solve_misfit(theta)
         misfit_terms = actions.apply_all(r) @ r
         da_mu = actions.forward_deriv_mu()
@@ -184,19 +184,17 @@ class StochasticSurrogate:
         return problem.prior.grad_neglog(theta) + quad - 0.5 * misfit_terms
 
 
-def build_surrogate(
-    problem, theta_t, probes, pre=None, pcg_tol=1e-8, pcg_maxit=500
-):
+def build_surrogate(problem, theta_t, w, pre=None, pcg_tol=1e-8, pcg_maxit=500):
     """Anchor the sampled majorant: solve z_i = Psi(theta_t)^{-1} w_i.
 
-    One column-batched CG call solves for all probes.  The solves are the
-    per-iteration price of the method and must be trustworthy, so a
-    non-converged solve is a hard error.  The solved block is the
-    surrogate's ``z``.
+    ``w`` is the (m, N) probe block; one column-batched CG call solves for
+    all its columns.  The solves are the per-iteration price of the method
+    and must be trustworthy, so a non-converged solve is a hard error.  The
+    solved block is the surrogate's ``z``.
     """
     theta_t = np.asarray(theta_t, dtype=float)
     psi_t = build_psi(problem, theta_t)
-    res = pcg_solve(psi_t, probes.w, pre=pre, tol=pcg_tol, maxit=pcg_maxit)
+    res = pcg_solve(psi_t, w, pre=pre, tol=pcg_tol, maxit=pcg_maxit)
     if not res.converged:
         i = int(np.argmax(res.relres))
         raise NumericalError(
@@ -206,7 +204,7 @@ def build_surrogate(
     surrogate = StochasticSurrogate(
         problem=problem,
         theta_t=theta_t.copy(),
-        probes=probes,
+        w=w,
         z=res.x,
         pre=pre,
         pcg_tol=pcg_tol,
@@ -388,7 +386,6 @@ class M3cResult:
     converged: bool
     outer_iters: int
     records: list
-    audit_mode: str
 
 
 def box_start(problem, theta0):
@@ -407,8 +404,7 @@ AUDIT_SLACK_REL = 1e-9
 
 
 def _mm_chain(
-    problem, theta0, majorant, audit_mode, audit, outer_iters, tol,
-    inner_iters, inner_tol, callback,
+    problem, theta0, majorant, audit, outer_iters, tol, inner_iters, inner_tol
 ):
     """The majorize-minimize outer loop of both optimizers.
 
@@ -423,7 +419,6 @@ def _mm_chain(
     chain converges on an accepted step of at most ``tol`` relative to
     theta, unless the inner minimizer gave up at the anchor: that null step
     is accepted, but it is no evidence of stationarity.
-    ``callback`` gets each :class:`OuterRecord`.
     """
     theta = box_start(problem, theta0)
     f_here = audit(theta)
@@ -475,8 +470,6 @@ def _mm_chain(
                 counters=problem.counters.snapshot(),
             )
         )
-        if callback is not None:
-            callback(records[-1])
         if accepted and rel_step <= tol and not stuck:
             converged = True
             break
@@ -486,7 +479,6 @@ def _mm_chain(
         converged=converged,
         outer_iters=len(records),
         records=records,
-        audit_mode=audit_mode,
     )
 
 
@@ -497,7 +489,6 @@ def mm_optimize_exact(
     tol=1e-6,
     inner_iters=100,
     inner_tol=1e-8,
-    callback=None,
 ):
     """Deterministic majorize-minimize with dense surrogates (oracle chain).
 
@@ -539,24 +530,23 @@ def mm_optimize_exact(
         return eval_F_exact(problem, th, pieces_at(th)).value
 
     return _mm_chain(
-        problem, theta0, majorant, "exact", audit, outer_iters, tol,
-        inner_iters, inner_tol, callback,
+        problem, theta0, majorant, audit, outer_iters, tol, inner_iters, inner_tol
     )
 
 
-def _auditor(problem, audit, seed, audit_probes, audit_k, pcg_tol):
-    """m3c's audit mode and its independent, fixed estimate of F."""
-    if audit == "auto":
-        audit = "exact" if problem.m <= DENSE_LIMIT else "slq"
-    if audit == "exact":
-        return audit, lambda theta: eval_F_exact(problem, theta).value
-    if audit != "slq":
-        raise ValueError(f"unknown audit mode {audit!r}")
-    probes = rademacher_probes(problem.m, audit_probes, seed, "audit")
-    k = min(audit_k, problem.m)
-    return audit, lambda theta: eval_F_slq(
-        problem, theta, probes, k_steps=k, pcg_tol=pcg_tol
-    ).value
+# m3c's SLQ audit, used above DENSE_LIMIT rows: this many Rademacher
+# probes, drawn once per run, and a Lanczos depth of min(AUDIT_K, m)
+AUDIT_PROBES = 32
+AUDIT_K = 30
+
+
+def _auditor(problem, seed, pcg_tol):
+    """m3c's independent, fixed estimate of F: exact up to DENSE_LIMIT rows, SLQ above."""
+    if problem.m <= DENSE_LIMIT:
+        return lambda theta: eval_F_exact(problem, theta).value
+    w = rademacher_probes(problem.m, AUDIT_PROBES, seed, "audit")
+    k = min(AUDIT_K, problem.m)
+    return lambda theta: eval_F_slq(problem, theta, w, k_steps=k, pcg_tol=pcg_tol).value
 
 
 def m3c_optimize(
@@ -570,10 +560,6 @@ def m3c_optimize(
     inner_tol=1e-6,
     pcg_tol=1e-8,
     pcg_maxit=500,
-    audit="auto",
-    audit_probes=32,
-    audit_k=30,
-    callback=None,
 ):
     """Stochastic majorize-minimize with per-anchor Monte-Carlo surrogates.
 
@@ -583,9 +569,12 @@ def m3c_optimize(
     rejected proposal says the sample was too small to trust, so the probe
     budget doubles.  It stops at m: from there on the probes are the m
     canonical ones, whose sampled trace is exact, so the surrogate is the
-    exact majorant.  The audit is exact (dense) when the problem allows it,
-    otherwise a fixed probe set shared across all iterations keeps
-    rejections comparable.
+    exact majorant.  The audit is F itself, from the dense oracle, when m is
+    at most ``DENSE_LIMIT``.  Above that it is the SLQ estimate
+    ``eval_F_slq`` over one block of ``AUDIT_PROBES`` (32) Rademacher probes
+    drawn from ``(seed, "probes", "audit")``, at Lanczos depth
+    min(``AUDIT_K``, m) with ``AUDIT_K`` = 30; the block is shared across all
+    iterations, which keeps rejections comparable.
 
     Every CG solve is preconditioned by a randomized Nystrom preconditioner
     of rank ``min(64, m)`` (``objective.PRECOND_RANK``), built once per
@@ -601,7 +590,7 @@ def m3c_optimize(
 
     Returns the audited chain with per-iteration cost records.
     """
-    audit_mode, audit_f = _auditor(problem, audit, seed, audit_probes, audit_k, pcg_tol)
+    audit = _auditor(problem, seed, pcg_tol)
     n_now = int(n_probes)
 
     def majorant(t, theta_t, widen):
@@ -609,15 +598,14 @@ def m3c_optimize(
         if widen:
             n_now = min(2 * n_now, problem.m)
         if n_now < problem.m:
-            probes = rademacher_probes(problem.m, n_now, seed, "m3c", t)
+            w = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
-            probes = canonical_probes(problem.m)
+            w = canonical_probes(problem.m)
         pre = psi_preconditioner(problem, theta_t, seed=seed)
         return build_surrogate(
-            problem, theta_t, probes, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
+            problem, theta_t, w, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )
 
     return _mm_chain(
-        problem, theta0, majorant, audit_mode, audit_f, outer_iters, tol,
-        inner_iters, inner_tol, callback,
+        problem, theta0, majorant, audit, outer_iters, tol, inner_iters, inner_tol
     )

@@ -60,17 +60,14 @@ class Box:
         return self.lower.shape[0]
 
     @functools.cached_property
-    def _slack_scale(self):
-        """max(1, |lower|, |upper|) per coordinate: the unit of ``contains``' slack."""
-        return np.maximum(1.0, np.maximum(np.abs(self.lower), np.abs(self.upper)))
+    def _slack(self):
+        """``contains``' tolerance: 1e-9 max(1, |lower|, |upper|) per coordinate."""
+        return 1e-9 * np.maximum(1.0, np.maximum(np.abs(self.lower), np.abs(self.upper)))
 
-    def contains(self, theta, slack=1e-9):
+    def contains(self, theta):
         theta = np.asarray(theta, dtype=float)
-        scale = self._slack_scale
-        return bool(
-            (theta >= self.lower - slack * scale).all()
-            and (theta <= self.upper + slack * scale).all()
-        )
+        slack = self._slack
+        return bool((theta >= self.lower - slack).all() and (theta <= self.upper + slack).all())
 
     def project(self, theta):
         return np.clip(np.asarray(theta, dtype=float), self.lower, self.upper)
@@ -115,10 +112,6 @@ class HyperPrior:
     @classmethod
     def gaussian(cls, mean, var, p):
         return cls(tuple(("gaussian", float(mean), float(var)) for _ in range(p)))
-
-    @classmethod
-    def uniform(cls, p):
-        return cls(tuple(("uniform",) for _ in range(p)))
 
     def neglog(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -295,18 +288,18 @@ def synthesize_data(a_op, x_true, noise_level, seed):
     return clean + noise, sd**2
 
 
-def reconstruct(problem, theta, pcg_tol=1e-8, maxit=500):
+def reconstruct(problem, theta, pcg_tol=1e-8, pcg_maxit=500):
     """Posterior mean  x_hat = mu_x + Q A^T Psi^{-1} (b - A mu_x).
 
-    A solve that does not converge within ``maxit`` raises
+    A solve that does not converge within ``pcg_maxit`` raises
     :class:`NumericalError`.
     """
     psi_op = build_psi(problem, theta)
     rhs = -problem.residual_offset(theta)
-    res = pcg_solve(psi_op, rhs, tol=pcg_tol, maxit=maxit)
+    res = pcg_solve(psi_op, rhs, tol=pcg_tol, maxit=pcg_maxit)
     if not res.converged:
         raise NumericalError(
             f"posterior-mean solve stalled at relative residual {res.relres:.3e} "
-            f"after {maxit} iterations"
+            f"after {pcg_maxit} iterations"
         )
     return problem.mu_x + psi_op.q_op.matvec(psi_op.a_op.rmatvec(res.x))

@@ -172,28 +172,22 @@ def eval_F_exact(problem, theta, pieces=None):
     )
 
 
-def eval_F_slq(
-    problem,
-    theta,
-    probes,
-    k_steps,
-    pcg_tol=1e-8,
-    pcg_maxit=500,
-):
+def eval_F_slq(problem, theta, w, k_steps, pcg_tol=1e-8, pcg_maxit=500):
     """Sample-average objective: SLQ log-determinant plus CG misfit.
 
-    Deterministic given (problem, theta, probes, k_steps): the
-    log-determinant is ``mean_i w_i^T log(Psi) w_i``, from one
-    column-batched Lanczos call over all probes.  A misfit solve that does
-    not converge within ``pcg_maxit`` raises :class:`NumericalError`.
+    Deterministic given (problem, theta, w, k_steps), with ``w`` the (m, N)
+    probe block: the log-determinant is ``mean_i w_i^T log(Psi) w_i``, from
+    one column-batched Lanczos call over all its columns.  A misfit solve
+    that does not converge within ``pcg_maxit`` raises
+    :class:`NumericalError`.
     """
     theta = np.asarray(theta, dtype=float)
-    if probes.m != problem.m:
+    if w.shape[0] != problem.m:
         raise ValueError(
-            f"probe dimension {probes.m} does not match problem dimension {problem.m}"
+            f"probe dimension {w.shape[0]} does not match problem dimension {problem.m}"
         )
     psi_op = build_psi(problem, theta)
-    decomp = lanczos_decompose(psi_op, probes.w, k_steps)
+    decomp = lanczos_decompose(psi_op, w, k_steps)
     logdet_part = float(np.mean(decomp.quadform_log()))
 
     c = problem.residual_offset(theta)
@@ -330,13 +324,10 @@ def dense_gradient(problem, pieces, p_mat):
     return grad
 
 
-def grad_F_exact(problem, theta, pieces=None):
-    """Exact gradient by dense algebra (oracle path).
-
-    ``pieces`` may carry the :class:`DensePieces` already built at ``theta``.
-    """
+def grad_F_exact(problem, theta):
+    """Exact gradient by dense algebra (oracle path)."""
     theta = np.asarray(theta, dtype=float)
-    pieces = _pieces_at(problem, theta, pieces)
+    pieces = dense_objective_pieces(problem, theta)
     return dense_gradient(problem, pieces, pieces.inverse())
 
 
@@ -371,7 +362,11 @@ def grad_fd(f, theta, box, eps_rel=1e-6):
 PRECOND_RANK = 64
 
 
-def psi_preconditioner(problem, theta, rank=PRECOND_RANK, seed=0):
-    """The Nystrom preconditioner for Psi(theta), with the noise variance as its shift."""
+def psi_preconditioner(problem, theta, seed=0):
+    """The rank-min(PRECOND_RANK, m) Nystrom preconditioner for Psi(theta).
+
+    The noise variance is its shift.
+    """
     psi_op = build_psi(problem, np.asarray(theta, dtype=float))
-    return nystrom_preconditioner(psi_op, psi_op.r_op.scale, int(min(rank, problem.m)), seed)
+    rank = min(PRECOND_RANK, problem.m)
+    return nystrom_preconditioner(psi_op, psi_op.r_op.scale, rank, seed)

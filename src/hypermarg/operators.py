@@ -137,10 +137,6 @@ class SymOp:
         product = self._apply(b.T).T.reshape(-1)
         return [product[p] for p in positions]
 
-    @property
-    def matvec_count(self):
-        return self.counter.count
-
 
 class DenseSymOp(SymOp):
     """Symmetric operator backed by an explicit array."""
@@ -234,10 +230,6 @@ class LinOp:
 
     def _apply_t(self, y):
         raise NotImplementedError
-
-    @property
-    def matvec_count(self):
-        return self.counter.count
 
 
 class SparseLinOp(LinOp):

@@ -161,7 +161,6 @@ def deblur_problem(
     noise_level=0.05,
     seed=0,
     halfwidth=3,
-    theta_true=None,
     box=None,
 ):
     """Image deblurring with unknown noise/prior variances and PSF shape.
@@ -170,12 +169,7 @@ def deblur_problem(
     """
     n = m = s * s
     x_true = phantom_image(s).ravel()
-
-    if theta_true is None:
-        y_true = np.array([1.0, 0.3, 0.8])
-    else:
-        theta_true = np.asarray(theta_true, dtype=float)
-        y_true = theta_true[2:]
+    y_true = np.array([1.0, 0.3, 0.8])
 
     ledger = CounterLedger()
 
@@ -184,9 +178,7 @@ def deblur_problem(
 
     a_true = make_a(y_true, MatvecCounter())
     b, noise_var = synthesize_data(a_true, x_true, noise_level, seed)
-
-    if theta_true is None:
-        theta_true = np.concatenate([[noise_var, 1.0], y_true])
+    theta_true = np.concatenate([[noise_var, 1.0], y_true])
 
     if box is None:
         box = Box(
@@ -285,7 +277,6 @@ def tomo_problem(
     noise_level=0.05,
     seed=0,
     nu=0.5,
-    theta_true=None,
     box=None,
 ):
     """Ray tomography with unknown noise variance and Matern prior parameters.
@@ -297,12 +288,7 @@ def tomo_problem(
     """
     n = s * s
     m = n_src * n_rec
-
-    if theta_true is None:
-        amp_true, len_true = 0.8, 0.25
-    else:
-        theta_true = np.asarray(theta_true, dtype=float)
-        amp_true, len_true = theta_true[1], theta_true[2]
+    amp_true, len_true = 0.8, 0.25
 
     centers = np.array([((i + 0.5) / s, (j + 0.5) / s) for i in range(s) for j in range(s)])
     dists = pairwise_distances(centers)
@@ -315,9 +301,7 @@ def tomo_problem(
     a_mat = ray_matrix(s, n_src, n_rec)
     a_quiet = SparseLinOp(a_mat, MatvecCounter())
     b, noise_var = synthesize_data(a_quiet, x_true, noise_level, seed)
-
-    if theta_true is None:
-        theta_true = np.array([noise_var, amp_true, len_true])
+    theta_true = np.array([noise_var, amp_true, len_true])
 
     if box is None:
         box = Box(
@@ -525,7 +509,6 @@ def superres_problem(
     shift_max=0.2,
     prior_var=1.0,
     affine=False,
-    theta_true=None,
     box=None,
 ):
     """Multi-frame super-resolution with unknown inter-frame motion.
@@ -539,15 +522,12 @@ def superres_problem(
     per_frame = 6 if affine else 2
     ell = per_frame * frames
 
-    if theta_true is None:
-        rng = stream(seed, "shifts")
-        theta_true = 0.7 * shift_max * (2.0 * rng.random(ell) - 1.0)
-        if affine:
-            # keep linear-distortion entries an order smaller than the shifts
-            for f in range(frames):
-                theta_true[per_frame * f + 2 : per_frame * (f + 1)] *= 0.25
-    else:
-        theta_true = np.asarray(theta_true, dtype=float)
+    rng = stream(seed, "shifts")
+    theta_true = 0.7 * shift_max * (2.0 * rng.random(ell) - 1.0)
+    if affine:
+        # keep linear-distortion entries an order smaller than the shifts
+        for f in range(frames):
+            theta_true[per_frame * f + 2 : per_frame * (f + 1)] *= 0.25
 
     x_true = phantom_image(s).ravel()
     ledger = CounterLedger()

@@ -68,7 +68,6 @@ def saa_optimize(
     grad_eps=1e-6,
     pcg_tol=1e-8,
     pcg_maxit=500,
-    callback=None,
 ):
     """Minimize the fixed-sample surface F_hat over the feasible box.
 
@@ -83,7 +82,7 @@ def saa_optimize(
         raise ValueError("max_iters must be positive")
     theta = box_start(problem, theta0)
     k_steps = int(min(k_steps, problem.m))
-    probes = rademacher_probes(problem.m, n_probes, seed, "saa")
+    w = rademacher_probes(problem.m, n_probes, seed, "saa")
 
     seen = {}  # F_hat by theta.tobytes(); its size is the evaluation count
     pcg_iters = [0]
@@ -92,7 +91,7 @@ def saa_optimize(
         key = th.tobytes()
         if key not in seen:
             res = eval_F_slq(
-                problem, th, probes, k_steps=k_steps, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
+                problem, th, w, k_steps=k_steps, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
             )
             pcg_iters[0] += res.pcg_iterations
             seen[key] = res.value
@@ -122,8 +121,6 @@ def saa_optimize(
             )
         )
         mark[:] = [now, len(seen), pcg_iters[0]]
-        if callback is not None:
-            callback(records[-1])
 
     inner = projected_gradient_min(
         fhat, grad, theta, problem.box, max_iters=max_iters, tol=tol, callback=record

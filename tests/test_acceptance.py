@@ -104,7 +104,7 @@ def test_criterion_3_slq_fidelity():
         k_steps = min(lanczos_steps_bound(kappa, m, eps), m)
         n_probes = slq_samples_bound(eps, delta, m, p=1, radius=1.0, constants=mat.constants())
         for trial in range(10):
-            w = rademacher_probes(m, n_probes, 200 + i, "accept3", trial).w
+            w = rademacher_probes(m, n_probes, 200 + i, "accept3", trial)
             estimate = slq_logdet_batch(mat.mat, w, k=k_steps).mean()
             failures += abs(estimate - mat.logdet) > eps
             trials += 1

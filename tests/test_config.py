@@ -168,6 +168,20 @@ class TestBenchConfig:
         with pytest.raises(ConfigError, match="delta"):
             validate_bench_config(self.cfg(delta=1.5))
 
+    def test_depth_only_in_sweep(self):
+        # bound mode takes its depth from the depth bound
+        with pytest.raises(ConfigError, match="k_steps"):
+            validate_bench_config(self.cfg(k_steps=4))
+        validate_bench_config(self.cfg(mode="sweep", sweep_probes=[4], k_steps=4))
+
+    def test_kappa_only_for_spd_family(self):
+        # the identity's condition number is 1 whatever kappa says
+        with pytest.raises(ConfigError, match="kappa"):
+            validate_bench_config(self.cfg(matrix_kind="identity"))
+        cfg = self.cfg(matrix_kind="identity")
+        del cfg["trace_bench"]["kappa"]
+        assert validate_bench_config(cfg)["trace_bench"]["kappa"] == 1.0
+
 
 def test_load_json(tmp_path):
     with pytest.raises(ConfigError, match="not found"):

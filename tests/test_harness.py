@@ -153,7 +153,7 @@ class TestRunExperiment:
         def spy(*args, **kwargs):
             bound = inspect.signature(real).bind(*args, **kwargs)
             bound.apply_defaults()
-            settings.append((bound.arguments["pcg_tol"], bound.arguments["maxit"]))
+            settings.append((bound.arguments["pcg_tol"], bound.arguments["pcg_maxit"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(harness, "reconstruct", spy)
@@ -377,6 +377,14 @@ class TestCliExitCodes:
         path.write_text(json.dumps(run_cfg(tmp_path / "out", precond_rank=8)))
         assert main(["run", str(path)]) == 2
         assert "unknown key(s) in method: ['precond_rank']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("audit", "slq"), ("audit_probes", 8), ("audit_k", 8)])
+    def test_removed_audit_keys_are_exit_2(self, tmp_path, capsys, key, value):
+        # the audit follows from m: exact up to DENSE_LIMIT rows, SLQ above
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(run_cfg(tmp_path / "out", **{key: value})))
+        assert main(["run", str(path)]) == 2
+        assert f"unknown key(s) in method: [{key!r}]" in capsys.readouterr().err
 
     def test_true_theta0_outside_box_is_exit_2(self, tmp_path, capsys):
         # at 50x noise the synthetic noise variance is far above the box's upper bound 1

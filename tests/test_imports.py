@@ -12,16 +12,23 @@ check runs over the package sources too: a name in a module's ``__all__``
 must be read by package, demo or benchmark code, or be named in the README;
 its own definition, its ``__all__`` entry and the ``__init__.py`` re-export
 do not count, and an allowlist names the few kept public for the tests'
-sake, each with its reason.  ``nystrom.py`` must not use ``scipy.linalg``,
-so the preconditioner build stays in numpy's BLAS.  ``NumericalError`` is
-caught only at the few sites that own a failure rule, so a bad trial point
-is handled in one place for every optimizer.  The last checks run in a
-fresh interpreter:
-none of the three optimizers imports ``scipy.optimize``, and importing the
-package and building a tomography problem imports no ``scipy.spatial``.
+sake, each with its reason.  The parameter check runs over the same public
+surface: every parameter with a default, of a function in ``__all__`` or of
+a public method or ``__init__`` of a class there, must be set by package,
+demo or benchmark code, by keyword or by position in a call to a callee of
+its name, or as a string key of a dict display there (a config schema, a
+``**kwargs`` dict); so no option is kept that only tests set, and the
+allowlist names each exception with its reason.  ``nystrom.py`` must not
+use ``scipy.linalg``, so the preconditioner build stays in numpy's BLAS.
+``NumericalError`` is caught only at the few sites that own a failure rule,
+so a bad trial point is handled in one place for every optimizer.  The last
+checks run in a fresh interpreter: none of the three optimizers imports
+``scipy.optimize``, and importing the package and building a tomography
+problem imports no ``scipy.spatial``.
 """
 
 import ast
+import math
 import os
 import re
 import subprocess
@@ -43,6 +50,11 @@ READERS = (
 NO_READER_NEEDED = {
     "grad_F_exact": "the dense reference gradient that tests compare others against",
     "strip_timing": "the documented way to compare the artifacts of two reruns",
+}
+
+# optional parameters that no package, demo or benchmark code sets, kept on purpose
+NO_SETTER_NEEDED = {
+    ("main", "argv"): "tests drive the command line in process",
 }
 
 # the only functions that catch NumericalError, each once, with what it does
@@ -208,6 +220,202 @@ def test_checker_flags_a_public_name_without_a_reader():
     assert unread_public_names(source) == ["f", "g", "h", "L"]
     reader = "import mod\nmod.g()\n"
     assert unread_public_names(source, [reader], "call `h` first") == ["f", "L"]
+
+
+def optional_parameters(source):
+    """``(callee, parameter, position)`` for each defaulted parameter on the public surface.
+
+    The surface is every function named in ``__all__`` and every public
+    method and ``__init__`` of a class named there.  A class's ``__init__``
+    is called by the class's name; a method's positions count after
+    ``self`` (or ``cls``), and a keyword-only parameter has position None.
+    """
+    tree = ast.parse(source)
+    public = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+
+    def defaulted(callee, args, skip):
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        found = [(callee, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+        found += [
+            (callee, a.arg, None)
+            for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None
+        ]
+        return found
+
+    params = []
+    for node in tree.body:
+        if getattr(node, "name", None) not in public:
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params += defaulted(node.name, node.args, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if item.name != "__init__" and item.name.startswith("_"):
+                    continue
+                static = any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in item.decorator_list
+                )
+                callee = node.name if item.name == "__init__" else item.name
+                params += defaulted(callee, item.args, 0 if static else 1)
+    return params
+
+
+def callee_name(func):
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def parameter_setters(sources, factories=()):
+    """What ``sources`` set: ``(keywords, positions, keys)``.
+
+    ``keywords[name]`` holds the keywords of the calls to a callee of that
+    name, and ``positions[name]`` their largest count of positional
+    arguments (inf after a ``*args``).  ``super().__init__`` inside a class
+    counts as a call to each base class, and a keyword passed to
+    ``make_test_problem`` as one to each of ``factories``.  ``keys`` holds
+    the string keys of dict displays and the keywords of ``dict()`` calls,
+    which is how config schemas and ``**kwargs`` dicts name what they set.
+    """
+    keywords, positions, keys = {}, {}, set()
+
+    def note(name, call):
+        keywords.setdefault(name, set()).update(k.arg for k in call.keywords if k.arg)
+        count = len(call.args)
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            count = math.inf
+        positions[name] = max(positions.get(name, 0), count)
+
+    for source in sources:
+        tree = ast.parse(source)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict):
+                keys.update(
+                    k.value for k in node.keys
+                    if isinstance(k, ast.Constant) and isinstance(k.value, str)
+                )
+            elif isinstance(node, ast.Call):
+                name = callee_name(node.func)
+                if name == "dict":
+                    keys.update(k.arg for k in node.keywords if k.arg)
+                if name == "make_test_problem":
+                    for factory in factories:
+                        keywords.setdefault(factory, set()).update(
+                            k.arg for k in node.keywords if k.arg
+                        )
+                if name is not None:
+                    note(name, node)
+            elif isinstance(node, ast.ClassDef):
+                bases = [callee_name(b) for b in node.bases]
+                for call in ast.walk(node):
+                    if (
+                        isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "__init__"
+                        and isinstance(call.func.value, ast.Call)
+                        and callee_name(call.func.value.func) == "super"
+                    ):
+                        for base in filter(None, bases):
+                            note(base, call)
+    return keywords, positions, keys
+
+
+def unset_parameters(source, setters):
+    """``(callee, parameter)`` for each optional parameter of ``source`` that nothing sets."""
+    keywords, positions, keys = setters
+    return [
+        (callee, name)
+        for callee, name, position in optional_parameters(source)
+        if name not in keywords.get(callee, ())
+        and not (position is not None and positions.get(callee, 0) > position)
+        and name not in keys
+    ]
+
+
+def problem_factories():
+    """The factories ``make_test_problem`` dispatches to, by name."""
+    tree = ast.parse((ROOT / "src" / "hypermarg" / "problems.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "make_test_problem":
+            return {
+                v.id
+                for d in ast.walk(node)
+                if isinstance(d, ast.Dict)
+                for v in d.values
+                if isinstance(v, ast.Name)
+            }
+    return set()
+
+
+def unset_package_parameters():
+    setters = parameter_setters([p.read_text() for p in READERS], problem_factories())
+    return {
+        (path.name, *param): param
+        for path in PACKAGE
+        for param in unset_parameters(path.read_text(), setters)
+    }
+
+
+def test_every_optional_parameter_has_a_setter():
+    unset = unset_package_parameters()
+    assert sorted(k for k, v in unset.items() if v not in NO_SETTER_NEEDED) == []
+
+
+def test_every_allowlisted_parameter_still_lacks_a_setter():
+    assert set(unset_package_parameters().values()) == set(NO_SETTER_NEEDED)
+
+
+def test_checker_flags_an_optional_parameter_without_a_setter():
+    source = (
+        '__all__ = ["f", "K", "Sub", "make_test_problem"]\n'
+        "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n"
+        "def _private(x=1):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, u=1, v=2):\n        pass\n"
+        "    def meth(self, s=1, t=2):\n        pass\n"
+        "    def _hidden(self, h=1):\n        pass\n"
+        "    @staticmethod\n"
+        "    def stat(z=1):\n        pass\n"
+        "class Sub(K):\n"
+        "    def __init__(self, w=1):\n        super().__init__(u=w)\n"
+        "def make_test_problem(kind, **kw):\n    return {'toy': toy}[kind](**kw)\n"
+        "def toy(size=1, grain=2):\n    pass\n"
+    )
+    assert optional_parameters(source) == [
+        ("f", "b", 1), ("f", "c", 2), ("f", "d", None), ("f", "e", None),
+        ("K", "u", 0), ("K", "v", 1), ("meth", "s", 0), ("meth", "t", 1),
+        ("stat", "z", 0), ("Sub", "w", 0),
+    ]
+    toy = (
+        '__all__ = ["toy"]\n'
+        "def toy(size=1, grain=2):\n    pass\n"
+    )
+    caller = (
+        "f(0, 5, e=6)\n"
+        "obj.meth(*args)\n"
+        "Sub()\n"
+        "cfg = {'v': 1}\n"
+        "make_test_problem('toy', size=3)\n"
+    )
+    setters = parameter_setters([source, caller], {"toy"})
+    assert unset_parameters(source, setters) == [
+        ("f", "c"), ("f", "d"), ("stat", "z"), ("Sub", "w"),
+    ]
+    assert unset_parameters(toy, setters) == [("toy", "grain")]
+    setters = parameter_setters([caller])
+    assert unset_parameters(toy, setters) == [("toy", "size"), ("toy", "grain")]
 
 
 def modules_after(script, prefix):

@@ -165,10 +165,10 @@ def test_batch_matches_per_probe_path():
     # no further operator applications; the others run all k steps.
     w_mixed = w_block.copy()
     w_mixed[:, 2] = np.linalg.eigh(spd)[1][:, 0]
-    before = op.matvec_count
+    before = op.counter.count
     dec = lanczos_decompose(op, w_mixed, k)
     assert list(dec.steps) == [k, k, 1, k, k, k, k]
-    assert op.matvec_count - before == dec.k_eff == 6 * k + 1
+    assert op.counter.count - before == dec.k_eff == 6 * k + 1
     assert dec.quadform_log()[2] == pytest.approx(np.log(np.linalg.eigvalsh(spd)[0]), rel=1e-12)
 
 
@@ -180,10 +180,10 @@ def test_mid_block_breakdown_leaves_the_other_columns_running():
     w = stream(4, "mid-block").standard_normal((m, 5))
     w[:, 2] = 0.0
     w[[3, 9, 17], 2] = [1.0, -2.0, 0.5]
-    before = op.matvec_count
+    before = op.counter.count
     dec = lanczos_decompose(op, w, k)
     assert list(dec.steps) == [k, k, 3, k, k]
-    assert op.matvec_count - before == dec.k_eff == 4 * k + 3
+    assert op.counter.count - before == dec.k_eff == 4 * k + 3
     # past its breakdown a column's coefficients and basis rows are zero
     assert np.all(dec.alpha[3:, 2] == 0.0) and np.all(dec.beta[2:, 2] == 0.0)
     assert np.all(dec.basis[2, 3:] == 0.0)

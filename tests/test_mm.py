@@ -35,12 +35,19 @@ def spy_probe_blocks(monkeypatch):
     blocks = []
     real = hypermarg.mm.build_surrogate
 
-    def spy(problem, theta_t, probes, *args, **kwargs):
-        blocks.append(probes.w.copy())
-        return real(problem, theta_t, probes, *args, **kwargs)
+    def spy(problem, theta_t, w, *args, **kwargs):
+        blocks.append(w.copy())
+        return real(problem, theta_t, w, *args, **kwargs)
 
     monkeypatch.setattr(hypermarg.mm, "build_surrogate", spy)
     return blocks
+
+
+def slq_audit(monkeypatch, problem):
+    """Give m3c its SLQ audit on a small problem, over 16 probes at depth 12."""
+    monkeypatch.setattr(hypermarg.mm, "DENSE_LIMIT", problem.m - 1)
+    monkeypatch.setattr(hypermarg.mm, "AUDIT_PROBES", 16)
+    monkeypatch.setattr(hypermarg.mm, "AUDIT_K", 12)
 
 
 class TestExactSurrogate:
@@ -241,11 +248,11 @@ class TestStochasticSurrogate:
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=1)
         probes = rademacher_probes(problem.m, 5, seed=0)
         surrogate = build_surrogate(problem, problem.theta_true, probes, pcg_tol=1e-12)
-        assert surrogate.probes is probes
+        assert surrogate.w is probes
         assert surrogate.z.shape == (problem.m, 5)
         psi = dense_objective_pieces(problem, problem.theta_true).psi
-        resid = psi @ surrogate.z - probes.w
-        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(probes.w)
+        resid = psi @ surrogate.z - probes
+        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(probes)
         assert not hasattr(probes, "z")
 
 
@@ -695,7 +702,6 @@ class TestM3cChain:
         out = m3c_optimize(
             problem, outer_iters=10, n_probes=16, seed=0, tol=1e-6
         )
-        assert out.audit_mode == "exact"
         assert out.f_value < f0
         values = [rec.f_audit for rec in out.records]
         for prev, cur in zip(values, values[1:]):
@@ -716,7 +722,7 @@ class TestM3cChain:
         assert not out.converged
         assert all(not rec.accepted for rec in out.records)
         assert [rec.n_probes for rec in out.records] == [4, 8, 15]
-        np.testing.assert_array_equal(blocks[-1], canonical_probes(15).w)
+        np.testing.assert_array_equal(blocks[-1], canonical_probes(15))
         np.testing.assert_array_equal(out.theta, theta0)
         assert all(np.isnan(rec.rel_step) for rec in out.records)
 
@@ -730,18 +736,32 @@ class TestM3cChain:
         out_c = m3c_optimize(problem_a, outer_iters=4, n_probes=8, seed=6)
         assert np.any(out_c.theta != out_a.theta)
 
-    def test_slq_audit_mode_runs(self):
+    @pytest.mark.parametrize("above", [True, False], ids=["slq", "exact"])
+    def test_audit_is_slq_exactly_above_the_dense_limit(self, monkeypatch, above):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=3)
-        out = m3c_optimize(
-            problem,
-            outer_iters=3,
-            n_probes=8,
-            seed=0,
-            audit="slq",
-            audit_probes=16,
-            audit_k=12,
+        monkeypatch.setattr(hypermarg.mm, "DENSE_LIMIT", problem.m - 1 if above else problem.m)
+        calls = {"slq": 0, "exact": 0}
+
+        def counted(kind, real):
+            def spy(*args, **kwargs):
+                calls[kind] += 1
+                return real(*args, **kwargs)
+
+            return spy
+
+        monkeypatch.setattr(hypermarg.mm, "eval_F_slq", counted("slq", hypermarg.mm.eval_F_slq))
+        monkeypatch.setattr(
+            hypermarg.mm, "eval_F_exact", counted("exact", hypermarg.mm.eval_F_exact)
         )
-        assert out.audit_mode == "slq"
+        out = m3c_optimize(problem, outer_iters=2, n_probes=8, seed=0)
+        used = "slq" if above else "exact"
+        assert calls[used] == out.outer_iters + 1
+        assert calls["exact" if above else "slq"] == 0
+
+    def test_slq_audit_mode_runs(self, monkeypatch):
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=3)
+        slq_audit(monkeypatch, problem)
+        out = m3c_optimize(problem, outer_iters=3, n_probes=8, seed=0)
         assert np.isfinite(out.f_value)
 
     def test_proposal_the_audit_cannot_evaluate_is_rejected(self, monkeypatch):
@@ -759,23 +779,16 @@ class TestM3cChain:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(hypermarg.mm, "eval_F_slq", failing)
+        slq_audit(monkeypatch, problem)
         blocks = spy_probe_blocks(monkeypatch)
         start = problem.box.center()
-        out = m3c_optimize(
-            problem, outer_iters=3, n_probes=4, seed=0, audit="slq",
-            audit_probes=16, audit_k=12,
-        )
+        out = m3c_optimize(problem, outer_iters=3, n_probes=4, seed=0)
         assert len(calls) == 4
         assert not out.converged
         assert all(not rec.accepted for rec in out.records)
         assert [rec.n_probes for rec in out.records] == [4, 8, 15]
-        np.testing.assert_array_equal(blocks[-1], canonical_probes(15).w)
+        np.testing.assert_array_equal(blocks[-1], canonical_probes(15))
         np.testing.assert_array_equal(out.theta, start)
-
-    def test_unknown_audit_mode_raises(self):
-        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=3)
-        with pytest.raises(ValueError, match="audit"):
-            m3c_optimize(problem, audit="majority-vote")
 
     def test_counters_recorded_monotone(self):
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=3)

@@ -192,7 +192,7 @@ def noise_spec(**noise):
         mu_x=np.zeros(3),
         b=np.ones(3),
         box=Box(np.array([0.1, 0.1]), np.array([2.0, 2.0])),
-        prior=HyperPrior.uniform(2),
+        prior=HyperPrior((("uniform",), ("uniform",))),
         a_builder=lambda y: SparseLinOp(scipy.sparse.csr_matrix(np.eye(3))),
         q_builder=lambda psi: ScaledIdentityOp(psi[1], 3),
         dq_builders=(None, lambda psi: ScaledIdentityOp(1.0, 3)),
@@ -223,7 +223,7 @@ def test_build_r_is_counted_noise_variance_times_identity(noise, sigma2):
 
 
 def test_dense_symop_from_matern_spd():
-    from hypermarg import matern_covariance, pairwise_distances
+    from hypermarg import matern_kernel, pairwise_distances
 
     rng = stream(4, "matern-spd")
     pts = rng.random((40, 2))
@@ -232,7 +232,7 @@ def test_dense_symop_from_matern_spd():
         for _ in range(5):
             amp = 0.1 + 2.0 * rng.random()
             ell = 0.05 + 1.0 * rng.random()
-            raw = matern_covariance(dists, amp, ell, nu, jitter=0.0)
+            raw = matern_kernel(dists, amp, ell, nu)
             min_eig = float(np.linalg.eigvalsh(raw).min())
             assert min_eig >= -1e-9 * amp**2, (nu, amp, ell, min_eig)
 

@@ -14,6 +14,7 @@ from hypermarg import (
     superres_problem,
     tomo_problem,
 )
+from hypermarg import objective
 from hypermarg.mm import exact_surrogate
 from hypermarg.objective import (
     _DerivativeActions,
@@ -37,7 +38,7 @@ def noise_only_problem(b, prior=None, box=None):
     b = np.asarray(b, dtype=float)
     m = b.shape[0]
     if prior is None:
-        prior = HyperPrior.uniform(1)
+        prior = HyperPrior((("uniform",),))
     if box is None:
         box = Box(lower=np.array([1e-3]), upper=np.array([50.0]))
     return ProblemSpec(
@@ -271,19 +272,20 @@ class TestSlqObjective:
         assert abs(slq.value - exact.value) < 1e-8 * max(1.0, abs(exact.value))
         assert abs(slq.logdet_part - exact.logdet_part) < 1e-8
 
-    def test_canonical_with_preconditioner_matches_exact(self):
+    def test_canonical_with_preconditioner_matches_exact(self, monkeypatch):
         # The preconditioned solves m3c makes at an anchor: a block CG over
         # canonical probes gives trace(Psi^{-1}) exactly, and the misfit
-        # solve gives c^T Psi^{-1} c.
+        # solve gives c^T Psi^{-1} c, with a preconditioner of rank below m.
         problem = deblur_problem(s=8, seed=2)
         theta = problem.theta_true
         pieces = dense_objective_pieces(problem, theta)
-        pre = psi_preconditioner(problem, theta, rank=24, seed=11)
+        monkeypatch.setattr(objective, "PRECOND_RANK", 24)
+        pre = psi_preconditioner(problem, theta, seed=11)
         psi_op = build_psi(problem, theta)
         probes = canonical_probes(problem.m)
-        block = pcg_solve(psi_op, probes.w, pre=pre, tol=1e-12)
+        block = pcg_solve(psi_op, probes, pre=pre, tol=1e-12)
         assert block.converged
-        trace = float(np.mean(np.sum(probes.w * block.x, axis=0)))
+        trace = float(np.mean(np.sum(probes * block.x, axis=0)))
         assert trace == pytest.approx(np.trace(pieces.inverse()), rel=1e-8)
         res = pcg_solve(psi_op, pieces.c, pre=pre, tol=1e-12)
         assert res.converged
@@ -339,7 +341,7 @@ class TestPsiPreconditioner:
     def test_scalar_noise_uses_known_shift(self):
         problem = deblur_problem(s=8, seed=1)
         theta = problem.theta_true
-        pre = psi_preconditioner(problem, theta, rank=16, seed=0)
+        pre = psi_preconditioner(problem, theta, seed=0)
         assert abs(pre.shift - theta[0]) < 1e-15
 
 
@@ -355,7 +357,7 @@ class TestDerivativeActions:
     def test_block_apply_matches_column_loop_and_ledger(self, make):
         problem = make()
         actions = _DerivativeActions(problem, problem.theta_true)
-        w = rademacher_probes(problem.m, 5, seed=4).w
+        w = rademacher_probes(problem.m, 5, seed=4)
 
         start = problem.counters.snapshot()
         loop = np.stack([actions.apply_all(w[:, i]) for i in range(5)], axis=-1)

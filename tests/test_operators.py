@@ -25,7 +25,7 @@ def test_counter_counts_matvecs():
     v = np.ones(4)
     for _ in range(7):
         op.matvec(v)
-    assert op.matvec_count == 7
+    assert op.counter.count == 7
 
 
 def test_counter_thread_safety():
@@ -48,13 +48,13 @@ def test_shared_counter_between_forward_and_adjoint():
     op.matvec(np.ones(5))
     op.rmatvec(np.ones(3))
     op.rmatvec(np.ones(3))
-    assert op.matvec_count == 3
+    assert op.counter.count == 3
 
 
 def test_matmat_counts_per_column():
     op = DenseSymOp(np.eye(4))
     op.matmat(np.ones((4, 6)))
-    assert op.matvec_count == 6
+    assert op.counter.count == 6
 
 
 def test_sparse_block_applies_match_dense_and_count_per_column():
@@ -72,11 +72,11 @@ def test_sparse_block_applies_match_dense_and_count_per_column():
         y = rng.standard_normal((op.m, 4))
         x = rng.standard_normal((op.n, 3))
         np.testing.assert_allclose(op.rmatmat(y), dense.T @ y, rtol=1e-14, atol=1e-14)
-        assert op.matvec_count == 4
+        assert op.counter.count == 4
         np.testing.assert_allclose(op.matmat(x), dense @ x, rtol=1e-14, atol=1e-14)
-        assert op.matvec_count == 7
+        assert op.counter.count == 7
         np.testing.assert_allclose(op.rmatvec(y[:, 2]), dense.T @ y[:, 2], rtol=1e-14, atol=1e-14)
-        assert op.matvec_count == 8
+        assert op.counter.count == 8
 
     # Symmetric operators: a block apply is its column loop, and both charge
     # one application per column.  A Psi operator also charges its legs per
@@ -89,13 +89,13 @@ def test_sparse_block_applies_match_dense_and_count_per_column():
     ledgers = [None, None] + [problem.counters for problem in problems]
     for op, ledger in zip(sym_ops, ledgers):
         v = rng.standard_normal((op.m, 3))
-        start = op.matvec_count
+        start = op.counter.count
         legs = ledger.snapshot() if ledger else None
         loop = np.column_stack([op.matvec(v[:, j]) for j in range(3)])
-        assert op.matvec_count - start == 3
+        assert op.counter.count - start == 3
         mid = ledger.snapshot() if ledger else None
         block = op.matmat(v)
-        assert op.matvec_count - start == 6
+        assert op.counter.count - start == 6
         assert np.linalg.norm(block - loop) <= 1e-12 * np.linalg.norm(loop)
         if ledger:
             end = ledger.snapshot()
@@ -106,7 +106,7 @@ def test_sparse_block_applies_match_dense_and_count_per_column():
 def test_dense_does_not_count():
     op = SparseLinOp(scipy.sparse.csr_matrix(np.diag([1.0, 2.0])))
     np.testing.assert_array_equal(op.dense(), np.diag([1.0, 2.0]))
-    assert op.matvec_count == 0
+    assert op.counter.count == 0
 
 
 def test_symmetry_enforced():
@@ -180,4 +180,4 @@ def test_uncounted_pair_and_take_match_the_dense_product(make):
     assert len(taken) == 2
     for got, pos in zip(taken, positions):
         assert np.allclose(got, product[pos], rtol=1e-13, atol=0.0)
-    assert op.matvec_count == 0
+    assert op.counter.count == 0

@@ -6,18 +6,17 @@ from hypermarg.rng import stream
 
 
 def test_rademacher_entries_are_signs():
-    probes = rademacher_probes(17, 33, seed=4)
-    assert probes.w.shape == (17, 33)
-    assert np.all(np.abs(probes.w) == 1.0)
-    assert probes.kind == "rademacher"
+    w = rademacher_probes(17, 33, seed=4)
+    assert w.shape == (17, 33)
+    assert np.all(np.abs(w) == 1.0)
 
 
 def test_rademacher_reproducible_and_seed_sensitive():
     a = rademacher_probes(20, 10, seed=7)
     b = rademacher_probes(20, 10, seed=7)
     c = rademacher_probes(20, 10, seed=8)
-    assert np.array_equal(a.w, b.w)
-    assert not np.array_equal(a.w, c.w)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 def test_rademacher_rejects_bad_sizes():
@@ -31,10 +30,8 @@ def test_canonical_probes_give_exact_trace():
     rng = stream(3, "canonical-test")
     a = rng.standard_normal((9, 9))
     mat = a + a.T
-    probes = canonical_probes(9)
-    quadforms = np.array(
-        [probes.w[:, i] @ mat @ probes.w[:, i] for i in range(probes.n_probes)]
-    )
+    w = canonical_probes(9)
+    quadforms = np.array([w[:, i] @ mat @ w[:, i] for i in range(w.shape[1])])
     assert np.mean(quadforms) == pytest.approx(np.trace(mat), abs=1e-12)
 
 
