@@ -59,6 +59,7 @@ from .mm import (
     InnerResult,
     M3cResult,
     OuterRecord,
+    Point,
     StochasticSurrogate,
     build_surrogate,
     exact_surrogate,

@@ -197,8 +197,6 @@ class M3cSchedule:
     eps: tuple
     delta: tuple
     log_gamma: tuple
-    eps0: float
-    delta0: float
     rho: float
 
 
@@ -243,8 +241,6 @@ def m3c_sample_schedule(eps0, delta, rho, n_iters, m, p, radius, constants):
         eps=tuple(eps_t),
         delta=tuple(delta_t),
         log_gamma=tuple(log_gammas),
-        eps0=float(eps0),
-        delta0=float(delta0),
         rho=float(rho),
     )
 

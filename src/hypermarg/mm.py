@@ -34,7 +34,6 @@ that scale a failed trial says nothing.  A trial whose evaluation raises
 
 import time
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -53,6 +52,7 @@ from .pcg import pcg_solve
 from .probes import canonical_probes, rademacher_probes
 
 __all__ = [
+    "Point",
     "InnerResult",
     "OuterRecord",
     "M3cResult",
@@ -64,6 +64,22 @@ __all__ = [
     "mm_optimize_exact",
     "m3c_optimize",
 ]
+
+
+@dataclass
+class Point:
+    """One evaluated theta, as an ``evaluate`` function returns it.
+
+    ``gradient()`` computes the gradient from what computing ``value``
+    solved; ``projected_gradient_min`` calls it once per accepted point.
+    ``solved`` is that work for the caller to reuse (the exact chain's
+    dense pieces), or None.
+    """
+
+    theta: np.ndarray
+    value: float
+    solved: object
+    gradient: object  # () -> the gradient at theta
 
 
 # ---------------------------------------------------------------------------
@@ -114,69 +130,51 @@ class StochasticSurrogate:
     """
 
     problem: object
-    theta_t: np.ndarray
     w: np.ndarray  # (m, N) probe block W
     z: np.ndarray  # (m, N) anchor solves Psi_t^{-1} W
     pre: object = None
     pcg_tol: float = 1e-8
     pcg_maxit: int = 500
     pcg_iters: int = 0  # accumulated over all evaluations
-    _cache: dict = field(default_factory=dict, repr=False)
+    _r: np.ndarray = field(default=None, init=False, repr=False)  # CG warm start: the last r
 
     @property
     def n_probes(self):
         return self.w.shape[1]
 
-    def _solve_misfit(self, theta, psi_op=None):
-        """``(c, r)`` with r = Psi(theta)^{-1} c, cached for the last theta.
+    def value(self, theta):
+        """G_hat at theta as a :class:`Point` whose gradient reuses its misfit solve.
 
-        CG starts from the last solved ``r``; its stopping test is relative
-        to ||c||, so the warm start changes the cost, not the tolerance.
-        ``psi_op`` is built here when the cache misses and none is given.
+        One Psi(theta) application per probe, plus the solve r = Psi^{-1} c.
+        CG starts from the last solved r; its stopping test is relative to
+        ||c||, so the warm start changes the cost, not the tolerance.  A failed
+        misfit solve raises :class:`NumericalError` at the anchor as at a trial
+        point; ``projected_gradient_min`` backtracks from the latter.
         """
-        key = theta.tobytes()
-        if self._cache.get("key") == key:
-            return self._cache["c"], self._cache["r"]
-        if psi_op is None:
-            psi_op = build_psi(self.problem, theta)
+        theta = np.asarray(theta, dtype=float)
+        psi_op = build_psi(self.problem, theta)
+        psi_w = psi_op.matmat(self.w)
+        quad = float(np.sum(self.z * psi_w)) / (2.0 * self.n_probes)
         c = self.problem.residual_offset(theta)
         res = pcg_solve(
-            psi_op,
-            c,
-            pre=self.pre,
-            tol=self.pcg_tol,
-            maxit=self.pcg_maxit,
-            x0=self._cache.get("r"),
+            psi_op, c, pre=self.pre, tol=self.pcg_tol, maxit=self.pcg_maxit, x0=self._r
         )
         self.pcg_iters += res.iterations
         if not res.converged:
             raise NumericalError(
                 f"misfit solve stalled at relative residual {res.relres:.3e}"
             )
-        self._cache.update(key=key, c=c, r=res.x)
-        return c, res.x
+        r = self._r = res.x
+        value = self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
+        return Point(theta, value, None, lambda: self.gradient(theta, r))
 
-    def value(self, theta):
-        """G_hat(theta): one Psi(theta) application per probe, plus a solve.
-
-        A failed misfit solve raises :class:`NumericalError` at the anchor as
-        at a trial point; ``projected_gradient_min`` backtracks from the latter.
-        """
-        theta = np.asarray(theta, dtype=float)
-        psi_op = build_psi(self.problem, theta)
-        psi_w = psi_op.matmat(self.w)
-        quad = float(np.sum(self.z * psi_w)) / (2.0 * self.n_probes)
-        c, r = self._solve_misfit(theta, psi_op)
-        return self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
-
-    def gradient(self, theta):
-        """d G_hat / d theta, reusing the misfit solve cached by ``value``."""
+    def gradient(self, theta, r):
+        """d G_hat / d theta, from the misfit solve r = Psi(theta)^{-1} c."""
         theta = np.asarray(theta, dtype=float)
         problem = self.problem
         actions = _DerivativeActions(problem, theta)
         d_w = actions.apply_all(self.w)  # (p, m, N)
         quad = np.einsum("jmn,mn->j", d_w, self.z) / (2.0 * self.n_probes)
-        c, r = self._solve_misfit(theta)
         misfit_terms = actions.apply_all(r) @ r
         da_mu = actions.forward_deriv_mu()
         if da_mu is not None:
@@ -201,17 +199,9 @@ def build_surrogate(problem, theta_t, w, pre=None, pcg_tol=1e-8, pcg_maxit=500):
             f"anchor solve for probe {i} stalled at relative residual "
             f"{res.relres[i]:.3e} after {pcg_maxit} iterations"
         )
-    surrogate = StochasticSurrogate(
-        problem=problem,
-        theta_t=theta_t.copy(),
-        w=w,
-        z=res.x,
-        pre=pre,
-        pcg_tol=pcg_tol,
-        pcg_maxit=pcg_maxit,
+    return StochasticSurrogate(
+        problem, w, res.x, pre, pcg_tol, pcg_maxit, pcg_iters=res.iterations
     )
-    surrogate.pcg_iters = res.iterations
-    return surrogate
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +210,9 @@ def build_surrogate(problem, theta_t, w, pre=None, pcg_tol=1e-8, pcg_maxit=500):
 
 @dataclass
 class InnerResult:
-    theta: np.ndarray
-    value: float
+    point: Point  # the last accepted point, or the start point itself
     iterations: int
-    fn_evals: int  # evaluations of fun that returned a value
+    fn_evals: int  # evaluations that returned a point, the start point's included
     grad_evals: int
     failed_trials: int  # line-search trial points whose evaluation raised
     converged: bool
@@ -238,21 +227,22 @@ _MAX_BACKTRACKS = 40
 
 
 def projected_gradient_min(
-    fun, grad, theta0, box, max_iters=100, tol=1e-6, callback=None, step0=None
+    evaluate, start, box, max_iters=100, tol=1e-6, callback=None, step0=None
 ):
     """Projected gradient descent with Armijo backtracking on a box.
 
+    ``evaluate(theta)`` returns the :class:`Point` at theta, value and
+    gradient together, and ``start`` is its point at a theta inside the box.
     Coordinates with a positive lower bound move in u = log theta (Rasmussen
     & Williams 2006, sec. 5.4), where the box is still a box and the gradient
-    is theta * g; the others move in theta.  ``fun`` and ``grad`` see the
-    start point exactly as given (after projection), every later point
-    clipped into the box.  Armijo's test uses c = 1e-4 along the projected
-    path, and a failed trial halves the step.  The halving stops once a
-    finite trial fails with a step d in u of at most ``tol`` relative to u:
-    no step the loop would count as a move is left to find.  A trial valued
-    inf or NaN, or at which ``fun`` raises :class:`NumericalError` (counted
-    in ``failed_trials``), gives no such evidence, so there the step halves
-    up to 40 times; that error at the start point, or from ``grad``, propagates.
+    is theta * g; the others move in theta.  Every trial theta is clipped
+    into the box.  Armijo's test uses c = 1e-4 along the projected path, and
+    a failed trial halves the step.  The halving stops once a finite trial
+    fails with a step d in u of at most ``tol`` relative to u: no step the
+    loop would count as a move is left to find.  A trial valued inf or NaN,
+    or at which ``evaluate`` raises :class:`NumericalError` (counted in
+    ``failed_trials``), gives no such evidence, so there the step halves up
+    to 40 times; that error from a point's gradient propagates.
 
     The first trial step is ``step0``, or max(1, |u0|)/max(1, |g_u0|) when
     that is None.  After that it is the Barzilai-Borwein step of the last
@@ -263,26 +253,26 @@ def projected_gradient_min(
     When d'y <= 0 the step instead doubles after an unhindered success and
     stays after a backtracked one.
 
-    ``stop`` says why the loop ended.  It converged on ``"move"`` (the
-    accepted step in u is below ``tol`` relative to u, or, after a move, the
-    line search stopped at that scale), ``"flat"`` (the accepted step left f
-    unchanged, so Armijo passed only within f's resolution) or
-    ``"stationary"`` (the projected step is null: theta is stationary on the
-    box).  It did not on ``"line_search"`` (the line search found no step
-    from the start point, which comes back bit for bit, or its halvings ran
-    out after a move, and theta is the last accepted point) or
-    ``"max_iters"``.  ``step`` is the trial step the next iteration would
-    start from, for a later call on a nearby function to take as ``step0``
-    (spectral projected gradient carries its step across iterations the
-    same way: Birgin, Martinez & Raydan 2000).  ``callback(theta, f)`` runs
-    at the end of every iteration, after its last evaluation.
+    ``point`` is the last accepted point, or ``start`` itself when no step
+    was accepted.  ``stop`` says why the loop ended.  It converged on
+    ``"move"`` (the accepted step in u is below ``tol`` relative to u, or,
+    after a move, the line search stopped at that scale), ``"flat"`` (the
+    accepted step left f unchanged, so Armijo passed only within f's
+    resolution) or ``"stationary"`` (the projected step is null: theta is
+    stationary on the box).  It did not on ``"line_search"`` (the line
+    search found no step from the start point, or its halvings ran out
+    after a move) or ``"max_iters"``.  ``step`` is the trial step the next
+    iteration would start from, for a later call on a nearby function to
+    take as ``step0`` (spectral projected gradient carries its step across
+    iterations the same way: Birgin, Martinez & Raydan 2000).
+    ``callback(point)`` runs at the end of every iteration, after its last
+    evaluation, with the point accepted so far.
     """
     log = box.lower > 0
     lo = np.log(box.lower, out=box.lower.copy(), where=log)
     hi = np.log(box.upper, out=box.upper.copy(), where=log)
-    theta = box.project(np.asarray(theta0, dtype=float))
-    u = np.log(theta, out=theta.copy(), where=log)
-    f = fun(theta)
+    point = start
+    u = np.log(point.theta, out=point.theta.copy(), where=log)
     fn_evals = 1
     grad_evals = 0
     failed_trials = 0
@@ -293,9 +283,9 @@ def projected_gradient_min(
     it = 0
     for it in range(1, max_iters + 1):
         if g_u is None:
-            g_u = grad(theta)
+            g_u = point.gradient()
             grad_evals += 1
-            g_u = np.where(log, theta * g_u, g_u)
+            g_u = np.where(log, point.theta * g_u, g_u)
         if it > 1:  # every iteration after the first follows an accepted step d
             y = g_u - g_prev
             dy = float(np.dot(d, y))
@@ -314,13 +304,14 @@ def projected_gradient_min(
                 stop = "stationary"
                 break
             cand = box.project(np.where(log, np.exp(u_cand), u_cand))
+            trial = None  # the last trial's point goes before the next is evaluated
             try:
-                f_cand = fun(cand)
+                trial = evaluate(cand)
                 fn_evals += 1
             except NumericalError:
-                f_cand = np.inf
                 failed_trials += 1
-            if f_cand <= f + _ARMIJO_C * float(np.dot(g_u, d)):
+            f_cand = np.inf if trial is None else trial.value
+            if f_cand <= point.value + _ARMIJO_C * float(np.dot(g_u, d)):
                 accepted = True
                 break
             if np.isfinite(f_cand) and float(np.linalg.norm(d)) <= floor:
@@ -333,8 +324,8 @@ def projected_gradient_min(
             stop = "line_search"
         if accepted:
             move = float(np.linalg.norm(d))
-            flat = not f_cand < f
-            u, theta, f = u_cand, cand, f_cand
+            flat = not f_cand < point.value
+            u, point = u_cand, trial
             g_u, g_prev = None, g_u
             if flat:
                 stop = "flat"
@@ -342,12 +333,11 @@ def projected_gradient_min(
                 stop = "move"
             step = 2.0 * s if backtracks == 0 else s
         if callback is not None:
-            callback(theta, f)
+            callback(point)
         if stop != "max_iters":
             break
     return InnerResult(
-        theta=theta,
-        value=f,
+        point=point,
         iterations=it,
         fn_evals=fn_evals,
         grad_evals=grad_evals,
@@ -384,7 +374,6 @@ class M3cResult:
     theta: np.ndarray
     f_value: float
     converged: bool
-    outer_iters: int
     records: list
 
 
@@ -404,54 +393,53 @@ AUDIT_SLACK_REL = 1e-9
 
 
 def _mm_chain(
-    problem, theta0, majorant, audit, outer_iters, tol, inner_iters, inner_tol
+    problem, theta, solved, majorant, audit, outer_iters, tol, inner_iters, inner_tol
 ):
     """The majorize-minimize outer loop of both optimizers.
 
-    ``majorant(t, theta_t, widen)`` builds the majorant at the anchor
-    theta_t, with ``widen`` set when the last proposal was rejected; it
-    returns an object with ``value``, ``gradient``, ``n_probes`` and
-    ``pcg_iters``.  ``projected_gradient_min`` minimizes it over the box from
-    the anchor, backtracking from trial points whose value raises.  The
-    proposal is accepted, and becomes the next anchor, when ``audit`` puts
-    it at most ``AUDIT_SLACK_REL * max(1, |F|)`` above the anchor; one the
-    audit cannot evaluate (a :class:`NumericalError`) is rejected.  The
-    chain converges on an accepted step of at most ``tol`` relative to
-    theta, unless the inner minimizer gave up at the anchor: that null step
-    is accepted, but it is no evidence of stationarity.
+    The anchor starts at ``theta``, inside the box, with ``solved``: what the
+    optimizer solved there, or None.  ``majorant(t, theta_t, solved, widen)``
+    builds the majorant at the anchor, with ``widen`` set when the last
+    proposal was rejected, and returns it with its :class:`Point` at the
+    anchor.  The majorant's ``value`` is the ``evaluate`` of
+    ``projected_gradient_min``, which minimizes it over the box from that
+    point, backtracking from trial points whose value raises; its
+    ``n_probes`` and ``pcg_iters`` go into the records.  The point the
+    minimizer returns is the proposal, and ``audit(theta, solved)`` estimates
+    F from its theta and what it solved.  The proposal is accepted, and
+    becomes the next anchor with what it solved, when the audit puts it at
+    most ``AUDIT_SLACK_REL * max(1, |F|)`` above the anchor; one the audit
+    cannot evaluate (a :class:`NumericalError`) is rejected.  The chain
+    converges on an accepted step of at most ``tol`` relative to theta,
+    unless the inner minimizer gave up at the anchor, returning its start
+    point unconverged: that null step is accepted, but it is no evidence of
+    stationarity.
     """
-    theta = box_start(problem, theta0)
-    f_here = audit(theta)
+    f_here = audit(theta, solved)
     records = []
     converged = False
     widen = False
     step = None
     for t in range(outer_iters):
         t0 = time.perf_counter()
-        surrogate = majorant(t, theta, widen)
+        surrogate, start = majorant(t, theta, solved, widen)
         inner = projected_gradient_min(
-            surrogate.value,
-            surrogate.gradient,
-            theta,
-            problem.box,
-            max_iters=inner_iters,
-            tol=inner_tol,
-            step0=step,
+            surrogate.value, start, problem.box, max_iters=inner_iters, tol=inner_tol, step0=step
         )
         step = inner.step
+        proposal = inner.point
         try:
-            f_new = audit(inner.theta)
+            f_new = audit(proposal.theta, proposal.solved)
         except NumericalError:
             f_new = np.inf  # a proposal the audit cannot evaluate is rejected
         slack = AUDIT_SLACK_REL * max(1.0, abs(f_here))
         accepted = f_new <= f_here + slack
-        rel_step = float(np.linalg.norm(inner.theta - theta)) / max(
+        rel_step = float(np.linalg.norm(proposal.theta - theta)) / max(
             1.0, float(np.linalg.norm(theta))
         )
-        stuck = not inner.converged and np.array_equal(inner.theta, theta)
+        stuck = not inner.converged and proposal is start
         if accepted:
-            theta = inner.theta
-            f_here = f_new
+            theta, solved, f_here = proposal.theta, proposal.solved, f_new
         widen = not accepted
         records.append(
             OuterRecord(
@@ -470,16 +458,33 @@ def _mm_chain(
                 counters=problem.counters.snapshot(),
             )
         )
+        # this majorant's points hold its anchor: let them go before the next
+        del surrogate, start, inner, proposal
         if accepted and rel_step <= tol and not stuck:
             converged = True
             break
-    return M3cResult(
-        theta=theta,
-        f_value=f_here,
-        converged=converged,
-        outer_iters=len(records),
-        records=records,
-    )
+    return M3cResult(theta=theta, f_value=f_here, converged=converged, records=records)
+
+
+@dataclass
+class _ExactMajorant:
+    """The dense majorant at an anchor's pieces; each point carries its own."""
+
+    problem: object
+    anchor: object  # the DensePieces at theta_t
+    n_probes = 0
+    pcg_iters = 0
+
+    def value(self, theta):
+        return self.at(dense_objective_pieces(self.problem, theta))
+
+    def at(self, pieces):
+        problem, anchor, theta = self.problem, self.anchor, pieces.theta
+        value = exact_surrogate(problem, theta, anchor.theta, anchor=anchor, pieces=pieces)
+        grad = lambda: exact_surrogate_grad(
+            problem, theta, anchor.theta, anchor=anchor, pieces=pieces
+        )
+        return Point(theta, value, pieces, grad)
 
 
 def mm_optimize_exact(
@@ -497,40 +502,22 @@ def mm_optimize_exact(
     along the chain.  Its proposals pass the exact audit, F itself with
     m3c's slack ``AUDIT_SLACK_REL``, and the same stop test as m3c's (see
     ``_mm_chain``), so a proposal that raises F is rejected and a null step
-    is not convergence.  Dense only; desk-scale problems.
+    is not convergence.  Each theta is factorized once: a point carries its
+    dense pieces, which serve its value, gradient and audit and, once it is
+    accepted, the next majorant's anchor.  Dense only; desk-scale problems.
     """
-    held = {"anchor": None, "last": None}
+    theta = box_start(problem, theta0)
 
-    def pieces_at(th):
-        # one factorization serves the value, gradient and audit at a point,
-        # the anchor it becomes next, and that anchor for as long as it stays
-        for key in held:
-            if held[key] is not None and np.array_equal(held[key].theta, th):
-                return held[key]
-        # release the old point's pieces first, so that at most two points'
-        # pieces (the anchor's and the last point's) are alive at once
-        held["last"] = None
-        held["last"] = dense_objective_pieces(problem, th)
-        return held["last"]
+    def majorant(t, theta_t, anchor, widen):
+        exact = _ExactMajorant(problem, anchor)
+        return exact, exact.at(anchor)
 
-    def majorant(t, theta_t, widen):
-        anchor = held["anchor"] = pieces_at(theta_t)
-        return SimpleNamespace(
-            value=lambda th: exact_surrogate(
-                problem, th, theta_t, anchor=anchor, pieces=pieces_at(th)
-            ),
-            gradient=lambda th: exact_surrogate_grad(
-                problem, th, theta_t, anchor=anchor, pieces=pieces_at(th)
-            ),
-            n_probes=0,
-            pcg_iters=0,
-        )
-
-    def audit(th):
-        return eval_F_exact(problem, th, pieces_at(th)).value
+    def audit(theta, pieces):
+        return eval_F_exact(problem, theta, pieces).value
 
     return _mm_chain(
-        problem, theta0, majorant, audit, outer_iters, tol, inner_iters, inner_tol
+        problem, theta, dense_objective_pieces(problem, theta), majorant, audit,
+        outer_iters, tol, inner_iters, inner_tol,
     )
 
 
@@ -543,10 +530,10 @@ AUDIT_K = 30
 def _auditor(problem, seed, pcg_tol):
     """m3c's independent, fixed estimate of F: exact up to DENSE_LIMIT rows, SLQ above."""
     if problem.m <= DENSE_LIMIT:
-        return lambda theta: eval_F_exact(problem, theta).value
+        return lambda theta, solved: eval_F_exact(problem, theta).value
     w = rademacher_probes(problem.m, AUDIT_PROBES, seed, "audit")
     k = min(AUDIT_K, problem.m)
-    return lambda theta: eval_F_slq(problem, theta, w, k_steps=k, pcg_tol=pcg_tol).value
+    return lambda theta, solved: eval_F_slq(problem, theta, w, k_steps=k, pcg_tol=pcg_tol).value
 
 
 def m3c_optimize(
@@ -593,7 +580,7 @@ def m3c_optimize(
     audit = _auditor(problem, seed, pcg_tol)
     n_now = int(n_probes)
 
-    def majorant(t, theta_t, widen):
+    def majorant(t, theta_t, solved, widen):
         nonlocal n_now
         if widen:
             n_now = min(2 * n_now, problem.m)
@@ -602,10 +589,12 @@ def m3c_optimize(
         else:
             w = canonical_probes(problem.m)
         pre = psi_preconditioner(problem, theta_t, seed=seed)
-        return build_surrogate(
+        surrogate = build_surrogate(
             problem, theta_t, w, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )
+        return surrogate, surrogate.value(theta_t)
 
+    theta = box_start(problem, theta0)
     return _mm_chain(
-        problem, theta0, majorant, audit, outer_iters, tol, inner_iters, inner_tol
+        problem, theta, None, majorant, audit, outer_iters, tol, inner_iters, inner_tol
     )

@@ -23,9 +23,9 @@ by the test-suite:
   Psi over a fixed probe set (the sample-average surface the fixed-sample
   optimizer minimizes), one Lanczos run over the whole probe block, misfit
   solved by CG;
-* ``grad_fd``  —  forward finite differences of any scalar objective,
-  bound-aware: the gradient of the sample-average surface that the
-  fixed-sample optimizer descends.
+* ``grad_fd``  —  forward finite differences of any scalar objective from
+  its value at the base point, bound-aware: the gradient of the
+  sample-average surface that the fixed-sample optimizer descends.
 
 ``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi, with the
 noise variance sigma^2 as its known shift.
@@ -331,12 +331,13 @@ def grad_F_exact(problem, theta):
     return dense_gradient(problem, pieces, pieces.inverse())
 
 
-def grad_fd(f, theta, box, eps_rel=1e-6):
+def grad_fd(f, theta, f_theta, box, eps_rel=1e-6):
     """Forward-difference gradient of a scalar function, bound-aware.
 
-    Step size h_j = eps_rel * max(1, |theta_j|), taken into whichever side
-    of the box has more room; p+1 evaluations, f(theta) first.  A box
-    thinner than 2 h_j in any coordinate is an error.
+    ``f_theta`` is f(theta), which the caller has already computed, so the
+    differences cost p evaluations of f, one per coordinate.  Step size
+    h_j = eps_rel * max(1, |theta_j|), taken into whichever side of the box
+    has more room.  A box thinner than 2 h_j in any coordinate is an error.
     """
     theta = np.asarray(theta, dtype=float)
     p = theta.shape[0]
@@ -345,13 +346,12 @@ def grad_fd(f, theta, box, eps_rel=1e-6):
     h = eps_rel * np.maximum(1.0, np.abs(theta))
     if np.any(box.upper - box.lower < 2.0 * h):
         raise ValueError("box is thinner than twice the difference step in some coordinate")
-    f0 = f(theta)
     grad = np.zeros(p)
     for j in range(p):
         step = np.zeros(p)
         sign = 1.0 if box.upper[j] - theta[j] >= theta[j] - box.lower[j] else -1.0
         step[j] = sign * h[j]
-        grad[j] = sign * (f(theta + step) - f0) / h[j]
+        grad[j] = sign * (f(theta + step) - f_theta) / h[j]
     return grad
 
 

@@ -14,12 +14,13 @@ everywhere, so one projected-gradient run in log theta (see
 differences of F_hat, is the whole optimizer — every run with the same
 inputs retraces the same arithmetic.
 
-Each theta is evaluated once per run: a finite-difference base point the
-line search has just accepted reads the value already computed.  Armijo
-steps never increase F_hat, and there is one record per iteration.  The
-box minimizer backtracks from a trial point whose misfit solve raises
-:class:`~hypermarg.operators.NumericalError`; at the start point, or next
-to the iterate in a finite difference, the error ends the run.
+Each theta is evaluated once per run: the box minimizer's points carry
+their value, and the finite differences at an accepted point start from
+it.  Armijo steps never increase F_hat, and there is one record per
+iteration.  The box minimizer backtracks from a trial point whose misfit
+solve raises :class:`~hypermarg.operators.NumericalError`; at the start
+point, or next to the iterate in a finite difference, the error ends the
+run.
 """
 
 import time
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mm import box_start, projected_gradient_min
+from .mm import Point, box_start, projected_gradient_min
 from .objective import eval_F_slq, grad_fd
 from .operators import NumericalError
 from .probes import rademacher_probes
@@ -37,7 +38,6 @@ __all__ = ["SaaRecord", "SaaResult", "saa_optimize"]
 
 @dataclass
 class SaaRecord:
-    iteration: int
     theta: np.ndarray
     f_hat: float
     fn_evals: int
@@ -52,7 +52,7 @@ class SaaResult:
     f_value: float  # F_hat at the returned point
     converged: bool
     iterations: int
-    fn_evals: int  # distinct thetas evaluated successfully
+    fn_evals: int  # thetas evaluated successfully, each once
     failed_trials: int  # line-search trial points whose evaluation raised
     records: list
 
@@ -75,8 +75,8 @@ def saa_optimize(
     never redrawn.  One projected-gradient run of at most ``max_iters``
     iterations minimizes it, leaving one record per iteration.  Gradients
     are forward differences of F_hat, so the only linear algebra is Lanczos
-    quadrature and CG.  ``fn_evals`` counts distinct thetas evaluated,
-    ``failed_trials`` those whose evaluation raised.
+    quadrature and CG.  ``fn_evals`` counts the thetas evaluated, each
+    once, and ``failed_trials`` those whose evaluation raised.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
@@ -84,22 +84,23 @@ def saa_optimize(
     k_steps = int(min(k_steps, problem.m))
     w = rademacher_probes(problem.m, n_probes, seed, "saa")
 
-    seen = {}  # F_hat by theta.tobytes(); its size is the evaluation count
-    pcg_iters = [0]
+    done = [0, 0]  # successful evaluations, CG iterations
 
     def fhat(th):
-        key = th.tobytes()
-        if key not in seen:
-            res = eval_F_slq(
-                problem, th, w, k_steps=k_steps, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
-            )
-            pcg_iters[0] += res.pcg_iterations
-            seen[key] = res.value
-        return seen[key]
+        res = eval_F_slq(
+            problem, th, w, k_steps=k_steps, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
+        )
+        done[0] += 1
+        done[1] += res.pcg_iterations
+        return res.value
 
-    def grad(th):
+    def evaluate(th):
+        f = fhat(th)
+        return Point(th, f, None, lambda: grad(th, f))
+
+    def grad(th, f):
         try:
-            return grad_fd(fhat, th, problem.box, eps_rel=grad_eps)
+            return grad_fd(fhat, th, f, problem.box, eps_rel=grad_eps)
         except NumericalError as exc:
             msg = f"finite-difference gradient at theta={th} failed at a neighbour: {exc}"
             raise NumericalError(msg) from exc
@@ -107,30 +108,29 @@ def saa_optimize(
     records = []
     mark = [time.perf_counter(), 0, 0]  # wall time, evaluations, CG iterations
 
-    def record(th, f):
+    def record(point):
         now = time.perf_counter()
         records.append(
             SaaRecord(
-                iteration=len(records),
-                theta=th.copy(),
-                f_hat=f,
-                fn_evals=len(seen) - mark[1],
-                pcg_iters=pcg_iters[0] - mark[2],
+                theta=point.theta.copy(),
+                f_hat=point.value,
+                fn_evals=done[0] - mark[1],
+                pcg_iters=done[1] - mark[2],
                 wall_time_s=now - mark[0],
                 counters=problem.counters.snapshot(),
             )
         )
-        mark[:] = [now, len(seen), pcg_iters[0]]
+        mark[:] = [now, *done]
 
     inner = projected_gradient_min(
-        fhat, grad, theta, problem.box, max_iters=max_iters, tol=tol, callback=record
+        evaluate, evaluate(theta), problem.box, max_iters=max_iters, tol=tol, callback=record
     )
     return SaaResult(
-        theta=inner.theta,
-        f_value=inner.value,
+        theta=inner.point.theta,
+        f_value=inner.point.value,
         converged=inner.converged,
         iterations=inner.iterations,
-        fn_evals=len(seen),
+        fn_evals=done[0],
         failed_trials=inner.failed_trials,
         records=records,
     )

@@ -145,8 +145,8 @@ def test_criterion_5_gradient_triangle():
             anchor = _sample_interior(problem.box, rng)
             probes = rademacher_probes(problem.m, 8, 11, kind, i)
             surrogate = build_surrogate(problem, anchor, probes, pcg_tol=1e-12)
-            gs = surrogate.gradient(theta)
-            fds = grad_fd_central(surrogate.value, theta, problem.box)
+            gs = surrogate.value(theta).gradient()
+            fds = grad_fd_central(lambda t: surrogate.value(t).value, theta, problem.box)
             worst_surrogate = max(worst_surrogate, np.linalg.norm(gs - fds) / max(1.0, np.linalg.norm(fds)))
     ok = worst_exact <= 1e-5 and worst_surrogate <= 1e-4
     _verdict(

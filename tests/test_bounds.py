@@ -148,10 +148,10 @@ class TestM3cSchedule:
     def test_budgets_tighten_geometrically(self):
         sched = m3c_sample_schedule(0.5, 0.1, 0.8, 6, 50, 2, 1.0, self.CONSTANTS)
         assert isinstance(sched, M3cSchedule)
-        assert sched.delta0 == pytest.approx(0.1 * 0.2)
+        assert sched.delta[0] == pytest.approx(0.1 * 0.2)
         for t in range(6):
             assert sched.eps[t] == pytest.approx(0.5 * 0.8**t)
-            assert sched.delta[t] == pytest.approx(sched.delta0 * 0.8**t)
+            assert sched.delta[t] == pytest.approx(sched.delta[0] * 0.8**t)
         assert list(sched.n_probes) == sorted(sched.n_probes)
         assert all(n >= 1 for n in sched.n_probes)
 

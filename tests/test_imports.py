@@ -18,8 +18,14 @@ a public method or ``__init__`` of a class there, must be set by package,
 demo or benchmark code, by keyword or by position in a call to a callee of
 its name, or as a string key of a dict display there (a config schema, a
 ``**kwargs`` dict); so no option is kept that only tests set, and the
-allowlist names each exception with its reason.  ``nystrom.py`` must not
-use ``scipy.linalg``, so the preconditioner build stays in numpy's BLAS.
+allowlist names each exception with its reason.  The field check runs over
+the same surface: every field of a dataclass named in ``__all__`` must be
+read by package, demo or benchmark code, as an attribute of that name or
+through ``getattr``, so no field is kept that only tests read or that only
+repeats another; its allowlist names the exceptions.  ``mm.py`` and
+``saa.py`` call neither ``tobytes`` nor ``array_equal``: the optimizers carry
+evaluated points, so no cache there is keyed by theta.  ``nystrom.py`` must
+not use ``scipy.linalg``, so the preconditioner build stays in numpy's BLAS.
 ``NumericalError`` is caught only at the few sites that own a failure rule,
 so a bad trial point is handled in one place for every optimizer.  The last
 checks run in a fresh interpreter: none of the three optimizers imports
@@ -55,6 +61,15 @@ NO_READER_NEEDED = {
 # optional parameters that no package, demo or benchmark code sets, kept on purpose
 NO_SETTER_NEEDED = {
     ("main", "argv"): "tests drive the command line in process",
+}
+
+# public dataclass fields that no package, demo or benchmark code reads, kept on purpose
+NO_FIELD_READER_NEEDED = {
+    ("ObjectiveEval", "misfit"): "a reference of the SLQ-against-exact checks in test_objective.py",
+    ("ObjectiveEval", "logdet_part"): "the SLQ-against-exact log-det reference in test_objective.py",
+    ("ObjectiveEval", "prior_part"): "a reference of the SLQ-against-exact checks in test_objective.py",
+    ("LogdetMatrix", "log_mat"): "the oracle log(M) in test_randmat.py",
+    ("OuterRecord", "inner_stop"): "tests read it until metrics.csv has an inner_stop column",
 }
 
 # the only functions that catch NumericalError, each once, with what it does
@@ -416,6 +431,102 @@ def test_checker_flags_an_optional_parameter_without_a_setter():
     assert unset_parameters(toy, setters) == [("toy", "grain")]
     setters = parameter_setters([caller])
     assert unset_parameters(toy, setters) == [("toy", "size"), ("toy", "grain")]
+
+
+def public_dataclass_fields(source):
+    """``(class, field)`` for each public field of a dataclass named in ``__all__``."""
+    tree = ast.parse(source)
+    public = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public = {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [
+        (node.name, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        and node.name in public
+        and any(
+            callee_name(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+            for d in node.decorator_list
+        )
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+        and isinstance(item.target, ast.Name)
+        and not item.target.id.startswith("_")
+    ]
+
+
+def fields_read(sources):
+    """Attribute names ``sources`` read, and the string names they pass to ``getattr``."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif (
+                isinstance(node, ast.Call)
+                and callee_name(node.func) == "getattr"
+                and len(node.args) > 1
+                and isinstance(node.args[1], ast.Constant)
+            ):
+                read.add(node.args[1].value)
+    return read
+
+
+def unread_package_fields():
+    read = fields_read(p.read_text() for p in READERS)
+    return {
+        field
+        for path in PACKAGE
+        for field in public_dataclass_fields(path.read_text())
+        if field[1] not in read
+    }
+
+
+def test_every_public_dataclass_field_has_a_reader():
+    assert sorted(unread_package_fields() - set(NO_FIELD_READER_NEEDED)) == []
+
+
+def test_every_allowlisted_field_still_lacks_a_reader():
+    assert unread_package_fields() == set(NO_FIELD_READER_NEEDED)
+
+
+def test_checker_flags_a_dataclass_field_without_a_reader():
+    source = (
+        '__all__ = ["Rec", "Frozen", "Plain"]\n'
+        "@dataclass\nclass Rec:\n    a: int\n    b: int = 0\n    _c: int = 0\n    d = 1\n"
+        "@dataclass(frozen=True)\nclass Frozen:\n    e: float\n"
+        "class Plain:\n    f: int\n"
+        "@dataclass\nclass Hidden:\n    g: int\n"
+    )
+    assert public_dataclass_fields(source) == [("Rec", "a"), ("Rec", "b"), ("Frozen", "e")]
+    reader = "rec.a\nrec.b = 1\ngetattr(obj, 'e', None)\n"
+    assert fields_read([reader]) == {"a", "e"}
+
+
+def theta_key_uses(source):
+    """Lines where ``source`` calls ``tobytes`` or ``array_equal``, as a theta-keyed cache does."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and callee_name(node.func) in ("tobytes", "array_equal")
+    )
+
+
+@pytest.mark.parametrize("name", ["mm.py", "saa.py"])
+def test_optimizers_keep_no_theta_keyed_cache(name):
+    assert theta_key_uses((ROOT / "src" / "hypermarg" / name).read_text()) == []
+
+
+def test_checker_flags_theta_keys():
+    source = (
+        "seen = {}\nseen[th.tobytes()] = 1\n"
+        "if np.array_equal(held.theta, th):\n    pass\n"
+        "same = array_equal(a, b)\nkey = th.tobytes\n"
+    )
+    assert theta_key_uses(source) == [2, 3, 5]
 
 
 def modules_after(script, prefix):

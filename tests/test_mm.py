@@ -1,4 +1,5 @@
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypermarg import (
 )
 from hypermarg.mm import (
     InnerResult,
+    Point,
     StochasticSurrogate,
     build_surrogate,
     exact_surrogate,
@@ -41,6 +43,12 @@ def spy_probe_blocks(monkeypatch):
 
     monkeypatch.setattr(hypermarg.mm, "build_surrogate", spy)
     return blocks
+
+
+def minimize(fun, grad, theta0, box, **kwargs):
+    """``projected_gradient_min`` over a value and a gradient function, from theta0."""
+    evaluate = lambda t: Point(t, fun(t), None, lambda: grad(t))
+    return projected_gradient_min(evaluate, evaluate(theta0), box, **kwargs)
 
 
 def slq_audit(monkeypatch, problem):
@@ -140,7 +148,7 @@ class TestStochasticSurrogate:
         surrogate = build_surrogate(
             problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-13
         )
-        g_hat = surrogate.gradient(theta)
+        g_hat = surrogate.value(theta).gradient()
         g = exact_surrogate_grad(problem, theta, theta_t)
         assert relerr(g_hat, g) < 1e-7
 
@@ -155,7 +163,7 @@ class TestStochasticSurrogate:
         )
         psi_t = dense_objective_pieces(problem, theta_t).psi
         shift = 0.5 * (np.linalg.slogdet(psi_t)[1] - problem.m)
-        g_hat = surrogate.value(theta) + shift
+        g_hat = surrogate.value(theta).value + shift
         g = exact_surrogate(problem, theta, theta_t)
         assert abs(g_hat - g) < 1e-7 * max(1.0, abs(g))
 
@@ -170,7 +178,7 @@ class TestStochasticSurrogate:
         for seed in range(150):
             probes = rademacher_probes(problem.m, 32, seed)
             surrogate = build_surrogate(problem, theta_t, probes, pcg_tol=1e-11)
-            values.append(surrogate.value(theta) + shift)
+            values.append(surrogate.value(theta).value + shift)
         values = np.array(values)
         se = values.std(ddof=1) / np.sqrt(values.size)
         assert abs(values.mean() - target) < 5.0 * se + 1e-9
@@ -183,8 +191,10 @@ class TestStochasticSurrogate:
         )
         probes = rademacher_probes(problem.m, 8, seed=3)
         surrogate = build_surrogate(problem, theta_t, probes, pcg_tol=1e-12)
-        g = surrogate.gradient(theta)
-        g_fd = grad_fd_central(surrogate.value, theta, problem.box, eps_rel=1e-6)
+        g = surrogate.value(theta).gradient()
+        g_fd = grad_fd_central(
+            lambda th: surrogate.value(th).value, theta, problem.box, eps_rel=1e-6
+        )
         assert relerr(g_fd, g) < 1e-5
 
     def test_anchor_solve_failure_is_hard_error(self):
@@ -209,14 +219,14 @@ class TestStochasticSurrogate:
         # records count them, and the run completes above that floor.
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=0)
         start = problem.box.center()
-        real = StochasticSurrogate._solve_misfit
+        real = StochasticSurrogate.value
 
-        def failing(self, theta, psi_op=None):
+        def failing(self, theta):
             if theta[0] < 0.5 * start[0]:
                 raise NumericalError("misfit solve stalled")
-            return real(self, theta, psi_op)
+            return real(self, theta)
 
-        monkeypatch.setattr(StochasticSurrogate, "_solve_misfit", failing)
+        monkeypatch.setattr(StochasticSurrogate, "value", failing)
         out = m3c_optimize(problem, outer_iters=4, n_probes=4, seed=0)
         assert out.records[0].failed_trials > 0
         assert out.theta[0] >= 0.5 * start[0]
@@ -234,8 +244,8 @@ class TestStochasticSurrogate:
         warm.value(first)
         iters_before = warm.pcg_iters
         cold_before = cold.pcg_iters
-        v_warm = warm.value(second)
-        v_cold = cold.value(second)
+        v_warm = warm.value(second).value
+        v_cold = cold.value(second).value
         assert warm.pcg_iters - iters_before < cold.pcg_iters - cold_before
         # each misfit c^T r is within ||c||^2 tol / lambda_min(Psi) of exact
         psi = dense_objective_pieces(problem, second).psi
@@ -243,7 +253,7 @@ class TestStochasticSurrogate:
         bound = float(c @ c) * tol / np.linalg.eigvalsh(psi)[0]
         assert abs(v_warm - v_cold) <= bound
 
-    def test_solved_block_attached_to_probes(self):
+    def test_w_is_the_probe_block_and_z_its_anchor_solves(self):
         # the surrogate pairs its probes with the only copy of Psi_t^{-1} W
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=1)
         probes = rademacher_probes(problem.m, 5, seed=0)
@@ -253,7 +263,6 @@ class TestStochasticSurrogate:
         psi = dense_objective_pieces(problem, problem.theta_true).psi
         resid = psi @ surrogate.z - probes
         assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(probes)
-        assert not hasattr(probes, "z")
 
 
 class TestNonzeroPriorMean:
@@ -295,14 +304,14 @@ class TestNonzeroPriorMean:
         surrogate = build_surrogate(
             problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-12
         )
-        assert relerr(surrogate.gradient(theta), g) < 1e-9
+        assert relerr(surrogate.value(theta).gradient(), g) < 1e-9
 
 
 class TestProjectedGradient:
     def test_quadratic_converges_to_box_projection(self):
         box = Box(lower=np.zeros(2), upper=np.ones(2))
         a = np.array([2.0, -1.0])
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 0.5 * float(np.sum((t - a) ** 2)),
             lambda t: t - a,
             np.array([0.5, 0.5]),
@@ -311,7 +320,7 @@ class TestProjectedGradient:
         )
         assert isinstance(out, InnerResult)
         assert out.converged
-        np.testing.assert_allclose(out.theta, [1.0, 0.0], atol=1e-8)
+        np.testing.assert_allclose(out.point.theta, [1.0, 0.0], atol=1e-8)
 
     def test_rosenbrock_descends_monotonically(self):
         box = Box(lower=np.array([-2.0, -2.0]), upper=np.array([2.0, 2.0]))
@@ -327,21 +336,21 @@ class TestProjectedGradient:
 
         seen = []
         fun = lambda t: seen.append(f(t)) or seen[-1]
-        out = projected_gradient_min(
+        out = minimize(
             fun, g, np.array([-1.2, 1.0]), box, max_iters=2000, tol=1e-12
         )
         # every accepted iterate must not increase the objective
-        assert out.value <= seen[0]
-        assert out.value < 0.5
+        assert out.point.value <= seen[0]
+        assert out.point.value < 0.5
         accepted = [seen[0]]
         for v in seen[1:]:
             if v <= accepted[-1]:
                 accepted.append(v)
-        assert accepted[-1] == pytest.approx(out.value)
+        assert accepted[-1] == pytest.approx(out.point.value)
 
     def test_stationary_start_returns_immediately(self):
         box = Box(lower=np.array([-1.0]), upper=np.array([1.0]))
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 0.5 * float(t @ t),
             lambda t: np.asarray(t),
             np.array([0.0]),
@@ -350,7 +359,7 @@ class TestProjectedGradient:
         )
         assert out.converged
         assert out.iterations == 1
-        assert out.theta[0] == 0.0
+        assert out.point.theta[0] == 0.0
 
     def test_trial_point_that_raises_is_backtracked_from(self):
         # The minimizer 2 lies above the failing region t < 1, and the first
@@ -366,19 +375,27 @@ class TestProjectedGradient:
             return 0.5 * float((t[0] - 2.0) ** 2)
 
         grad = lambda t: np.array([t[0] - 2.0])
-        out = projected_gradient_min(fun, grad, np.array([10.0]), box, tol=1e-12)
+        out = minimize(fun, grad, np.array([10.0]), box, tol=1e-12)
         assert failed[0] == 0.0
         assert out.failed_trials == len(failed) > 0
         assert out.converged
-        assert abs(out.theta[0] - 2.0) < 1e-8
+        assert abs(out.point.theta[0] - 2.0) < 1e-8
+
+    def test_gradient_that_raises_propagates(self):
+        box = Box(lower=np.array([-5.0]), upper=np.array([20.0]))
+
+        def stalled():
+            raise NumericalError("misfit solve stalled")
+
+        start = Point(np.array([10.0]), 32.0, None, stalled)
         with pytest.raises(NumericalError, match="misfit solve"):
-            projected_gradient_min(fun, grad, np.array([0.5]), box)
+            projected_gradient_min(lambda t: None, start, box)
 
     def test_descent_against_active_bound_stops(self):
         # minimum at -3, box floor at 0: iterates pin to the floor and the
         # null projected step signals stationarity
         box = Box(lower=np.array([0.0]), upper=np.array([5.0]))
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 0.5 * float((t[0] + 3.0) ** 2),
             lambda t: np.array([t[0] + 3.0]),
             np.array([1.0]),
@@ -386,14 +403,14 @@ class TestProjectedGradient:
             tol=1e-12,
         )
         assert out.converged and out.stop == "stationary"
-        assert abs(out.theta[0]) < 1e-10
+        assert abs(out.point.theta[0]) < 1e-10
 
     def test_positive_coordinates_move_in_log_theta(self):
         # f = sum (log t)^2 / 2 is the unit quadratic in u = log t: from
         # t = 100 the first step lands on the minimizer t = 1, where linear
         # steps across four decades would crawl.
         box = Box(lower=np.full(2, 1e-4), upper=np.full(2, 1e4))
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 0.5 * float(np.sum(np.log(t) ** 2)),
             lambda t: np.log(t) / t,
             np.array([100.0, 100.0]),
@@ -402,11 +419,11 @@ class TestProjectedGradient:
         )
         assert out.converged
         assert out.iterations <= 3
-        np.testing.assert_allclose(out.theta, [1.0, 1.0], rtol=1e-12)
+        np.testing.assert_allclose(out.point.theta, [1.0, 1.0], rtol=1e-12)
 
     def test_start_point_is_evaluated_and_returned_bit_for_bit(self):
-        # exp(log 10) is 10.000000000000002: the start point must reach fun
-        # and grad as given, and come back unchanged when no step is taken.
+        # exp(log 10) is 10.000000000000002: the start point must reach its
+        # gradient as given, and come back itself when no step is taken.
         box = Box(lower=np.array([0.05]), upper=np.array([30.0]))
         theta0 = np.array([10.0])
         seen = []
@@ -416,14 +433,16 @@ class TestProjectedGradient:
             return 0.0 if t.tobytes() == theta0.tobytes() else np.inf
 
         grads = []
-        out = projected_gradient_min(
-            fun, lambda t: grads.append(t.tobytes()) or np.array([1.0]), theta0, box
+        evaluate = lambda t: Point(
+            t, fun(t), None, lambda: grads.append(t.tobytes()) or np.array([1.0])
         )
+        start = evaluate(theta0)
+        out = projected_gradient_min(evaluate, start, box)
         assert seen[0] == theta0.tobytes()
-        assert grads[0] == theta0.tobytes()
+        assert grads == [theta0.tobytes()]
         assert not out.converged and len(seen) == 41
         assert out.stop == "line_search"
-        assert out.theta.tobytes() == theta0.tobytes()
+        assert out.point is start
 
     def test_every_evaluated_theta_lies_in_the_box(self):
         # The iterates run into an upper bound of 10 and a lower bound of
@@ -435,13 +454,13 @@ class TestProjectedGradient:
             seen.append(t.copy())
             return float(t[1] - t[0])
 
-        out = projected_gradient_min(
+        out = minimize(
             fun, lambda t: np.array([-1.0, 1.0]), np.array([1.0, 1.0]), box, tol=1e-12
         )
         assert out.converged
         for t in seen:
             assert np.all(t >= box.lower) and np.all(t <= box.upper)
-        np.testing.assert_array_equal(out.theta, [10.0, 1e-5])
+        np.testing.assert_array_equal(out.point.theta, [10.0, 1e-5])
 
     def test_ill_conditioned_box_quadratic_converges(self):
         # Curvatures 1 to 1000: a fixed step sized for the stiff coordinate
@@ -450,7 +469,7 @@ class TestProjectedGradient:
         lam = np.array([1.0, 10.0, 100.0, 1000.0])
         a = np.array([0.3, -0.2, 0.5, 2.0])
         box = Box(lower=-np.ones(4), upper=np.ones(4))
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 0.5 * float(np.sum(lam * (t - a) ** 2)),
             lambda t: lam * (t - a),
             np.zeros(4),
@@ -459,14 +478,14 @@ class TestProjectedGradient:
             tol=1e-10,
         )
         assert out.converged
-        np.testing.assert_allclose(out.theta, [0.3, -0.2, 0.5, 1.0], atol=1e-5)
+        np.testing.assert_allclose(out.point.theta, [0.3, -0.2, 0.5, 1.0], atol=1e-5)
 
     def test_ill_conditioned_quadratic_in_log_theta_converges(self):
         # The same in u = log theta: sum lam_j (u_j - log c_j)^2 / 2.
         lam = np.array([1.0, 30.0, 300.0])
         c = np.array([0.01, 5.0, 2.0])
         box = Box(lower=np.full(3, 1e-3), upper=np.full(3, 1e3))
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 0.5 * float(np.sum(lam * (np.log(t) - np.log(c)) ** 2)),
             lambda t: lam * (np.log(t) - np.log(c)) / t,
             np.ones(3),
@@ -475,13 +494,13 @@ class TestProjectedGradient:
             tol=1e-10,
         )
         assert out.converged
-        np.testing.assert_allclose(out.theta, c, rtol=1e-5)
+        np.testing.assert_allclose(out.point.theta, c, rtol=1e-5)
 
     def test_step_that_leaves_f_unchanged_is_convergence(self):
         # Near 1e17 a change of 4.5 is below f's resolution: Armijo passes
         # on rounding alone, and the loop stops there instead of running on.
         box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
-        out = projected_gradient_min(
+        out = minimize(
             lambda t: 1e17 + 0.5 * float((t[0] - 3.0) ** 2),
             lambda t: np.array([t[0] - 3.0]),
             np.array([0.0]),
@@ -495,9 +514,9 @@ class TestProjectedGradient:
         box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
         fun = lambda t: float(np.cosh(t[0] - 3.0))
         grad = lambda t: np.array([np.sinh(t[0] - 3.0)])
-        capped = projected_gradient_min(fun, grad, np.array([0.0]), box, max_iters=1)
+        capped = minimize(fun, grad, np.array([0.0]), box, max_iters=1)
         assert not capped.converged and capped.stop == "max_iters"
-        out = projected_gradient_min(fun, grad, np.array([0.0]), box, tol=1e-3)
+        out = minimize(fun, grad, np.array([0.0]), box, tol=1e-3)
         assert out.converged and out.stop == "move"
 
 
@@ -516,17 +535,17 @@ class TestProjectedGradient:
             return float(2.0 * np.sinh((t[0] - 0.37) / 2.0) ** 2 + 1e-7 * ((t[0] / 1e-4) % 1.0))
 
         ends = []
-        out = projected_gradient_min(
+        out = minimize(
             fun,
             lambda t: np.array([np.sinh(t[0] - 0.37)]),
             np.array([-3.0]),
             box,
-            callback=lambda t, f: ends.append(len(seen)),
+            callback=lambda point: ends.append(len(seen)),
         )
         assert out.converged and out.stop == "move"
         assert out.iterations > 1
         assert ends[-1] - ends[-2] < 20  # the last iteration's trials
-        assert abs(out.theta[0] - 0.37) < 1e-3
+        assert abs(out.point.theta[0] - 0.37) < 1e-3
 
     def test_start_point_with_only_roundoff_scale_descent_is_returned(self):
         # Only steps of 1e-10 or less in theta descend from theta0 = 10: the
@@ -540,10 +559,10 @@ class TestProjectedGradient:
             seen.append(None)
             return -(t[0] - 10.0) if t[0] - 10.0 <= 1e-10 else 1.0
 
-        out = projected_gradient_min(fun, lambda t: np.array([-1.0]), theta0, box)
+        out = minimize(fun, lambda t: np.array([-1.0]), theta0, box)
         assert not out.converged and out.stop == "line_search"
         assert out.iterations == 1
-        assert out.theta.tobytes() == theta0.tobytes()
+        assert out.point.theta.tobytes() == theta0.tobytes()
         assert out.fn_evals == len(seen) < 41
 
     def test_first_trial_step_is_step0_when_given(self):
@@ -554,7 +573,7 @@ class TestProjectedGradient:
             seen.append(t[0])
             return 0.5 * (t[0] - 3.0) ** 2
 
-        out = projected_gradient_min(
+        out = minimize(
             fun, lambda t: np.array([t[0] - 3.0]), np.array([0.0]), box,
             max_iters=1, step0=0.25,
         )
@@ -599,7 +618,7 @@ class TestExactMMChain:
             inner_iters=200, inner_tol=1e-12,
         )
         assert again.converged
-        assert again.outer_iters == 1
+        assert len(again.records) == 1
         assert again.f_value <= first.f_value + 1e-9 * abs(first.f_value)
 
     def test_start_outside_box_raises(self):
@@ -611,19 +630,17 @@ class TestExactMMChain:
     def test_null_step_from_stalled_inner_loop_is_not_convergence(self, monkeypatch):
         # An inner loop that gives up at the anchor proposes a step of 0;
         # the audit accepts it, but it must not count as convergence.
-        def stalled(fun, grad, theta0, box, **kwargs):
-            theta = np.array(theta0, dtype=float)
+        def stalled(evaluate, start, box, **kwargs):
             return InnerResult(
-                theta=theta, value=fun(theta), iterations=1, fn_evals=1,
-                grad_evals=0, failed_trials=0, converged=False,
-                stop="line_search", step=1.0,
+                point=start, iterations=1, fn_evals=1, grad_evals=0,
+                failed_trials=0, converged=False, stop="line_search", step=1.0,
             )
 
         monkeypatch.setattr(hypermarg.mm, "projected_gradient_min", stalled)
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=4)
         out = mm_optimize_exact(problem, outer_iters=3)
         assert not out.converged
-        assert out.outer_iters == 3
+        assert len(out.records) == 3
         assert all(rec.accepted and rec.rel_step == 0.0 for rec in out.records)
 
     def test_proposal_that_raises_the_audited_f_is_rejected(self, monkeypatch):
@@ -655,8 +672,28 @@ class TestExactMMChain:
         assert all(np.isnan(rec.rel_step) for rec in out.records)
         np.testing.assert_array_equal(out.theta, start)
         assert not out.converged
-        # the kept anchor keeps its factorization across the rejections
-        assert built.count(start.tobytes()) == 1
+        # a point's factorization serves its audit, and the kept anchor
+        # keeps its own across the rejections: no theta is built twice
+        assert start.tobytes() in built
+        assert len(built) == len(set(built))
+
+    def test_at_most_three_points_hold_dense_pieces(self, monkeypatch):
+        # The anchor's, the accepted point's and the trial's: a point the
+        # chain has moved past must not keep its factorization alive.
+        alive = weakref.WeakValueDictionary()
+        most = []
+        real = hypermarg.mm.dense_objective_pieces
+
+        def counted(problem, theta):
+            pieces = real(problem, theta)
+            alive[id(pieces)] = pieces
+            most.append(len(alive))
+            return pieces
+
+        monkeypatch.setattr(hypermarg.mm, "dense_objective_pieces", counted)
+        out = mm_optimize_exact(tomo_problem(s=4, n_src=3, n_rec=5, seed=4), outer_iters=4)
+        assert sum(rec.accepted for rec in out.records) >= 2
+        assert len(most) > 20 and max(most) <= 3
 
     def test_trial_whose_factorization_fails_is_backtracked_from(self, monkeypatch):
         # Every factorization below half the start's noise variance fails.
@@ -692,7 +729,7 @@ class TestM3cChain:
         monkeypatch.setattr(hypermarg.mm, "projected_gradient_min", recorder)
         problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
         out = m3c_optimize(problem, outer_iters=4, n_probes=8, seed=5)
-        assert len(given) == out.outer_iters >= 3
+        assert len(given) == len(out.records) >= 3
         assert given == [None] + ended[:-1]
         assert all(step > 0 for step in ended)
 
@@ -755,7 +792,7 @@ class TestM3cChain:
         )
         out = m3c_optimize(problem, outer_iters=2, n_probes=8, seed=0)
         used = "slq" if above else "exact"
-        assert calls[used] == out.outer_iters + 1
+        assert calls[used] == len(out.records) + 1
         assert calls["exact" if above else "slq"] == 0
 
     def test_slq_audit_mode_runs(self, monkeypatch):

@@ -78,7 +78,6 @@ class TestSaaOptimize:
         before = problem.counters.snapshot()
         out = saa_optimize(problem, n_probes=8, k_steps=10, seed=3, max_iters=15)
         assert len(out.records) == out.iterations > 1
-        assert [rec.iteration for rec in out.records] == list(range(out.iterations))
         assert len(thetas) == out.fn_evals
         assert out.fn_evals == sum(rec.fn_evals for rec in out.records)
         assert out.fn_evals == len(set(thetas))
