@@ -52,7 +52,7 @@ from .objective import (
     eval_F_exact,
     eval_F_slq,
     grad_F_exact,
-    grad_fd,
+    grad_F_slq,
     psi_preconditioner,
 )
 from .mm import (

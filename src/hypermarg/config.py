@@ -174,7 +174,6 @@ _SAA_SCHEMA = dict(
     _COMMON_METHOD,
     k_steps=_POS_INT,
     max_iters=_POS_INT,
-    grad_eps=_POS_NUM,
 )
 
 

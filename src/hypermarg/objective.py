@@ -5,7 +5,7 @@ The objective being minimized over theta (up to additive constants) is
     F(theta) = -log pi(theta) + (1/2) log det Psi(theta)
              + (1/2) (A mu_x - b)^T Psi(theta)^{-1} (A mu_x - b).
 
-Three evaluation routes are provided and cross-validated against one another
+Two evaluation routes are provided and cross-validated against one another
 by the test-suite:
 
 * ``eval_F_exact`` / ``grad_F_exact``  —  dense algebra, the oracle.  Both
@@ -19,13 +19,13 @@ by the test-suite:
   product of each dense Q or dQ with an m-row block (a scaled identity
   forms none).  Each dA is built once per gradient and costs two O(nnz)
   passes, a gather and a CSR matvec; all else is O(m^2) or vector work;
-* ``eval_F_slq``  —  log det replaced by stochastic Lanczos quadrature on
-  Psi over a fixed probe set (the sample-average surface the fixed-sample
-  optimizer minimizes), one Lanczos run over the whole probe block, misfit
-  solved by CG;
-* ``grad_fd``  —  forward finite differences of any scalar objective from
-  its value at the base point, bound-aware: the gradient of the
-  sample-average surface that the fixed-sample optimizer descends.
+* ``eval_F_slq`` / ``grad_F_slq``  —  log det replaced by stochastic
+  Lanczos quadrature on Psi over a fixed probe set (the sample-average
+  surface the fixed-sample optimizer minimizes), one Lanczos run over the
+  whole probe block, misfit solved by CG.  The evaluation keeps its Lanczos
+  run, and the gradient is the exact gradient of that surface: a reverse
+  pass through the run for the log-det part, and the misfit solve for the
+  rest.
 
 ``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi, with the
 noise variance sigma^2 as its known shift.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .lanczos import lanczos_decompose
+from .lanczos import LanczosDecomp, lanczos_decompose
 from .model import build_psi
 from .nystrom import nystrom_preconditioner
 from .operators import DENSE_LIMIT, NumericalError
@@ -48,7 +48,7 @@ __all__ = [
     "eval_F_exact",
     "eval_F_slq",
     "grad_F_exact",
-    "grad_fd",
+    "grad_F_slq",
     "psi_preconditioner",
     "dense_gradient",
     "dense_objective_pieces",
@@ -61,7 +61,9 @@ class ObjectiveEval:
 
     ``value = prior_part + 0.5 * logdet_part + 0.5 * misfit`` holds to
     roundoff; ``r`` is the solved residual Psi^{-1}(A mu_x - b) for reuse in
-    gradients; ``pcg_iterations`` is 0 on dense paths.
+    gradients; ``pcg_iterations`` is 0 on dense paths.  ``decomp`` is the
+    SLQ route's Lanczos run, which its gradient reads, and None on dense
+    paths.
     """
 
     value: float
@@ -70,6 +72,7 @@ class ObjectiveEval:
     logdet_part: float
     prior_part: float
     pcg_iterations: int
+    decomp: LanczosDecomp = None
 
 
 @dataclass
@@ -207,7 +210,40 @@ def eval_F_slq(problem, theta, w, k_steps, pcg_tol=1e-8, pcg_maxit=500):
         logdet_part=logdet_part,
         prior_part=prior,
         pcg_iterations=res.iterations,
+        decomp=decomp,
     )
+
+
+def grad_F_slq(problem, theta, evaluation):
+    """Exact gradient of the sample-average surface at theta.
+
+    ``evaluation`` is ``eval_F_slq``'s at theta; its Lanczos run and misfit
+    solve are reused, so no forward pass is repeated.  The log-det part is
+    the run's reverse pass (``LanczosDecomp.quadform_log_adjoint``), about
+    one Psi application per Lanczos step and probe; the misfit part is
+    -1/2 r^T dPsi_j r + r^T dA_j mu_x, the algebra of the sampled majorant's
+    gradient.  Both pair with dPsi/dtheta in one ``apply_all`` call over
+    the m columns of the sum of their outer products.  The misfit part is
+    exact up to the solve's tolerance.
+    """
+    theta = np.asarray(theta, dtype=float)
+    decomp, r = evaluation.decomp, evaluation.r
+    n = decomp.steps.shape[0]
+    u_bar = decomp.quadform_log_adjoint(build_psi(problem, theta), np.full(n, 0.5 / n))
+    # the log-det and misfit parts are sum left^T dPsi right over the pairs
+    # (u_bar, q), over the run's steps, and (-r/2, r); that is tr(dPsi X),
+    # X the sum of the outer products right left^T (rows past a column's
+    # steps are zero), paired over X's m columns
+    m = problem.m
+    x = decomp.basis.reshape(-1, m).T @ u_bar.reshape(-1, m)
+    x -= 0.5 * np.outer(r, r)
+    actions = _DerivativeActions(problem, theta)
+    terms = np.trace(actions.apply_all(x), axis1=1, axis2=2)
+    grad = problem.prior.grad_neglog(theta) + terms
+    da_mu = actions.forward_deriv_mu()
+    if da_mu is not None:
+        grad[problem.q_dim :] += da_mu @ r
+    return grad
 
 
 def _deriv_builders(problem):
@@ -329,30 +365,6 @@ def grad_F_exact(problem, theta):
     theta = np.asarray(theta, dtype=float)
     pieces = dense_objective_pieces(problem, theta)
     return dense_gradient(problem, pieces, pieces.inverse())
-
-
-def grad_fd(f, theta, f_theta, box, eps_rel=1e-6):
-    """Forward-difference gradient of a scalar function, bound-aware.
-
-    ``f_theta`` is f(theta), which the caller has already computed, so the
-    differences cost p evaluations of f, one per coordinate.  Step size
-    h_j = eps_rel * max(1, |theta_j|), taken into whichever side of the box
-    has more room.  A box thinner than 2 h_j in any coordinate is an error.
-    """
-    theta = np.asarray(theta, dtype=float)
-    p = theta.shape[0]
-    if box.p != p:
-        raise ValueError("box dimension does not match theta")
-    h = eps_rel * np.maximum(1.0, np.abs(theta))
-    if np.any(box.upper - box.lower < 2.0 * h):
-        raise ValueError("box is thinner than twice the difference step in some coordinate")
-    grad = np.zeros(p)
-    for j in range(p):
-        step = np.zeros(p)
-        sign = 1.0 if box.upper[j] - theta[j] >= theta[j] - box.lower[j] else -1.0
-        step[j] = sign * h[j]
-        grad[j] = sign * (f(theta + step) - f_theta) / h[j]
-    return grad
 
 
 # rank of the Nystrom preconditioner for Psi, capped at m.  A Q A^T has rank

@@ -10,17 +10,18 @@ a deterministic function
 uniformly close to F over the box once N is large enough; minimizing it
 transfers near-optimality back to F.  The surface is smooth almost
 everywhere, so one projected-gradient run in log theta (see
-:func:`~hypermarg.mm.projected_gradient_min`), driven by forward
-differences of F_hat, is the whole optimizer — every run with the same
-inputs retraces the same arithmetic.
+:func:`~hypermarg.mm.projected_gradient_min`), driven by the exact gradient
+of F_hat, is the whole optimizer — every run with the same inputs retraces
+the same arithmetic.
 
 Each theta is evaluated once per run: the box minimizer's points carry
-their value, and the finite differences at an accepted point start from
-it.  Armijo steps never increase F_hat, and there is one record per
-iteration.  The box minimizer backtracks from a trial point whose misfit
-solve raises :class:`~hypermarg.operators.NumericalError`; at the start
-point, or next to the iterate in a finite difference, the error ends the
-run.
+their evaluation, and the gradient at an accepted point is computed from
+it (:func:`~hypermarg.objective.grad_F_slq`: a reverse pass through the
+Lanczos run the value built, and the misfit solve).  Armijo steps never
+increase F_hat, and there is one record per iteration.  The box minimizer
+backtracks from a trial point whose misfit solve raises
+:class:`~hypermarg.operators.NumericalError`; at the start point the error
+ends the run.
 """
 
 import time
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mm import Point, box_start, projected_gradient_min
-from .objective import eval_F_slq, grad_fd
-from .operators import NumericalError
+from .objective import eval_F_slq, grad_F_slq
 from .probes import rademacher_probes
 
 __all__ = ["SaaRecord", "SaaResult", "saa_optimize"]
@@ -65,7 +65,6 @@ def saa_optimize(
     seed=0,
     max_iters=100,
     tol=1e-6,
-    grad_eps=1e-6,
     pcg_tol=1e-8,
     pcg_maxit=500,
 ):
@@ -74,9 +73,11 @@ def saa_optimize(
     One probe block is drawn up front from ``(seed, "probes", "saa")`` and
     never redrawn.  One projected-gradient run of at most ``max_iters``
     iterations minimizes it, leaving one record per iteration.  Gradients
-    are forward differences of F_hat, so the only linear algebra is Lanczos
-    quadrature and CG.  ``fn_evals`` counts the thetas evaluated, each
-    once, and ``failed_trials`` those whose evaluation raised.
+    are exact gradients of F_hat (:func:`~hypermarg.objective.grad_F_slq`),
+    computed from the accepted point's own Lanczos run and misfit solve, so
+    the only linear algebra is Lanczos quadrature, its reverse pass and CG.
+    ``fn_evals`` counts the thetas evaluated, each once, and
+    ``failed_trials`` those whose evaluation raised.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be positive")
@@ -86,24 +87,13 @@ def saa_optimize(
 
     done = [0, 0]  # successful evaluations, CG iterations
 
-    def fhat(th):
+    def evaluate(th):
         res = eval_F_slq(
             problem, th, w, k_steps=k_steps, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )
         done[0] += 1
         done[1] += res.pcg_iterations
-        return res.value
-
-    def evaluate(th):
-        f = fhat(th)
-        return Point(th, f, None, lambda: grad(th, f))
-
-    def grad(th, f):
-        try:
-            return grad_fd(fhat, th, f, problem.box, eps_rel=grad_eps)
-        except NumericalError as exc:
-            msg = f"finite-difference gradient at theta={th} failed at a neighbour: {exc}"
-            raise NumericalError(msg) from exc
+        return Point(th, res.value, None, lambda: grad_F_slq(problem, th, res))
 
     records = []
     mark = [time.perf_counter(), 0, 0]  # wall time, evaluations, CG iterations

@@ -132,6 +132,30 @@ class TestRunExperiment:
         fields, rows = read_csv(tmp_path / "saa" / "metrics.csv")
         assert summary["total_matvecs_A"] == sum(int(r["matvecs_A"]) for r in rows)
 
+    def test_saa_metrics_rows_sum_to_the_run_ledger(self, tmp_path, monkeypatch):
+        # the rows' counter deltas cover the gradients' reverse passes too
+        real = harness.saa_optimize
+        moved = {}
+
+        def spy(problem, **kwargs):
+            start = problem.counters.snapshot()
+            out = real(problem, **kwargs)
+            end = problem.counters.snapshot()
+            moved.update({key: end[key] - start[key] for key in end}, fn_evals=out.fn_evals)
+            return out
+
+        monkeypatch.setattr(harness, "saa_optimize", spy)
+        cfg = {
+            "problem": {"kind": "tomo", "s": 4, "n_src": 3, "n_rec": 5, "seed": 2},
+            "method": {"name": "saa", "n_probes": 8, "k_steps": 10, "max_iters": 15, "seed": 3},
+            "output": {"directory": str(tmp_path / "saa")},
+        }
+        summary = run_experiment(cfg)
+        _, rows = read_csv(tmp_path / "saa" / "metrics.csv")
+        for column, key in (("matvecs_A", "a"), ("matvecs_Q", "q"), ("fn_evals", "fn_evals")):
+            assert sum(int(r[column]) for r in rows) == moved[key], column
+        assert summary["total_fn_evals"] == moved["fn_evals"] < moved["psi"]
+
     @pytest.mark.parametrize(
         "schema, optimizer",
         [(_M3C_SCHEMA, m3c_optimize), (_SAA_SCHEMA, saa_optimize)],
@@ -377,6 +401,16 @@ class TestCliExitCodes:
         path.write_text(json.dumps(run_cfg(tmp_path / "out", precond_rank=8)))
         assert main(["run", str(path)]) == 2
         assert "unknown key(s) in method: ['precond_rank']" in capsys.readouterr().err
+
+    def test_removed_grad_eps_key_is_exit_2(self, tmp_path, capsys):
+        # saa's gradient is exact: there is no difference step to set
+        cfg = run_cfg(tmp_path / "out")
+        cfg["method"] = {"name": "saa", "max_iters": 5, "grad_eps": 1e-6}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path)]) == 2
+        assert "unknown key(s) in method: ['grad_eps']" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value", [("audit", "slq"), ("audit_probes", 8), ("audit_k", 8)])
     def test_removed_audit_keys_are_exit_2(self, tmp_path, capsys, key, value):

@@ -24,7 +24,9 @@ read by package, demo or benchmark code, as an attribute of that name or
 through ``getattr``, so no field is kept that only tests read or that only
 repeats another; its allowlist names the exceptions.  ``mm.py`` and
 ``saa.py`` call neither ``tobytes`` nor ``array_equal``: the optimizers carry
-evaluated points, so no cache there is keyed by theta.  ``nystrom.py`` must
+evaluated points, so no cache there is keyed by theta.  No package module
+defines, imports or calls ``grad_fd``: saa's gradient is exact, and finite
+differences live in the tests alone (``tests/fd.py``).  ``nystrom.py`` must
 not use ``scipy.linalg``, so the preconditioner build stays in numpy's BLAS.
 ``NumericalError`` is caught only at the few sites that own a failure rule,
 so a bad trial point is handled in one place for every optimizer.  The last
@@ -76,7 +78,6 @@ NO_FIELD_READER_NEEDED = {
 NUMERICAL_ERROR_HANDLERS = {
     ("mm.py", "projected_gradient_min"): "backtracks from a trial point that raises",
     ("mm.py", "_mm_chain"): "rejects a proposal the audit cannot evaluate",
-    ("saa.py", "saa_optimize.grad"): "names the finite-difference gradient that failed",
     ("cli.py", "main"): "exits with status 3",
 }
 
@@ -527,6 +528,36 @@ def test_checker_flags_theta_keys():
         "same = array_equal(a, b)\nkey = th.tobytes\n"
     )
     assert theta_key_uses(source) == [2, 3, 5]
+
+
+def finite_difference_uses(source):
+    """Lines where ``source`` defines, imports or calls a function named ``grad_fd``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            hit = node.name == "grad_fd"
+        elif isinstance(node, ast.ImportFrom):
+            hit = any(alias.name == "grad_fd" for alias in node.names)
+        else:
+            hit = isinstance(node, ast.Call) and callee_name(node.func) == "grad_fd"
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_package_takes_no_finite_differences():
+    modules = sorted((ROOT / "src" / "hypermarg").glob("*.py"))
+    found = {p.name: finite_difference_uses(p.read_text()) for p in modules}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_checker_flags_finite_differences():
+    source = (
+        "from .objective import eval_F_slq, grad_fd\n"
+        "def grad_fd(f, theta):\n    return theta\n"
+        "g = objective.grad_fd(f, theta)\nh = grad_fd\ngrad_fd_central(f, theta)\n"
+    )
+    assert finite_difference_uses(source) == [1, 2, 4]
 
 
 def modules_after(script, prefix):

@@ -12,6 +12,8 @@ from hypermarg import (
 )
 from hypermarg.rng import stream
 
+from fd import daleckii_krein
+
 
 def random_spd(m, seed, cond=50.0):
     rng = stream(seed, "spd")
@@ -197,6 +199,75 @@ def test_mid_block_breakdown_leaves_the_other_columns_running():
         np.testing.assert_allclose(dec.basis[j], s.basis[0], rtol=0.0, atol=1e-10)
         gram = dec.basis[j, : dec.steps[j]] @ dec.basis[j, : dec.steps[j]].T
         assert np.abs(gram - np.eye(dec.steps[j])).max() <= 1e-12, j
+
+
+def adjoint_matrix(dec, op, weights):
+    """The symmetric G with sum_j weights_j d quadform_log()_j = <G, dM>."""
+    u_bar = dec.quadform_log_adjoint(op, weights)
+    g = np.einsum("jim,jil->ml", u_bar, dec.basis)
+    return 0.5 * (g + g.T)
+
+
+def symmetric_directions(m, count, seed):
+    e = stream(seed, "directions").standard_normal((count, m, m))
+    return e + e.transpose(0, 2, 1)
+
+
+def test_adjoint_is_daleckii_krein_at_full_depth():
+    m = 30
+    mat = random_spd(m, 5, cond=1e4)
+    op = DenseSymOp(mat)
+    w = np.where(stream(5, "w").random((m, 3)) < 0.5, -1.0, 1.0)
+    weights = np.array([0.5, 1.0, 2.0])
+    dec = lanczos_decompose(op, w, m)
+    assert np.all(dec.steps == m)
+    ref = daleckii_krein(mat, w, weights)
+    assert np.linalg.norm(adjoint_matrix(dec, op, weights) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_adjoint_matches_central_differences_when_truncated():
+    # short of full depth the quadrature depends on M through its Krylov
+    # basis too; 25 steps on a spectrum spread over four decades is where
+    # the adjoint recurrence without its projection had lost all digits
+    m = 40
+    mat = random_spd(m, 6, cond=1e4)
+    w = np.where(stream(6, "w").random((m, 3)) < 0.5, -1.0, 1.0)
+    weights = np.array([1.0, -0.5, 0.25])
+
+    def f(mat_):
+        return float(weights @ lanczos_decompose(DenseSymOp(mat_), w, k).quadform_log())
+
+    for k in (3, 12, 25):
+        op = DenseSymOp(mat)
+        dec = lanczos_decompose(op, w, k)
+        g = adjoint_matrix(dec, op, weights)
+        for e in symmetric_directions(m, 3, k):
+            h = 1e-5
+            fd = (f(mat + h * e) - f(mat - h * e)) / (2.0 * h)
+            assert abs(np.vdot(g, e) - fd) <= 1e-6 * abs(fd), k
+
+
+def test_adjoint_runs_each_column_back_over_its_own_steps():
+    # Four distinct eigenvalues: column 0 starts on an eigenvector and stops
+    # after one step, column 1 in a two-eigenvalue subspace and stops after
+    # two, column 2 sees all four.  Each quadrature is exact when its Krylov
+    # space is exhausted, so the dense derivative is the reference.
+    m = 12
+    lam = np.repeat([0.5, 1.0, 2.0, 8.0], 3)
+    vec, _ = np.linalg.qr(stream(7, "basis").standard_normal((m, m)))
+    mat = (vec * lam) @ vec.T
+    op = DenseSymOp(mat)
+    w = np.column_stack([vec[:, 4], vec[:, 0] + vec[:, 7], stream(7, "w").standard_normal(m)])
+    dec = lanczos_decompose(op, w, 6)
+    assert list(dec.steps) == [1, 2, 4]
+    weights = np.array([1.0, 2.0, 3.0])
+    before = op.counter.count
+    g = adjoint_matrix(dec, op, weights)
+    # one application per step after the first, to the columns still running
+    assert op.counter.count - before == dec.k_eff - 3
+    assert np.all(np.isfinite(g))
+    ref = daleckii_krein(mat, w, weights)
+    assert np.linalg.norm(g - ref) <= 1e-10 * np.linalg.norm(ref)
 
 
 def test_batch_identity_gives_zero():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,14 +25,15 @@ from hypermarg.objective import (
     eval_F_exact,
     eval_F_slq,
     grad_F_exact,
-    grad_fd,
+    grad_F_slq,
     psi_preconditioner,
 )
 from hypermarg.operators import NumericalError, ScaledIdentityOp, SparseLinOp
 from hypermarg.pcg import pcg_solve
 from hypermarg.probes import canonical_probes, rademacher_probes
+from hypermarg.saa import saa_optimize
 
-from fd import grad_fd_central
+from fd import daleckii_krein, grad_fd_central, grad_fd_five_point
 
 
 def noise_only_problem(b, prior=None, box=None):
@@ -245,20 +248,159 @@ class TestDenseOracleLedger:
 
 
 class TestFiniteDifferences:
-    def test_forward_and_central_agree_on_smooth_function(self):
+    def test_central_differences_match_smooth_function(self):
         box = Box(lower=np.array([-10.0, -10.0]), upper=np.array([10.0, 10.0]))
         f = lambda t: float(np.sin(t[0]) + t[0] * t[1] ** 2)
         theta = np.array([0.3, -1.2])
         expected = np.array([np.cos(0.3) + 1.44, 2.0 * 0.3 * (-1.2)])
-        g = grad_fd(f, theta, f(theta), box, eps_rel=1e-6)
-        np.testing.assert_allclose(g, expected, rtol=1e-5, atol=1e-5)
         g = grad_fd_central(f, theta, box, eps_rel=1e-6)
         np.testing.assert_allclose(g, expected, rtol=1e-9, atol=1e-9)
+        g = grad_fd_five_point(f, theta, eps_rel=1e-3)
+        np.testing.assert_allclose(g, expected, rtol=1e-11, atol=1e-11)
 
-    def test_box_too_thin_raises(self):
-        box = Box(lower=np.array([0.0]), upper=np.array([1e-9]))
-        with pytest.raises(ValueError, match="thinner"):
-            grad_fd(lambda t: 0.0, np.array([5e-10]), 0.0, box, eps_rel=1e-6)
+
+def logdet_part_gradient(problem, theta, evaluation):
+    """grad_F_slq's log-det part: the misfit solve zeroed, the prior's gradient taken off."""
+    no_misfit = dataclasses.replace(evaluation, r=np.zeros_like(evaluation.r))
+    return grad_F_slq(problem, theta, no_misfit) - problem.prior.grad_neglog(theta)
+
+
+def daleckii_krein_logdet_gradient(problem, theta, w):
+    """d/dtheta of 1/(2N) sum_i w_i^T log(Psi) w_i, all dense.
+
+    The dense derivative of the log quadratic forms with respect to Psi,
+    paired with each dPsi_j formed densely from the derivative actions on
+    the identity.
+    """
+    psi = dense_objective_pieces(problem, theta).psi
+    n = w.shape[1]
+    mat = daleckii_krein(psi, w, np.full(n, 0.5 / n))
+    dpsi = _DerivativeActions(problem, theta).apply_all(np.eye(problem.m))
+    return np.einsum("jab,ab->j", dpsi, mat)
+
+
+def slq_gradient_in_u(problem, theta, w, k_steps):
+    """grad_F_slq and five-point differences of F_hat, both in u = log theta.
+
+    Coordinates with a positive lower bound move in log theta, as the box
+    minimizer moves them; F_hat is evaluated with CG at 1e-12 throughout.
+    """
+    log = problem.box.lower > 0
+    u = np.where(log, np.log(theta, where=log, out=theta.copy()), theta)
+    evaluation = eval_F_slq(problem, theta, w, k_steps, pcg_tol=1e-12)
+    g = grad_F_slq(problem, theta, evaluation)
+
+    def f(v):
+        t = np.where(log, np.exp(v), v)
+        return eval_F_slq(problem, t, w, k_steps, pcg_tol=1e-12).value
+
+    return np.where(log, theta * g, g), grad_fd_five_point(f, u)
+
+
+def off_center(problem):
+    """A fixed point a tenth of the box away from its center in each coordinate."""
+    box = problem.box
+    shift = np.sin(np.arange(1.0, problem.p + 1.0))
+    return box.project(box.center() + 0.1 * (box.upper - box.lower) * shift)
+
+
+class TestSlqGradient:
+    # Agreement with five-point differences in u, relative to the gradient's
+    # norm, or to 0.1 near a stationary point: the differences themselves
+    # carry about 1e-8 there, from F_hat's roundoff.
+    @staticmethod
+    def assert_matches(g, g_fd):
+        assert np.linalg.norm(g - g_fd) <= 1e-6 * max(np.linalg.norm(g_fd), 0.1)
+
+    @pytest.mark.parametrize("seed", [0, 2])
+    def test_matches_differences_along_an_saa_path(self, seed):
+        problem = make_test_problem("tomo", s=8, n_src=8, n_rec=9, seed=0)
+        out = saa_optimize(problem, n_probes=16, seed=seed)
+        w = rademacher_probes(problem.m, 16, seed, "saa")
+        path = out.records[::3] + out.records[-1:]
+        assert len(path) >= 8
+        for rec in path:
+            self.assert_matches(*slq_gradient_in_u(problem, rec.theta, w, 30))
+
+    @pytest.mark.parametrize(
+        "make, n_probes, k_steps",
+        [
+            (lambda: deblur_problem(s=8, seed=0), 16, 30),
+            (lambda: deblur_problem(s=16, seed=0), 16, 30),
+            (lambda: deblur_problem(s=16, seed=0), 4, 20),
+            (lambda: superres_problem(s=8, decim=2, frames=2, seed=0), 16, 30),
+        ],
+        ids=["deblur-8", "deblur-16", "deblur-16-narrow", "superres-8"],
+    )
+    def test_matches_differences_off_center(self, make, n_probes, k_steps):
+        # deblur-16-narrow's run has 81 basis vectors and r, fewer than m = 256
+        problem = make()
+        w = rademacher_probes(problem.m, n_probes, seed=3)
+        self.assert_matches(*slq_gradient_in_u(problem, off_center(problem), w, k_steps))
+
+    def test_nonzero_prior_mean_adds_the_forward_derivative_term(self):
+        problem = constant_prior_mean(deblur_problem(s=8, seed=1), 0.3)
+        w = rademacher_probes(problem.m, 8, seed=5)
+        self.assert_matches(*slq_gradient_in_u(problem, off_center(problem), w, 20))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: deblur_problem(s=8, seed=0),
+            lambda: tomo_problem(s=8, n_src=8, n_rec=9, seed=0),
+        ],
+        ids=["deblur", "tomo"],
+    )
+    def test_full_depth_log_det_part_is_daleckii_krein(self, make):
+        problem = make()
+        theta = problem.theta_true
+        w = rademacher_probes(problem.m, 6, seed=1)
+        evaluation = eval_F_slq(problem, theta, w, problem.m, pcg_tol=1e-12)
+        ref = daleckii_krein_logdet_gradient(problem, theta, w)
+        g = logdet_part_gradient(problem, theta, evaluation)
+        assert relerr(g, ref) <= 1e-10
+
+    def test_columns_that_break_down_run_back_over_their_own_steps(self):
+        # At this box center Psi has two distinct eigenvalues on the probes'
+        # Krylov spaces, so every column stops after two of its 30 steps and
+        # its quadrature is exact: the dense derivative is the reference.
+        # F_hat itself has a kink here (the warp's integer shift), so
+        # differences are no reference.
+        problem = superres_problem(s=8, decim=2, frames=2, seed=0)
+        theta = problem.box.center()
+        w = rademacher_probes(problem.m, 16, 0, "saa")
+        evaluation = eval_F_slq(problem, theta, w, 30, pcg_tol=1e-12)
+        assert np.all(evaluation.decomp.steps == 2)
+        g = logdet_part_gradient(problem, theta, evaluation)
+        assert np.all(np.isfinite(g))
+        assert relerr(g, daleckii_krein_logdet_gradient(problem, theta, w)) <= 1e-10
+
+    def test_noise_only_closed_form(self):
+        # Psi = theta_1 I: every column stops after one step, and
+        # F_hat = m/2 log theta_1 + |b|^2 / (2 theta_1) for sign probes
+        b = np.array([1.0, 3.0, -2.0, 1.0, 2.0, -1.0])
+        problem = noise_only_problem(b)
+        w = rademacher_probes(b.size, 8, seed=0)
+        for t in (0.5, 10.0 / 3.0, 7.0):
+            theta = np.array([t])
+            evaluation = eval_F_slq(problem, theta, w, 6, pcg_tol=1e-12)
+            assert np.all(evaluation.decomp.steps == 1)
+            expected = b.size / (2.0 * t) - float(b @ b) / (2.0 * t**2)
+            g = grad_F_slq(problem, theta, evaluation)
+            assert abs(g[0] - expected) <= 1e-12 * max(1.0, abs(expected))
+
+    def test_charges_one_psi_application_per_step_after_the_first(self):
+        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=4)
+        theta = problem.theta_true
+        w = rademacher_probes(problem.m, 8, seed=1)
+        evaluation = eval_F_slq(problem, theta, w, 12)
+        before = problem.counters.snapshot()
+        grad_F_slq(problem, theta, evaluation)
+        after = problem.counters.snapshot()
+        decomp = evaluation.decomp
+        assert after["psi"] - before["psi"] == decomp.k_eff - w.shape[1]
+        # the pairing with dPsi/dtheta applies A and Q outside Psi
+        assert after["a"] - before["a"] > 2 * (after["psi"] - before["psi"])
 
 
 class TestSlqObjective:
