@@ -25,11 +25,12 @@ is fixed for the run.  A proposal that raises the audited F beyond a small
 relative slack is rejected and the anchor kept.  The exact chain builds the
 dense majorant and audits with F itself; m3c builds the sampled one, audits
 with an independent estimate, and doubles its probe budget after a
-rejection.  Each inner minimization starts its line search from the step
-the last one ended with, and stops halving at the scale of its tolerance:
-a sampled majorant's value is only as good as its misfit solve, and below
-that scale a failed trial says nothing.  A trial whose evaluation raises
-:class:`NumericalError` is backtracked from there too, for all optimizers.
+rejection.  Each inner minimization is a projected BFGS run that starts
+from the step scale the last one ended with, and stops halving at the scale
+of its tolerance: a sampled majorant's value is only as good as its misfit
+solve, and below that scale a failed trial says nothing.  A trial whose
+evaluation raises :class:`NumericalError` is backtracked from there too, for
+all optimizers.
 """
 
 import time
@@ -219,39 +220,51 @@ class InnerResult:
     # "move", "flat" or "stationary" (converged), "line_search" (no step
     # found at the start point, or the halvings ran out) or "max_iters"
     stop: str
-    step: float  # the first trial step of the next iteration, were there one
+    # the scale of the next iteration's initial inverse Hessian step * I,
+    # were there one: its first trial step along the negative gradient
+    step: float
 
 
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 40
+# A pair (s, y) with s'y at most this multiple of |s| |y| reports no
+# curvature the inverse Hessian can keep positive definite: it is skipped.
+_CURVATURE_REL = 1e-10
 
 
 def projected_gradient_min(
     evaluate, start, box, max_iters=100, tol=1e-6, callback=None, step0=None
 ):
-    """Projected gradient descent with Armijo backtracking on a box.
+    """Projected BFGS with Armijo backtracking on a box.
 
     ``evaluate(theta)`` returns the :class:`Point` at theta, value and
     gradient together, and ``start`` is its point at a theta inside the box.
     Coordinates with a positive lower bound move in u = log theta (Rasmussen
     & Williams 2006, sec. 5.4), where the box is still a box and the gradient
-    is theta * g; the others move in theta.  Every trial theta is clipped
-    into the box.  Armijo's test uses c = 1e-4 along the projected path, and
-    a failed trial halves the step.  The halving stops once a finite trial
+    is theta * g; the others move in theta.
+
+    The direction is projected BFGS in u (Byrd, Lu, Nocedal & Zhu 1995).  A
+    coordinate at a bound whose gradient points out of the box is held; on
+    the free set F the direction is -H_FF g_F, where H is an inverse Hessian
+    that starts as the scaled identity step * I.  Each accepted move s and
+    change y in the u-gradient, both on the free set, rescale ``step`` to
+    s'y/y'y and update H by BFGS, starting from that rescaled identity; a
+    pair with s'y <= 1e-10 |s| |y| is skipped.  H resets to step * I when the
+    held set changes, or when its direction does not descend; a coordinate
+    at a bound that the direction would push out of the box stays put.  The
+    first iteration's trial points are those of projected steepest descent
+    with step ``step0``, or max(1, |u0|)/max(1, |g_u0|) when that is None.
+
+    Every trial theta is clipped into the box.  The first trial step along
+    the direction is 1; Armijo's test uses c = 1e-4 along the projected
+    path, and a failed trial halves the step.  A halving whose clipped trial
+    is the last trial again, or whose projected step does not descend, is
+    skipped without an evaluation.  The halving stops once a finite trial
     fails with a step d in u of at most ``tol`` relative to u: no step the
     loop would count as a move is left to find.  A trial valued inf or NaN,
     or at which ``evaluate`` raises :class:`NumericalError` (counted in
     ``failed_trials``), gives no such evidence, so there the step halves up
     to 40 times; that error from a point's gradient propagates.
-
-    The first trial step is ``step0``, or max(1, |u0|)/max(1, |g_u0|) when
-    that is None.  After that it is the Barzilai-Borwein step of the last
-    accepted move d in u and the change y in the u-gradient (Barzilai &
-    Borwein 1988): d'd/d'y on odd iterations and d'y/y'y on even ones,
-    alternating the long and short forms as in projected BB methods (Dai &
-    Fletcher 2005), clipped to [1e-10, 1e10].
-    When d'y <= 0 the step instead doubles after an unhindered success and
-    stays after a backtracked one.
 
     ``point`` is the last accepted point, or ``start`` itself when no step
     was accepted.  ``stop`` says why the loop ended.  It converged on
@@ -261,12 +274,13 @@ def projected_gradient_min(
     resolution) or ``"stationary"`` (the projected step is null: theta is
     stationary on the box).  It did not on ``"line_search"`` (the line
     search found no step from the start point, or its halvings ran out
-    after a move) or ``"max_iters"``.  ``step`` is the trial step the next
-    iteration would start from, for a later call on a nearby function to
-    take as ``step0`` (spectral projected gradient carries its step across
-    iterations the same way: Birgin, Martinez & Raydan 2000).
-    ``callback(point)`` runs at the end of every iteration, after its last
-    evaluation, with the point accepted so far.
+    after a move) or ``"max_iters"``.  ``step`` is the identity scale the
+    next iteration would start from, for a later call on a nearby function
+    to take as ``step0`` (spectral projected gradient carries its step
+    across iterations the same way: Birgin, Martinez & Raydan 2000); when
+    no step was found at the start point, it is the step at which the
+    halving stopped.  ``callback(point)`` runs at the end of every
+    iteration, after its last evaluation, with the point accepted so far.
     """
     log = box.lower > 0
     lo = np.log(box.lower, out=box.lower.copy(), where=log)
@@ -276,33 +290,56 @@ def projected_gradient_min(
     fn_evals = 1
     grad_evals = 0
     failed_trials = 0
-    g_u = None
-    g_prev = None
     step = step0
+    h = None  # the inverse Hessian on the free set; None while it is step * I
     stop = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
-        if g_u is None:
-            g_u = point.gradient()
-            grad_evals += 1
-            g_u = np.where(log, point.theta * g_u, g_u)
-        if it > 1:  # every iteration after the first follows an accepted step d
-            y = g_u - g_prev
-            dy = float(np.dot(d, y))
-            if dy > 0:
-                bb = float(np.dot(d, d)) / dy if it % 2 else dy / float(np.dot(y, y))
-                step = min(max(bb, 1e-10), 1e10)
-        elif step is None:
-            step = max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(g_u)))
-        s = step
+        g = point.gradient()
+        grad_evals += 1
+        g = np.where(log, point.theta * g, g)
+        held = ((u <= lo) & (g > 0)) | ((u >= hi) & (g < 0))
+        if step is None:
+            step = max(1.0, float(np.linalg.norm(u))) / max(1.0, float(np.linalg.norm(g)))
+        if it > 1:  # every iteration after the first follows an accepted move
+            s = np.where(held, 0.0, u - u_prev)
+            y = np.where(held, 0.0, g - g_prev)
+            sy = float(np.dot(s, y))
+            curved = sy > _CURVATURE_REL * float(np.linalg.norm(s) * np.linalg.norm(y))
+            if curved:
+                step = min(max(sy / float(np.dot(y, y)), 1e-10), 1e10)
+            if np.any(held != held_prev):
+                h = None
+            elif curved:
+                if h is None:
+                    h = step * np.eye(len(u))
+                hy = h @ y
+                h += (
+                    (sy + float(np.dot(y, hy))) / sy**2 * np.outer(s, s)
+                    - (np.outer(hy, s) + np.outer(s, hy)) / sy
+                )
+        g_free = np.where(held, 0.0, g)
+        direction = -step * g_free if h is None else -(h @ g_free)
+        direction[held | ((u <= lo) & (direction < 0)) | ((u >= hi) & (direction > 0))] = 0.0
+        if h is not None and not float(np.dot(g, direction)) < 0:
+            h = None
+            direction = -step * g_free
         floor = tol * max(1.0, float(np.linalg.norm(u)))
+        t = 1.0
+        last = None
         accepted = False
-        for backtracks in range(_MAX_BACKTRACKS):
-            u_cand = np.clip(u - s * g_u, lo, hi)
+        for _ in range(_MAX_BACKTRACKS):
+            u_cand = np.clip(u + t * direction, lo, hi)
             d = u_cand - u
             if not np.any(d):
                 stop = "stationary"
                 break
+            slope = float(np.dot(g, d))
+            if not slope < 0 or (last is not None and np.all(u_cand == last)):
+                # clipping made this trial no descent step, or the last one again
+                t *= 0.5
+                continue
+            last = u_cand
             cand = box.project(np.where(log, np.exp(u_cand), u_cand))
             trial = None  # the last trial's point goes before the next is evaluated
             try:
@@ -311,7 +348,7 @@ def projected_gradient_min(
             except NumericalError:
                 failed_trials += 1
             f_cand = np.inf if trial is None else trial.value
-            if f_cand <= point.value + _ARMIJO_C * float(np.dot(g_u, d)):
+            if f_cand <= point.value + _ARMIJO_C * slope:
                 accepted = True
                 break
             if np.isfinite(f_cand) and float(np.linalg.norm(d)) <= floor:
@@ -319,19 +356,20 @@ def projected_gradient_min(
                 # no evidence of stationarity
                 stop = "move" if it > 1 else "line_search"
                 break
-            s *= 0.5
+            t *= 0.5
         else:
             stop = "line_search"
         if accepted:
             move = float(np.linalg.norm(d))
             flat = not f_cand < point.value
+            u_prev, g_prev, held_prev = u, g, held
             u, point = u_cand, trial
-            g_u, g_prev = None, g_u
             if flat:
                 stop = "flat"
             elif move <= tol * max(1.0, float(np.linalg.norm(u))):
                 stop = "move"
-            step = 2.0 * s if backtracks == 0 else s
+        elif it == 1 and stop == "line_search":
+            step *= t  # the next call starts where this one's halving stopped
         if callback is not None:
             callback(point)
         if stop != "max_iters":

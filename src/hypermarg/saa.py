@@ -9,7 +9,7 @@ a deterministic function
 
 uniformly close to F over the box once N is large enough; minimizing it
 transfers near-optimality back to F.  The surface is smooth almost
-everywhere, so one projected-gradient run in log theta (see
+everywhere, so one projected BFGS run in log theta (see
 :func:`~hypermarg.mm.projected_gradient_min`), driven by the exact gradient
 of F_hat, is the whole optimizer — every run with the same inputs retraces
 the same arithmetic.
@@ -71,7 +71,7 @@ def saa_optimize(
     """Minimize the fixed-sample surface F_hat over the feasible box.
 
     One probe block is drawn up front from ``(seed, "probes", "saa")`` and
-    never redrawn.  One projected-gradient run of at most ``max_iters``
+    never redrawn.  One projected BFGS run of at most ``max_iters``
     iterations minimizes it, leaving one record per iteration.  Gradients
     are exact gradients of F_hat (:func:`~hypermarg.objective.grad_F_slq`),
     computed from the accepted point's own Lanczos run and misfit solve, so

@@ -1,5 +1,6 @@
 import time
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -465,7 +466,7 @@ class TestProjectedGradient:
     def test_ill_conditioned_box_quadratic_converges(self):
         # Curvatures 1 to 1000: a fixed step sized for the stiff coordinate
         # crawls along the flat one (2,000 iterations were not enough), and
-        # the Barzilai-Borwein step does not.
+        # the BFGS direction, which learns the curvatures, does not.
         lam = np.array([1.0, 10.0, 100.0, 1000.0])
         a = np.array([0.3, -0.2, 0.5, 2.0])
         box = Box(lower=-np.ones(4), upper=np.ones(4))
@@ -578,7 +579,64 @@ class TestProjectedGradient:
             max_iters=1, step0=0.25,
         )
         assert seen[1] == 0.75  # 0 - 0.25 * (0 - 3), accepted at once
-        assert out.step == 0.5  # an unhindered success doubles the step
+        assert out.step == 0.25  # no (s, y) pair yet: the scale is handed on as given
+
+    def test_first_pair_rescales_the_inverse_hessian(self):
+        # f = (t - 3)^2 has curvature 2.  The first step, 0.25 * 6, lands at
+        # 1.5; its pair (s, y) = (1.5, 3) rescales H to s'y/y'y = 1/2, the
+        # exact inverse Hessian, so the next trial is the minimizer itself.
+        box = Box(lower=np.array([-10.0]), upper=np.array([10.0]))
+        seen = []
+
+        def fun(t):
+            seen.append(t[0])
+            return float((t[0] - 3.0) ** 2)
+
+        out = minimize(
+            fun, lambda t: np.array([2.0 * (t[0] - 3.0)]), np.array([0.0]), box,
+            step0=0.25,
+        )
+        assert seen == [0.0, 1.5, 3.0]
+        assert out.converged and out.stop == "stationary"
+        assert out.step == 0.5
+
+    def test_coupled_quadratic_with_a_held_coordinate_converges(self):
+        # f = (t - a)' A (t - a) / 2 with A coupled and a = (-1, 0.5).  At the
+        # constrained minimizer (0, 0.25) the first coordinate is held at its
+        # lower bound (its gradient 1.875 points out of the box), and the
+        # second solves A_22 (t_2 - a_2) + A_12 (0 - a_1) = 0.
+        box = Box(lower=np.zeros(2), upper=np.ones(2))
+        A = np.array([[2.0, 0.5], [0.5, 2.0]])
+        a = np.array([-1.0, 0.5])
+        out = minimize(
+            lambda t: 0.5 * float((t - a) @ A @ (t - a)),
+            lambda t: A @ (t - a),
+            np.array([0.9, 0.9]),
+            box,
+            tol=1e-12,
+        )
+        assert out.converged
+        np.testing.assert_allclose(out.point.theta, [0.0, 0.25], atol=1e-10)
+
+    def test_trial_clipped_into_a_corner_is_evaluated_once(self):
+        # A long first step runs past both upper bounds: the trial steps 1,
+        # 1/2, ..., 1/16 all clip to the corner (1, 1), which fails Armijo.
+        # The corner is evaluated once; the halvings that land on it again
+        # are skipped, neither evaluated nor counted as failed trials.
+        box = Box(lower=np.zeros(2), upper=np.ones(2))
+        a = np.array([0.3, 0.3])
+        seen = []
+
+        def fun(t):
+            seen.append(tuple(t))
+            return 0.5 * float(np.sum((t - a) ** 2))
+
+        out = minimize(fun, lambda t: t - a, np.zeros(2), box, step0=100.0, tol=1e-12)
+        assert seen[1] == (1.0, 1.0) and seen[2] == (0.9375, 0.9375)
+        assert len(seen) == len(set(seen)) == out.fn_evals
+        assert out.failed_trials == 0
+        assert out.converged
+        np.testing.assert_allclose(out.point.theta, a, atol=1e-10)
 
 
 class TestExactMMChain:
@@ -732,6 +790,37 @@ class TestM3cChain:
         assert len(given) == len(out.records) >= 3
         assert given == [None] + ended[:-1]
         assert all(step > 0 for step in ended)
+
+    def test_loop_that_finds_no_step_hands_on_the_reduced_step(self):
+        # On a deterministic majorant no trial descends from the anchor: the
+        # first inner loop halves down to the tolerance scale and proposes
+        # the anchor, which the audit accepts.  The second loop, on the same
+        # majorant, must start where that halving stopped; starting from the
+        # first loop's step would repeat it bit for bit.
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=4)
+        theta0 = problem.box.center()
+        trials = []  # each inner loop's trial points, in order
+
+        def majorant(t, theta_t, solved, widen):
+            seen = []
+            trials.append(seen)
+
+            def value(theta):
+                seen.append(theta)
+                return Point(theta, 1.0, None, lambda: np.ones_like(theta))
+
+            stub = SimpleNamespace(value=value, n_probes=0, pcg_iters=0)
+            return stub, Point(theta_t, 0.0, None, lambda: np.ones_like(theta_t))
+
+        out = hypermarg.mm._mm_chain(
+            problem, theta0, None, majorant, lambda theta, solved: 0.0,
+            outer_iters=2, tol=1e-6, inner_iters=10, inner_tol=1e-6,
+        )
+        assert [rec.inner_stop for rec in out.records] == ["line_search"] * 2
+        assert not out.converged
+        first = [np.linalg.norm(np.log(seen[0]) - np.log(theta0)) for seen in trials]
+        assert first[1] < first[0]
+        np.testing.assert_array_equal(trials[1][0], trials[0][-1])
 
     def test_descends_and_mostly_accepts(self):
         problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=8)
@@ -907,17 +996,36 @@ class TestQuickStartM3c:
         # search halved up to 40 times at the misfit solve's noise floor and
         # every inner loop guessed its first step afresh; 19,889 PCG
         # iterations and 42,187 Psi applications with a rank-32
-        # preconditioner, which missed part of A Q A^T's spectrum
+        # preconditioner, which missed part of A Q A^T's spectrum; 581
+        # evaluations and 3,695 PCG iterations along projected steepest
+        # descent with Barzilai-Borwein steps, against about 300 and 2,300
+        # along projected BFGS
         problem, out, _ = run
         assert out.converged
-        assert sum(rec.fn_evals for rec in out.records) <= 700
-        assert sum(rec.pcg_iters for rec in out.records) <= 5_000
+        assert sum(rec.fn_evals for rec in out.records) <= 450
+        assert sum(rec.pcg_iters for rec in out.records) <= 3_000
         assert problem.counters.snapshot()["psi"] <= 30_000
 
     def test_records_carry_the_inner_stop(self, run):
         _, out, stops = run
         assert [rec.inner_stop for rec in out.records] == stops
         assert set(stops) <= {"move", "flat", "stationary", "line_search", "max_iters"}
+
+
+class TestExactChainsOnDeblur:
+    """The benchmark's exact chains: deblur s=16, 6 outer iterations of at most 40."""
+
+    def test_three_chains_stay_within_their_evaluation_budget(self):
+        # 953 evaluations, and 6 of the 18 inner loops at their cap, along
+        # projected steepest descent with Barzilai-Borwein steps; about 340,
+        # and none at the cap, along projected BFGS
+        records = []
+        for seed in range(3):
+            problem = make_test_problem("deblur", s=16, seed=seed)
+            records += mm_optimize_exact(problem, outer_iters=6, inner_iters=40).records
+        assert len(records) == 18
+        assert sum(rec.fn_evals for rec in records) <= 450
+        assert all(rec.inner_stop != "max_iters" for rec in records)
 
 
 class TestInnerLoopsFinishBelowTheirCaps:
