@@ -25,12 +25,15 @@ is fixed for the run.  A proposal that raises the audited F beyond a small
 relative slack is rejected and the anchor kept.  The exact chain builds the
 dense majorant and audits with F itself; m3c builds the sampled one, audits
 with an independent estimate, and doubles its probe budget after a
-rejection.  Each inner minimization is a projected BFGS run that starts
-from the step scale the last one ended with, and stops halving at the scale
-of its tolerance: a sampled majorant's value is only as good as its misfit
-solve, and below that scale a failed trial says nothing.  A trial whose
-evaluation raises :class:`NumericalError` is backtracked from there too, for
-all optimizers.
+rejection, up to m, where (up to ``DENSE_LIMIT`` rows) it builds the dense
+one too.  Each inner minimization is a projected BFGS run that starts from the
+inverse Hessian and step scale the last one ended with: consecutive
+majorants are tangent to F at nearby anchors, so their curvature differs
+little (Morales & Nocedal 2000).  It stops halving at the scale of its
+tolerance: a sampled majorant's value is only as good as its misfit solve,
+and below that scale a failed trial says nothing.  A trial whose evaluation
+raises :class:`NumericalError` is backtracked from there too, for all
+optimizers.
 """
 
 import time
@@ -73,8 +76,8 @@ class Point:
 
     ``gradient()`` computes the gradient from what computing ``value``
     solved; ``projected_gradient_min`` calls it once per accepted point.
-    ``solved`` is that work for the caller to reuse (the exact chain's
-    dense pieces), or None.
+    ``solved`` is that work for the caller to reuse (a dense majorant's
+    pieces), or None.
     """
 
     theta: np.ndarray
@@ -223,6 +226,9 @@ class InnerResult:
     # the scale of the next iteration's initial inverse Hessian step * I,
     # were there one: its first trial step along the negative gradient
     step: float
+    # the inverse Hessian in u the next iteration would start from, or None
+    # while it is step * I: a later call on a nearby function takes both
+    h: np.ndarray = None
 
 
 _ARMIJO_C = 1e-4
@@ -233,7 +239,7 @@ _CURVATURE_REL = 1e-10
 
 
 def projected_gradient_min(
-    evaluate, start, box, max_iters=100, tol=1e-6, callback=None, step0=None
+    evaluate, start, box, max_iters=100, tol=1e-6, callback=None, step0=None, h0=None
 ):
     """Projected BFGS with Armijo backtracking on a box.
 
@@ -246,14 +252,14 @@ def projected_gradient_min(
     The direction is projected BFGS in u (Byrd, Lu, Nocedal & Zhu 1995).  A
     coordinate at a bound whose gradient points out of the box is held; on
     the free set F the direction is -H_FF g_F, where H is an inverse Hessian
-    that starts as the scaled identity step * I.  Each accepted move s and
-    change y in the u-gradient, both on the free set, rescale ``step`` to
-    s'y/y'y and update H by BFGS, starting from that rescaled identity; a
-    pair with s'y <= 1e-10 |s| |y| is skipped.  H resets to step * I when the
-    held set changes, or when its direction does not descend; a coordinate
-    at a bound that the direction would push out of the box stays put.  The
-    first iteration's trial points are those of projected steepest descent
-    with step ``step0``, or max(1, |u0|)/max(1, |g_u0|) when that is None.
+    that starts as ``h0``, or as the scaled identity step * I when that is
+    None.  Each accepted move s and change y in the u-gradient, both on the
+    free set, rescale ``step`` to s'y/y'y and update H by BFGS, from that
+    rescaled identity while H is still step * I; a pair with
+    s'y <= 1e-10 |s| |y| is skipped.  H resets to step * I when the held set
+    changes, or when its direction does not descend; a coordinate at a bound
+    that the direction would push out of the box stays put.  ``step`` starts as ``step0``, or
+    max(1, |u0|)/max(1, |g_u0|) when that is None.
 
     Every trial theta is clipped into the box.  The first trial step along
     the direction is 1; Armijo's test uses c = 1e-4 along the projected
@@ -274,13 +280,16 @@ def projected_gradient_min(
     resolution) or ``"stationary"`` (the projected step is null: theta is
     stationary on the box).  It did not on ``"line_search"`` (the line
     search found no step from the start point, or its halvings ran out
-    after a move) or ``"max_iters"``.  ``step`` is the identity scale the
-    next iteration would start from, for a later call on a nearby function
-    to take as ``step0`` (spectral projected gradient carries its step
-    across iterations the same way: Birgin, Martinez & Raydan 2000); when
-    no step was found at the start point, it is the step at which the
-    halving stopped.  ``callback(point)`` runs at the end of every
-    iteration, after its last evaluation, with the point accepted so far.
+    after a move) or ``"max_iters"``.  ``step`` and ``h`` are the identity
+    scale and the inverse Hessian the next iteration would start from, for
+    a later call on a nearby function to take as ``step0`` and ``h0``
+    (spectral projected gradient carries its step across iterations the
+    same way: Birgin, Martinez & Raydan 2000; Morales & Nocedal 2000 carry
+    quasi-Newton pairs across related problems).  When no step was found at
+    the start point, ``step`` is the step at which the halving stopped; H
+    is left as it was, since only accepted pairs measure curvature.
+    ``callback(point)`` runs at the end of every iteration, after its last
+    evaluation, with the point accepted so far.
     """
     log = box.lower > 0
     lo = np.log(box.lower, out=box.lower.copy(), where=log)
@@ -291,7 +300,8 @@ def projected_gradient_min(
     grad_evals = 0
     failed_trials = 0
     step = step0
-    h = None  # the inverse Hessian on the free set; None while it is step * I
+    # the inverse Hessian on the free set; None while it is step * I
+    h = None if h0 is None else h0.copy()
     stop = "max_iters"
     it = 0
     for it in range(1, max_iters + 1):
@@ -383,6 +393,7 @@ def projected_gradient_min(
         converged=stop in ("move", "flat", "stationary"),
         stop=stop,
         step=step,
+        h=h,
     )
 
 
@@ -392,6 +403,15 @@ def projected_gradient_min(
 
 @dataclass
 class OuterRecord:
+    """One outer iteration of an MM chain, with the ledger after it.
+
+    ``pcg_iters`` counts the majorant's CG iterations, anchor and misfit
+    solves.  A dense majorant (the exact chain's, and m3c's at N = m) runs
+    none, and the counter ledger does not see its factorizations either:
+    such an outer iteration reads 0 there and leaves ``counters`` unmoved
+    until dense work has a counter of its own.
+    """
+
     outer_iter: int
     theta: np.ndarray
     f_audit: float
@@ -452,19 +472,28 @@ def _mm_chain(
     unless the inner minimizer gave up at the anchor, returning its start
     point unconverged: that null step is accepted, but it is no evidence of
     stationarity.
+
+    Each inner loop starts from the ``step`` and ``h`` the last one ended
+    with.  Where the anchor stays (a rejection or a null step), the next
+    majorant is built there again.  m3c's sampled one is then a new
+    function, over a new probe block (a wider one after a rejection), and H
+    carries into it.  A dense majorant (``_ExactMajorant``) is the same
+    function again, where the same H would retrace the same loop, so that
+    loop starts from step * I.
     """
     f_here = audit(theta, solved)
     records = []
     converged = False
     widen = False
-    step = None
+    step = h = None
     for t in range(outer_iters):
         t0 = time.perf_counter()
         surrogate, start = majorant(t, theta, solved, widen)
         inner = projected_gradient_min(
-            surrogate.value, start, problem.box, max_iters=inner_iters, tol=inner_tol, step0=step
+            surrogate.value, start, problem.box, max_iters=inner_iters, tol=inner_tol,
+            step0=step, h0=h,
         )
-        step = inner.step
+        step, h = inner.step, inner.h
         proposal = inner.point
         try:
             f_new = audit(proposal.theta, proposal.solved)
@@ -478,6 +507,10 @@ def _mm_chain(
         stuck = not inner.converged and proposal is start
         if accepted:
             theta, solved, f_here = proposal.theta, proposal.solved, f_new
+        if isinstance(surrogate, _ExactMajorant) and (proposal is start or not accepted):
+            # the anchor stays, so the next majorant is this one again, where
+            # the same H would retrace this loop: start again from step * I
+            h = None
         widen = not accepted
         records.append(
             OuterRecord(
@@ -506,11 +539,15 @@ def _mm_chain(
 
 @dataclass
 class _ExactMajorant:
-    """The dense majorant at an anchor's pieces; each point carries its own."""
+    """The dense majorant at an anchor's pieces; each point carries its own.
+
+    ``n_probes`` is what the records report: 0 for the exact chain, m for
+    m3c, whose sampled trace it replaces once the probes reach m.
+    """
 
     problem: object
     anchor: object  # the DensePieces at theta_t
-    n_probes = 0
+    n_probes: int = 0
     pcg_iters = 0
 
     def value(self, theta):
@@ -568,7 +605,7 @@ AUDIT_K = 30
 def _auditor(problem, seed, pcg_tol):
     """m3c's independent, fixed estimate of F: exact up to DENSE_LIMIT rows, SLQ above."""
     if problem.m <= DENSE_LIMIT:
-        return lambda theta, solved: eval_F_exact(problem, theta).value
+        return lambda theta, solved: eval_F_exact(problem, theta, solved).value
     w = rademacher_probes(problem.m, AUDIT_PROBES, seed, "audit")
     k = min(AUDIT_K, problem.m)
     return lambda theta, solved: eval_F_slq(problem, theta, w, k_steps=k, pcg_tol=pcg_tol).value
@@ -592,10 +629,14 @@ def m3c_optimize(
     outer iteration t, m3c draws a fresh probe block seeded by (seed, t),
     pays the anchor solves and hands the sampled majorant to the loop.  A
     rejected proposal says the sample was too small to trust, so the probe
-    budget doubles.  It stops at m: from there on the probes are the m
-    canonical ones, whose sampled trace is exact, so the surrogate is the
-    exact majorant.  The audit is F itself, from the dense oracle, when m is
-    at most ``DENSE_LIMIT``.  Above that it is the SLQ estimate
+    budget doubles.  It stops at m, where the exact majorant takes the
+    sample's place.  Up to ``DENSE_LIMIT`` rows it is the exact chain's,
+    from one Cholesky factorization of Psi_t (the proposal's own when the
+    anchor was one), with no probe block, preconditioner or CG solve; above,
+    the probes are the m canonical ones, whose sampled trace is exact.  The
+    audit is F itself, from the dense oracle, when m is at most
+    ``DENSE_LIMIT``, read from a dense proposal's own factorization.  Above
+    that it is the SLQ estimate
     ``eval_F_slq`` over one block of ``AUDIT_PROBES`` (32) Rademacher probes
     drawn from ``(seed, "probes", "audit")``, at Lanczos depth
     min(``AUDIT_K``, m) with ``AUDIT_K`` = 30; the block is shared across all
@@ -622,6 +663,10 @@ def m3c_optimize(
         nonlocal n_now
         if widen:
             n_now = min(2 * n_now, problem.m)
+        if n_now == problem.m and problem.m <= DENSE_LIMIT:
+            anchor = _pieces_at(problem, theta_t, solved)
+            exact = _ExactMajorant(problem, anchor, n_probes=problem.m)
+            return exact, exact.at(anchor)
         if n_now < problem.m:
             w = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
