@@ -15,9 +15,17 @@ pairing of probes w_i with their anchor solves z_i = Psi_t^{-1} w_i:
                  + 1/2 c^T Psi(theta)^{-1} c,
 
 which matches G in expectation up to the theta-independent constant
-1/2 (log det Psi_t - m) and costs one Psi(theta) application per probe to
-evaluate.  The anchor solves are paid once per outer iteration; the inner
-minimizer then works against a fixed sample.
+1/2 (log det Psi_t - m).  Its probe term is read through the forward-map
+legs A^T Z and A^T W:
+
+    sum_i z_i^T Psi(theta) w_i = <A^T Z, Q(theta) A^T W> + sigma^2 <Z, W>,
+
+one Q application per probe and no Psi application.  Where A does not
+depend on theta (the paper's Case I) the legs are fixed for the anchor and
+applied once; otherwise each value applies them at its theta.  The gradient
+pairs each dPsi/dtheta_j through the same legs: dQ by a pairing of the two
+legs, dA by two sparse block products.  The anchor solves are paid once per
+outer iteration; the inner minimizer then works against a fixed sample.
 
 Both optimizers run one outer loop: build the majorant at the anchor,
 minimize it over the box, and audit the proposal with an estimate of F that
@@ -43,7 +51,8 @@ import numpy as np
 
 from .model import build_psi
 from .objective import (
-    _DerivativeActions,
+    _derivative_ops,
+    _misfit_terms,
     _pieces_at,
     dense_gradient,
     dense_objective_pieces,
@@ -131,6 +140,10 @@ class StochasticSurrogate:
 
     ``value`` omits the anchor constant (log det Psi_t - m)/2, which is
     unavailable matrix-free; minimizers and differences are unaffected.
+    The probe term reads the block only through its legs A^T Z and A^T W
+    and the number <Z, W>.  Where A does not depend on theta (``ell`` = 0,
+    the paper's Case I) the legs are the same at every theta: they are
+    applied once, here, for 2N A applications.
     """
 
     problem: object
@@ -141,24 +154,42 @@ class StochasticSurrogate:
     pcg_maxit: int = 500
     pcg_iters: int = 0  # accumulated over all evaluations
     _r: np.ndarray = field(default=None, init=False, repr=False)  # CG warm start: the last r
+    _legs: tuple = field(default=None, init=False, repr=False)  # Case I: (A^T Z, A^T W)
+    _zw: float = field(default=None, init=False, repr=False)  # <Z, W>
+
+    def __post_init__(self):
+        self._zw = float(np.vdot(self.z, self.w))
+        if not self.problem.ell:
+            a_op = self.problem.build_a(np.zeros(0))
+            self._legs = a_op.rmatmat(self.z), a_op.rmatmat(self.w)
 
     @property
     def n_probes(self):
         return self.w.shape[1]
 
     def value(self, theta):
-        """G_hat at theta as a :class:`Point` whose gradient reuses its misfit solve.
+        """G_hat at theta as a :class:`Point` whose gradient reuses its legs and solve.
 
-        One Psi(theta) application per probe, plus the solve r = Psi^{-1} c.
-        CG starts from the last solved r; its stopping test is relative to
-        ||c||, so the warm start changes the cost, not the tolerance.  A failed
-        misfit solve raises :class:`NumericalError` at the anchor as at a trial
-        point; ``projected_gradient_min`` backtracks from the latter.
+        The probe term is (<A^T Z, Q A^T W> + sigma^2 <Z, W>)/(2N): one Q
+        application per probe, and no Psi application.  The legs are the
+        surrogate's own in Case I; otherwise they are applied at theta, 2N A
+        applications, and the point keeps them for its gradient.  Then the
+        solve r = Psi^{-1} c.  CG starts from the last solved r; its stopping
+        test is relative to ||c||, so the warm start changes the cost, not
+        the tolerance.  A failed misfit solve raises :class:`NumericalError`
+        at the anchor as at a trial point; ``projected_gradient_min``
+        backtracks from the latter.
         """
         theta = np.asarray(theta, dtype=float)
         psi_op = build_psi(self.problem, theta)
-        psi_w = psi_op.matmat(self.w)
-        quad = float(np.sum(self.z * psi_w)) / (2.0 * self.n_probes)
+        if self._legs is None:
+            legs = psi_op.a_op.rmatmat(self.z), psi_op.a_op.rmatmat(self.w)
+        else:
+            legs = self._legs
+        q_lw = psi_op.q_op.matmat(legs[1])
+        quad = (float(np.vdot(legs[0], q_lw)) + psi_op.r_op.scale * self._zw) / (
+            2.0 * self.n_probes
+        )
         c = self.problem.residual_offset(theta)
         res = pcg_solve(
             psi_op, c, pre=self.pre, tol=self.pcg_tol, maxit=self.pcg_maxit, x0=self._r
@@ -170,20 +201,42 @@ class StochasticSurrogate:
             )
         r = self._r = res.x
         value = self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
-        return Point(theta, value, None, lambda: self.gradient(theta, r))
+        return Point(theta, value, None, lambda: self.gradient(theta, psi_op, legs, q_lw, r))
 
-    def gradient(self, theta, r):
-        """d G_hat / d theta, from the misfit solve r = Psi(theta)^{-1} c."""
-        theta = np.asarray(theta, dtype=float)
+    def gradient(self, theta, psi_op, legs, q_lw, r):
+        """d G_hat / d theta, from what the value at theta applied.
+
+        ``psi_op`` is Psi(theta), ``legs`` are (A^T Z, A^T W), ``q_lw`` is
+        Q A^T W and r is the misfit solve Psi^{-1} c.  The probe term pairs
+        each dPsi_j through the legs: <A^T Z, dQ_j A^T W> from dQ's uncounted
+        ``_pair``, <Z, W> at the noise variance, and
+        <Z, dA_i Q A^T W> + <W, dA_i Q A^T Z>, two sparse block products per
+        dA.  The misfit term is the dense oracle's algebra
+        (``objective._misfit_terms``) with s = A^T r.  It costs one A
+        application, plus N + 1 Q applications where A depends on theta.
+        """
         problem = self.problem
-        actions = _DerivativeActions(problem, theta)
-        d_w = actions.apply_all(self.w)  # (p, m, N)
-        quad = np.einsum("jmn,mn->j", d_w, self.z) / (2.0 * self.n_probes)
-        misfit_terms = actions.apply_all(r) @ r
-        da_mu = actions.forward_deriv_mu()
-        if da_mu is not None:
-            misfit_terms[problem.q_dim :] -= 2.0 * (da_mu @ r)
-        return problem.prior.grad_neglog(theta) + quad - 0.5 * misfit_terms
+        dq_ops, da_ops = _derivative_ops(problem, theta)
+        a_op, q_op = psi_op.a_op, psi_op.q_op
+        l_z, l_w = legs
+        probe = np.zeros(problem.p)
+        for j, dq_op in enumerate(dq_ops):
+            if dq_op is not None:
+                probe[j] += dq_op._pair(l_z.T, l_w.T)
+            if j == problem.noise_index:
+                probe[j] += self._zw
+        s = a_op.rmatvec(r)
+        q_s = None
+        if da_ops:
+            q_lz = q_op.matmat(l_z)
+            for i, da in enumerate(da_ops):
+                probe[problem.q_dim + i] = float(np.vdot(self.z, da._apply(q_lw))) + float(
+                    np.vdot(self.w, da._apply(q_lz))
+                )
+            q_s = q_op.matvec(s)
+        misfit = _misfit_terms(problem, dq_ops, da_ops, r, s, q_s)
+        grad = problem.prior.grad_neglog(theta)
+        return grad + probe / (2.0 * self.n_probes) - 0.5 * misfit
 
 
 def build_surrogate(problem, theta_t, w, pre=None, pcg_tol=1e-8, pcg_maxit=500):
@@ -464,10 +517,13 @@ def _mm_chain(
     point, backtracking from trial points whose value raises; its
     ``n_probes`` and ``pcg_iters`` go into the records.  The point the
     minimizer returns is the proposal, and ``audit(theta, solved)`` estimates
-    F from its theta and what it solved.  The proposal is accepted, and
-    becomes the next anchor with what it solved, when the audit puts it at
-    most ``AUDIT_SLACK_REL * max(1, |F|)`` above the anchor; one the audit
-    cannot evaluate (a :class:`NumericalError`) is rejected.  The chain
+    F from its theta and what it solved; it returns F with what it solved in
+    turn, which may be more (an exact audit of a sampled proposal factors
+    it).  The proposal is accepted, and becomes the next anchor with what
+    its audit returned, when the audit puts it at most
+    ``AUDIT_SLACK_REL * max(1, |F|)`` above the anchor; one the audit cannot
+    evaluate (a :class:`NumericalError`) is rejected.  The start is audited
+    the same way.  The chain
     converges on an accepted step of at most ``tol`` relative to theta,
     unless the inner minimizer gave up at the anchor, returning its start
     point unconverged: that null step is accepted, but it is no evidence of
@@ -481,7 +537,7 @@ def _mm_chain(
     function again, where the same H would retrace the same loop, so that
     loop starts from step * I.
     """
-    f_here = audit(theta, solved)
+    f_here, solved = audit(theta, solved)
     records = []
     converged = False
     widen = False
@@ -496,7 +552,7 @@ def _mm_chain(
         step, h = inner.step, inner.h
         proposal = inner.point
         try:
-            f_new = audit(proposal.theta, proposal.solved)
+            f_new, audited = audit(proposal.theta, proposal.solved)
         except NumericalError:
             f_new = np.inf  # a proposal the audit cannot evaluate is rejected
         slack = AUDIT_SLACK_REL * max(1.0, abs(f_here))
@@ -506,7 +562,7 @@ def _mm_chain(
         )
         stuck = not inner.converged and proposal is start
         if accepted:
-            theta, solved, f_here = proposal.theta, proposal.solved, f_new
+            theta, solved, f_here = proposal.theta, audited, f_new
         if isinstance(surrogate, _ExactMajorant) and (proposal is start or not accepted):
             # the anchor stays, so the next majorant is this one again, where
             # the same H would retrace this loop: start again from step * I
@@ -565,7 +621,7 @@ class _ExactMajorant:
 def mm_optimize_exact(
     problem,
     theta0=None,
-    outer_iters=30,
+    outer_iters=100,
     tol=1e-6,
     inner_iters=100,
     inner_tol=1e-8,
@@ -588,7 +644,7 @@ def mm_optimize_exact(
         return exact, exact.at(anchor)
 
     def audit(theta, pieces):
-        return eval_F_exact(problem, theta, pieces).value
+        return eval_F_exact(problem, theta, pieces).value, pieces
 
     return _mm_chain(
         problem, theta, dense_objective_pieces(problem, theta), majorant, audit,
@@ -603,18 +659,30 @@ AUDIT_K = 30
 
 
 def _auditor(problem, seed, pcg_tol):
-    """m3c's independent, fixed estimate of F: exact up to DENSE_LIMIT rows, SLQ above."""
+    """m3c's independent, fixed estimate of F: exact up to DENSE_LIMIT rows, SLQ above.
+
+    The audit returns F and what it solved: the exact one the dense pieces
+    it read or built, which a dense majorant anchored there reuses.
+    """
     if problem.m <= DENSE_LIMIT:
-        return lambda theta, solved: eval_F_exact(problem, theta, solved).value
+
+        def exact(theta, solved):
+            pieces = _pieces_at(problem, theta, solved)
+            return eval_F_exact(problem, theta, pieces).value, pieces
+
+        return exact
     w = rademacher_probes(problem.m, AUDIT_PROBES, seed, "audit")
     k = min(AUDIT_K, problem.m)
-    return lambda theta, solved: eval_F_slq(problem, theta, w, k_steps=k, pcg_tol=pcg_tol).value
+    return lambda theta, solved: (
+        eval_F_slq(problem, theta, w, k_steps=k, pcg_tol=pcg_tol).value,
+        solved,
+    )
 
 
 def m3c_optimize(
     problem,
     theta0=None,
-    outer_iters=30,
+    outer_iters=100,
     n_probes=24,
     seed=0,
     tol=1e-4,
@@ -631,11 +699,12 @@ def m3c_optimize(
     rejected proposal says the sample was too small to trust, so the probe
     budget doubles.  It stops at m, where the exact majorant takes the
     sample's place.  Up to ``DENSE_LIMIT`` rows it is the exact chain's,
-    from one Cholesky factorization of Psi_t (the proposal's own when the
-    anchor was one), with no probe block, preconditioner or CG solve; above,
-    the probes are the m canonical ones, whose sampled trace is exact.  The
-    audit is F itself, from the dense oracle, when m is at most
-    ``DENSE_LIMIT``, read from a dense proposal's own factorization.  Above
+    from one Cholesky factorization of Psi_t, with no probe block,
+    preconditioner or CG solve; above, the probes are the m canonical ones,
+    whose sampled trace is exact.  The audit is F itself, from the dense
+    oracle, when m is at most ``DENSE_LIMIT``.  It reads a dense proposal's
+    own factorization and hands the one it builds for a sampled proposal,
+    or for the start, to the chain, so each theta is factored once.  Above
     that it is the SLQ estimate
     ``eval_F_slq`` over one block of ``AUDIT_PROBES`` (32) Rademacher probes
     drawn from ``(seed, "probes", "audit")``, at Lanczos depth
@@ -645,10 +714,10 @@ def m3c_optimize(
     Every CG solve is preconditioned by a randomized Nystrom preconditioner
     of rank ``min(64, m)`` (``objective.PRECOND_RANK``), built once per
     anchor with the noise variance as its shift (Frangella, Tropp & Udell
-    2023); it serves the anchor's probe solves and every misfit solve of
-    that outer iteration.  Rank 64 holds all of A Q A^T on the quick-start
-    tomo problem (n = 64), where rank 32 left CG to find the rest of its
-    spectrum.  The preconditioner changes only how fast CG reaches
+    2023); it serves the anchor's probe solves and every misfit solve at
+    that anchor, over the outer iterations that follow a rejection too.
+    Rank 64 holds all of A Q A^T on the quick-start tomo problem (n = 64),
+    where rank 32 left CG to find the rest of its spectrum.  The preconditioner changes only how fast CG reaches
     ``pcg_tol``, not the sampled majorant or the audit.  Inside the inner
     minimization a trial point whose misfit solve fails is backtracked from
     by the line search and counted in ``OuterRecord.failed_trials``; a
@@ -658,9 +727,10 @@ def m3c_optimize(
     """
     audit = _auditor(problem, seed, pcg_tol)
     n_now = int(n_probes)
+    pre = None
 
     def majorant(t, theta_t, solved, widen):
-        nonlocal n_now
+        nonlocal n_now, pre
         if widen:
             n_now = min(2 * n_now, problem.m)
         if n_now == problem.m and problem.m <= DENSE_LIMIT:
@@ -671,7 +741,9 @@ def m3c_optimize(
             w = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
             w = canonical_probes(problem.m)
-        pre = psi_preconditioner(problem, theta_t, seed=seed)
+        if not widen:
+            # a rejection keeps the anchor, and with it the preconditioner
+            pre = psi_preconditioner(problem, theta_t, seed=seed)
         surrogate = build_surrogate(
             problem, theta_t, w, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
         )

@@ -70,13 +70,26 @@ class NystromPreconditioner:
         return v / self.shift + self._correction_basis @ (self.basis.T @ v)
 
 
+@functools.lru_cache(maxsize=4)
+def _test_block(seed, m, rank):
+    """The orthonormalized Gaussian test matrix, read-only.
+
+    It depends on (seed, m, rank) alone, so one draw and one QR serve every
+    sketch with them: m3c sketches Psi at each anchor with the same seed.
+    """
+    omega, _ = np.linalg.qr(stream(seed, "nystrom").standard_normal((m, rank)))
+    omega.flags.writeable = False
+    return omega
+
+
 def nystrom_preconditioner(op, shift, rank, seed):
     """Sketch ``op - shift * I`` and build a :class:`NystromPreconditioner`.
 
     Follows the numerically stabilized single-pass recipe: Gaussian test
-    matrix, thin QR, a small stabilizing shift ``nu`` proportional to machine
-    epsilon times the sketch norm, Cholesky of the core matrix, a solve
-    against its rank x rank factor, thin SVD.  Eigenvalue estimates are
+    matrix, thin QR (both made once per (seed, m, rank) and kept), a small
+    stabilizing shift ``nu`` proportional to machine epsilon times the
+    sketch norm, Cholesky of the core matrix, a solve against its
+    rank x rank factor, thin SVD.  Eigenvalue estimates are
     clipped at zero after the ``nu`` shift is removed.
 
     Parameters
@@ -97,10 +110,7 @@ def nystrom_preconditioner(op, shift, rank, seed):
     if not 1 <= rank <= m:
         raise ValueError(f"rank must satisfy 1 <= rank <= {m}, got {rank}")
 
-    rng = stream(seed, "nystrom")
-    omega = rng.standard_normal((m, rank))
-    omega, _ = np.linalg.qr(omega)
-
+    omega = _test_block(seed, m, rank)
     sketch = op.matmat(omega) - shift * omega
     sketch_norm = float(np.linalg.norm(sketch))
     if sketch_norm <= m * np.finfo(float).eps * abs(shift):

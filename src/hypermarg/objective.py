@@ -257,20 +257,55 @@ def _deriv_builders(problem):
             raise ValueError(f"derivative builder for forward-map component {j} is missing")
 
 
+def _derivative_ops(problem, theta):
+    """dQ/dpsi_j (None where Q does not depend on psi_j) and dA/dy_i at theta."""
+    _deriv_builders(problem)
+    psi_params, y = problem.split(theta)
+    dq_ops = [None if b is None else b(psi_params) for b in problem.dq_builders]
+    return dq_ops, [b(y) for b in problem.da_builders]
+
+
+def _misfit_terms(problem, dq_ops, da_ops, r, s, q_s):
+    """r^T dPsi_j r - 2 r^T dA_j mu_x, stacked over j, from s = A^T r and q_s = Q s.
+
+    No m x m dPsi is formed:
+
+        r^T A dQ A^T r = s^T dQ s,      r^T I r = r . r  at the noise variance,
+        r^T (dA Q A^T + A Q dA^T) r - 2 r^T dA mu_x = 2 r^T dA (Q s - mu_x).
+
+    The pairings s^T dQ s come from the operators' uncounted ``_pair``, each
+    dA enters through one product with its CSR matrix, and ``q_s`` is read
+    only when A depends on theta.
+    """
+    terms = np.zeros(problem.p)
+    for j, dq_op in enumerate(dq_ops):
+        if dq_op is not None:
+            terms[j] += dq_op._pair(s, s)
+        if j == problem.noise_index:
+            terms[j] += float(r @ r)
+    if da_ops:
+        q_s = q_s - problem.mu_x
+        for i, da in enumerate(da_ops):
+            terms[problem.q_dim + i] = 2.0 * float(r @ (da.mat @ q_s))
+    return terms
+
+
 class _DerivativeActions:
-    """Applies dPsi/dtheta_j to vectors, sharing the A^T / Q A^T legs."""
+    """Applies dPsi/dtheta_j to vectors, sharing the A^T / Q A^T legs.
+
+    It serves saa's gradient (``grad_F_slq``) only, where dPsi pairs with an
+    m x m matrix.  The sampled majorant and the dense oracle pair dPsi
+    through their own legs (``mm.StochasticSurrogate.gradient``,
+    ``dense_gradient``).
+    """
 
     def __init__(self, problem, theta):
-        _deriv_builders(problem)
         psi_params, y = problem.split(theta)
         self.problem = problem
         self.a_op = problem.build_a(y)
         # only the dA terms apply Q
         self.q_op = problem.build_q(psi_params) if problem.ell else None
-        self.dq_ops = [
-            None if b is None else b(psi_params) for b in problem.dq_builders
-        ]
-        self.da_ops = [b(y) for b in problem.da_builders]
+        self.dq_ops, self.da_ops = _derivative_ops(problem, theta)
 
     def apply_all(self, v):
         """dPsi/dtheta_j applied to v, stacked over j.
@@ -313,12 +348,11 @@ def dense_gradient(problem, pieces, p_mat):
     With ``P = Psi(theta)^{-1}`` this is the gradient of F; with ``P`` the
     inverse at a frozen anchor it is the gradient of the MM majorant.  No
     m x m dPsi and no dense Q, dQ or dA is formed, and P A is the only cubic
-    product: with s = A^T r,
+    product.  The misfit part is ``_misfit_terms`` with s = A^T r; the
+    trace part is
 
-        <P, A dQ A^T> = <P A, (dQ A^T)^T>,      r^T A dQ A^T r = s^T dQ s,
+        <P, A dQ A^T> = <P A, (dQ A^T)^T>,      <P, I> = trace P,
         <P, dA Q A^T + A Q dA^T> = 2 <P A Q, dA> = 2 sum_e dA_e (P A Q)_e,
-        r^T (dA Q A^T + A Q dA^T) r - 2 r^T dA mu_x = 2 r^T dA (Q s - mu_x),
-        <P, I> = trace P,  r^T I r = r . r  at the noise-variance component,
 
     where the pairings <u, v dQ> and the entries of P A Q come from the
     operators' uncounted ``_pair`` and ``_take`` (a scaled identity forms no
@@ -327,36 +361,31 @@ def dense_gradient(problem, pieces, p_mat):
     through two O(nnz) passes: a gather of P A Q, shared by the dA's of one
     structure, and one CSR matvec.
     """
-    _deriv_builders(problem)
-    psi_params, y = problem.split(pieces.theta)
+    dq_ops, da_ops = _derivative_ops(problem, pieces.theta)
     a, q_op, r = pieces.a, pieces.q_op, pieces.r
     s = a.T @ r
     p_a = p_mat @ a
-    grad = problem.prior.grad_neglog(pieces.theta)
 
-    for j in range(problem.q_dim):
-        trace_term = misfit_term = 0.0
-        if problem.dq_builders[j] is not None:
-            dq_op = problem.dq_builders[j](psi_params)
-            trace_term += dq_op._pair(p_a, a)
-            misfit_term += dq_op._pair(s, s)
+    trace_terms = np.zeros(problem.p)
+    for j, dq_op in enumerate(dq_ops):
+        if dq_op is not None:
+            trace_terms[j] += dq_op._pair(p_a, a)
         if j == problem.noise_index:
-            trace_term += float(np.trace(p_mat))
-            misfit_term += float(r @ r)
-        grad[j] += 0.5 * trace_term - 0.5 * misfit_term
-
-    if problem.ell:
-        da_ops = [builder(y) for builder in problem.da_builders]
+            trace_terms[j] += float(np.trace(p_mat))
+    q_s = None
+    if da_ops:
         # P A Q at the stored entries of each distinct dA structure, from one
         # product with Q; the dA's of one stencil share their structure
         structures = {id(da.flat_positions): da.flat_positions for da in da_ops}
         p_a_q = dict(zip(structures, q_op._take(p_a, structures.values())))
-        q_s = q_op._apply(s) - problem.mu_x
         for i, da in enumerate(da_ops):
-            trace_term = 2.0 * float(da.mat.data @ p_a_q[id(da.flat_positions)])
-            misfit_term = 2.0 * float(r @ (da.mat @ q_s))
-            grad[problem.q_dim + i] += 0.5 * trace_term - 0.5 * misfit_term
-
+            trace_terms[problem.q_dim + i] = 2.0 * float(
+                da.mat.data @ p_a_q[id(da.flat_positions)]
+            )
+        q_s = q_op._apply(s)
+    misfit_terms = _misfit_terms(problem, dq_ops, da_ops, r, s, q_s)
+    grad = problem.prior.grad_neglog(pieces.theta)
+    grad += 0.5 * trace_terms - 0.5 * misfit_terms
     return grad
 
 

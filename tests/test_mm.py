@@ -26,7 +26,13 @@ from hypermarg.mm import (
     mm_optimize_exact,
     projected_gradient_min,
 )
-from hypermarg.objective import dense_objective_pieces, eval_F_exact, grad_F_exact
+from hypermarg.model import build_psi
+from hypermarg.objective import (
+    _DerivativeActions,
+    dense_objective_pieces,
+    eval_F_exact,
+    grad_F_exact,
+)
 from hypermarg.operators import NumericalError
 from hypermarg.probes import canonical_probes, rademacher_probes
 
@@ -316,8 +322,8 @@ class TestDenseMajorantAtM:
 
     def test_each_theta_is_factored_once_from_n_equal_m_on(self, monkeypatch):
         # A proposal's factorization serves its audit and, once accepted,
-        # the next majorant's anchor.  Only the start is factored twice:
-        # the audit there holds no pieces for the first majorant to reuse.
+        # the next majorant's anchor.  The start's audit hands its pieces
+        # to the first majorant the same way.
         built = []
         real = hypermarg.objective.dense_objective_pieces
 
@@ -331,8 +337,14 @@ class TestDenseMajorantAtM:
         start = problem.box.center()
         out = m3c_optimize(problem, outer_iters=4, n_probes=problem.m, seed=0)
         assert sum(rec.accepted for rec in out.records) >= 2
-        assert built.count(start.tobytes()) == 2
-        assert len(built) == len(set(built)) + 1
+        assert built.count(start.tobytes()) == 1
+        assert len(built) == len(set(built))
+
+
+def with_prior_mean(shipped):
+    """``shipped`` with a nonzero prior mean, which reaches the dA mu_x terms."""
+    mu_x = 0.3 * np.random.default_rng(11).standard_normal(shipped.n)
+    return ProblemSpec(**{**shipped.__dict__, "mu_x": mu_x})
 
 
 class TestNonzeroPriorMean:
@@ -347,9 +359,7 @@ class TestNonzeroPriorMean:
         ids=["deblur", "superres"],
     )
     def test_gradients_match_differences_and_each_other(self, make):
-        shipped = make()
-        mu_x = 0.3 * np.random.default_rng(11).standard_normal(shipped.n)
-        problem = ProblemSpec(**{**shipped.__dict__, "mu_x": mu_x})
+        problem = with_prior_mean(make())
         theta_t = problem.theta_true
         theta = problem.box.project(1.15 * theta_t)
 
@@ -375,6 +385,103 @@ class TestNonzeroPriorMean:
             problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-12
         )
         assert relerr(surrogate.value(theta).gradient(), g) < 1e-9
+
+
+LEG_PROBLEMS = [
+    pytest.param(lambda: tomo_problem(s=4, n_src=3, n_rec=5, seed=1), id="tomo4"),
+    pytest.param(lambda: deblur_problem(s=8, seed=0), id="deblur8"),
+    pytest.param(lambda: superres_problem(s=8, decim=2, frames=2, seed=1), id="superres8"),
+    pytest.param(lambda: with_prior_mean(deblur_problem(s=8, seed=6)), id="deblur8-mu"),
+    pytest.param(
+        lambda: with_prior_mean(superres_problem(s=8, decim=2, frames=2, seed=6)),
+        id="superres8-mu",
+    ),
+]
+
+
+def apply_all_reference(surrogate, theta, r):
+    """The sampled majorant's value and gradient with every dPsi applied to the block.
+
+    The formulation the legs replaced: Psi(theta) W, and each dPsi_j applied
+    to W and to r through ``_DerivativeActions.apply_all``, at the misfit
+    solve r.
+    """
+    problem, w, z = surrogate.problem, surrogate.w, surrogate.z
+    n = surrogate.n_probes
+    c = problem.residual_offset(theta)
+    value = (
+        problem.prior.neglog(theta)
+        + float(np.sum(z * build_psi(problem, theta).matmat(w))) / (2.0 * n)
+        + 0.5 * float(c @ r)
+    )
+    actions = _DerivativeActions(problem, theta)
+    quad = np.einsum("jmn,mn->j", actions.apply_all(w), z) / (2.0 * n)
+    misfit = actions.apply_all(r) @ r
+    da_mu = actions.forward_deriv_mu()
+    if da_mu is not None:
+        misfit[problem.q_dim :] -= 2.0 * (da_mu @ r)
+    return value, problem.prior.grad_neglog(theta) + quad - 0.5 * misfit
+
+
+class TestSurrogateLegs:
+    """The sampled majorant through its legs A^T Z and A^T W."""
+
+    @pytest.mark.parametrize("make", LEG_PROBLEMS)
+    def test_value_and_gradient_match_applying_dpsi_to_the_block(self, make):
+        problem = make()
+        theta_t = problem.theta_true
+        probes = rademacher_probes(problem.m, 6, seed=0)
+        surrogate = build_surrogate(problem, theta_t, probes, pcg_tol=1e-10)
+        for scale in (0.8, 1.0, 1.2):
+            theta = problem.box.project(scale * theta_t)
+            point = surrogate.value(theta)
+            value, grad = apply_all_reference(surrogate, theta, surrogate._r)
+            assert abs(point.value - value) <= 1e-10 * max(1.0, abs(value))
+            assert relerr(point.gradient(), grad) <= 1e-10
+
+    @pytest.mark.parametrize("make", LEG_PROBLEMS)
+    def test_canonical_gradient_is_the_exact_majorants(self, make):
+        problem = make()
+        theta_t = problem.theta_true
+        theta = problem.box.project(1.1 * theta_t)
+        surrogate = build_surrogate(
+            problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-12
+        )
+        g = exact_surrogate_grad(problem, theta, theta_t)
+        assert relerr(surrogate.value(theta).gradient(), g) < 1e-9
+
+    @pytest.mark.parametrize(
+        "make, legs_per_value",
+        [
+            pytest.param(lambda: tomo_problem(s=4, n_src=3, n_rec=5, seed=1), 0, id="case1"),
+            pytest.param(lambda: deblur_problem(s=8, seed=0), 1, id="case2"),
+        ],
+    )
+    def test_ledger_charges_the_legs_once_per_anchor_in_case_one(self, make, legs_per_value):
+        # Every A application outside the legs is one of Psi's two; the
+        # legs cost 2N, paid with the anchor where A is fixed and with each
+        # value where it is not, and a gradient applies A once, to r.
+        problem = make()
+        counters = problem.counters
+        n = 5
+        probes = rademacher_probes(problem.m, n, seed=2)
+
+        def charged(call):
+            a, psi = counters.a.count, counters.psi.count
+            out = call()
+            return out, counters.a.count - a - 2 * (counters.psi.count - psi)
+
+        surrogate, legs = charged(
+            lambda: build_surrogate(problem, problem.theta_true, probes, pcg_tol=1e-10)
+        )
+        assert legs == (1 - legs_per_value) * 2 * n
+        for scale in (0.9, 1.1):
+            theta = problem.box.project(scale * problem.theta_true)
+            point, legs = charged(lambda: surrogate.value(theta))
+            assert legs == legs_per_value * 2 * n
+            psi = counters.psi.count
+            _, legs = charged(point.gradient)
+            assert legs == 1 and counters.psi.count == psi
 
 
 class TestProjectedGradient:
@@ -916,7 +1023,7 @@ class TestM3cChain:
             return stub, Point(theta_t, 0.0, None, lambda: np.ones_like(theta_t))
 
         out = hypermarg.mm._mm_chain(
-            problem, theta0, None, majorant, lambda theta, solved: 0.0,
+            problem, theta0, None, majorant, lambda theta, solved: (0.0, solved),
             outer_iters=2, tol=1e-6, inner_iters=10, inner_tol=1e-6,
         )
         assert [rec.inner_stop for rec in out.records] == ["line_search"] * 2
@@ -993,6 +1100,29 @@ class TestM3cChain:
         assert out.records[2].pcg_iters == 0
         np.testing.assert_array_equal(out.theta, theta0)
         assert all(np.isnan(rec.rel_step) for rec in out.records)
+
+    def test_rejection_reuses_the_anchors_preconditioner(self, monkeypatch):
+        # Every proposal is rejected, so all three sampled majorants sit at
+        # the start: one Nystrom build serves them.
+        monkeypatch.setattr(hypermarg.mm, "AUDIT_SLACK_REL", -100.0)
+        built, used = [], []
+        real_pre, real_build = hypermarg.mm.psi_preconditioner, hypermarg.mm.build_surrogate
+
+        def pre_spy(*args, **kwargs):
+            built.append(real_pre(*args, **kwargs))
+            return built[-1]
+
+        def build_spy(*args, pre=None, **kwargs):
+            used.append(pre)
+            return real_build(*args, pre=pre, **kwargs)
+
+        monkeypatch.setattr(hypermarg.mm, "psi_preconditioner", pre_spy)
+        monkeypatch.setattr(hypermarg.mm, "build_surrogate", build_spy)
+        problem = tomo_problem(s=6, n_src=5, n_rec=6, seed=1)
+        out = m3c_optimize(problem, outer_iters=3, n_probes=4, seed=0)
+        assert [rec.n_probes for rec in out.records] == [4, 8, 16]
+        assert len(built) == 1
+        assert all(pre is built[0] for pre in used) and len(used) == 3
 
     def test_deterministic_given_seed(self):
         problem_a = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
@@ -1111,6 +1241,19 @@ class TestConvergesInLogTheta:
         assert eval_F_exact(problem, out.theta).value <= -339.9
         assert time.time() - t0 < 150, "runtime budget of 150 s exceeded"
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_default_settings_finish_on_deblur_16(self, seed):
+        # Seed 2 needs 31 outer iterations of m3c and 63 of the exact chain,
+        # above the old default cap of 30.
+        t0 = time.time()
+        problem = make_test_problem("deblur", s=16, seed=seed)
+        exact = mm_optimize_exact(problem)
+        assert exact.converged
+        out = m3c_optimize(problem)
+        assert out.converged
+        assert abs(eval_F_exact(problem, out.theta).value - exact.f_value) <= 1e-3
+        assert time.time() - t0 < 60, "runtime budget of 60 s exceeded"
+
 
 class TestM3cOnSuperres:
     """Default m3c from the center ends at the exact chain's optimum.
@@ -1122,7 +1265,7 @@ class TestM3cOnSuperres:
     carried across the first rejection.
     """
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 4])
     def test_reaches_the_exact_chain_on_superres_16(self, seed):
         t0 = time.time()
         problem = superres_problem(s=16, decim=2, frames=2, seed=seed)
@@ -1147,13 +1290,21 @@ class TestQuickStartM3c:
             stops.append(out.stop)
             return out
 
+        builds = []
+        real_pre = hypermarg.mm.psi_preconditioner
+
+        def pre_spy(*args, **kwargs):
+            builds.append(None)
+            return real_pre(*args, **kwargs)
+
         problem = make_test_problem("tomo", s=8, n_src=8, n_rec=9, seed=0)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hypermarg.mm, "projected_gradient_min", spy)
+            mp.setattr(hypermarg.mm, "psi_preconditioner", pre_spy)
             out = m3c_optimize(
                 problem, problem.box.center(), outer_iters=25, n_probes=16, seed=0
             )
-        return problem, out, stops
+        return problem, out, stops, len(builds)
 
     def test_surrogate_evaluations_stay_within_budget(self, run):
         # 1,044 evaluations and 64,253 Psi applications when each line
@@ -1166,15 +1317,35 @@ class TestQuickStartM3c:
         # PCG iterations and 16,000 Psi applications along projected BFGS
         # when each inner loop started from step * I and N = m ran m CG
         # solves per anchor, against about 160, 1,200 and 5,100 with the
-        # inverse Hessian carried and the dense majorant at N = m
-        problem, out, _ = run
+        # inverse Hessian carried and the dense majorant at N = m.  That
+        # run made 17,477 A applications: each value applied Psi to the
+        # probe block and each gradient every dPsi_j to it.  Through the
+        # legs A^T Z and A^T W, applied once per anchor, and with one
+        # preconditioner per anchor, it makes about 4,600 and 2,000 Psi
+        # applications.
+        problem, out, _, _ = run
         assert out.converged
         assert sum(rec.fn_evals for rec in out.records) <= 250
         assert sum(rec.pcg_iters for rec in out.records) <= 1_600
-        assert problem.counters.snapshot()["psi"] <= 8_000
+        counts = problem.counters.snapshot()
+        assert counts["psi"] <= 2_500
+        assert counts["a"] <= 5_500
+
+    def test_one_preconditioner_per_anchor(self, run):
+        # Each sampled majorant at a new anchor builds one; one after a
+        # rejection keeps the anchor, and its preconditioner with it, and
+        # the dense majorant at N = m needs none.  12 builds when each
+        # sampled outer iteration built its own.
+        problem, out, _, builds = run
+        records = out.records
+        new_anchors = [
+            rec.n_probes < problem.m and (t == 0 or records[t - 1].accepted)
+            for t, rec in enumerate(records)
+        ]
+        assert builds == sum(new_anchors) == 10
 
     def test_records_carry_the_inner_stop(self, run):
-        _, out, stops = run
+        _, out, stops, _ = run
         assert [rec.inner_stop for rec in out.records] == stops
         assert set(stops) <= {"move", "flat", "stationary", "line_search", "max_iters"}
 

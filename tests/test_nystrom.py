@@ -108,3 +108,21 @@ def test_full_rank_sketch_inverts_the_operator():
     v = rng.standard_normal(m)
     out = pre.apply_inverse(op.mat @ v)
     assert np.linalg.norm(out - v) <= 1e-10 * np.linalg.norm(v)
+
+
+def test_test_block_is_drawn_once_per_seed_size_and_rank():
+    # every sketch with the same (seed, m, rank) reads one orthonormal,
+    # read-only block, so two builds of one operator are the same factor
+    from hypermarg.nystrom import _test_block
+
+    omega = _test_block(3, 20, 5)
+    assert omega is _test_block(3, 20, 5)
+    assert not omega.flags.writeable
+    assert np.abs(omega.T @ omega - np.eye(5)).max() <= 1e-12
+    assert _test_block(4, 20, 5) is not omega
+    u = stream(9, "u").standard_normal((20, 4))
+    op = DenseSymOp(u @ u.T + 0.5 * np.eye(20))
+    first = nystrom_preconditioner(op, 0.5, 5, seed=3)
+    second = nystrom_preconditioner(op, 0.5, 5, seed=3)
+    np.testing.assert_array_equal(first.basis, second.basis)
+    np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
