@@ -127,7 +127,9 @@ def exact_surrogate_grad(problem, theta, theta_t, anchor=None, pieces=None):
     theta = np.asarray(theta, dtype=float)
     anchor = _pieces_at(problem, theta_t, anchor)
     pieces = _pieces_at(problem, theta, pieces)
-    return dense_gradient(problem, pieces, anchor.inverse())
+    return dense_gradient(
+        problem, theta, pieces.a, pieces.q_op, pieces.r, anchor.inverse()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -509,10 +511,11 @@ def _mm_chain(
     """The majorize-minimize outer loop of both optimizers.
 
     The anchor starts at ``theta``, inside the box, with ``solved``: what the
-    optimizer solved there, or None.  ``majorant(t, theta_t, solved, widen)``
-    builds the majorant at the anchor, with ``widen`` set when the last
-    proposal was rejected, and returns it with its :class:`Point` at the
-    anchor.  The majorant's ``value`` is the ``evaluate`` of
+    optimizer solved there, or None.  ``majorant(t, theta_t, solved, widen,
+    stayed)`` builds the majorant at the anchor, with ``widen`` set when the
+    last proposal was rejected and ``stayed`` when the anchor did not move
+    (a rejection or a null step), and returns it with its :class:`Point` at
+    the anchor.  The majorant's ``value`` is the ``evaluate`` of
     ``projected_gradient_min``, which minimizes it over the box from that
     point, backtracking from trial points whose value raises; its
     ``n_probes`` and ``pcg_iters`` go into the records.  The point the
@@ -540,11 +543,11 @@ def _mm_chain(
     f_here, solved = audit(theta, solved)
     records = []
     converged = False
-    widen = False
+    widen = stayed = False
     step = h = None
     for t in range(outer_iters):
         t0 = time.perf_counter()
-        surrogate, start = majorant(t, theta, solved, widen)
+        surrogate, start = majorant(t, theta, solved, widen, stayed)
         inner = projected_gradient_min(
             surrogate.value, start, problem.box, max_iters=inner_iters, tol=inner_tol,
             step0=step, h0=h,
@@ -563,7 +566,8 @@ def _mm_chain(
         stuck = not inner.converged and proposal is start
         if accepted:
             theta, solved, f_here = proposal.theta, audited, f_new
-        if isinstance(surrogate, _ExactMajorant) and (proposal is start or not accepted):
+        stayed = proposal is start or not accepted
+        if isinstance(surrogate, _ExactMajorant) and stayed:
             # the anchor stays, so the next majorant is this one again, where
             # the same H would retrace this loop: start again from step * I
             h = None
@@ -639,7 +643,7 @@ def mm_optimize_exact(
     """
     theta = box_start(problem, theta0)
 
-    def majorant(t, theta_t, anchor, widen):
+    def majorant(t, theta_t, anchor, widen, stayed):
         exact = _ExactMajorant(problem, anchor)
         return exact, exact.at(anchor)
 
@@ -715,7 +719,8 @@ def m3c_optimize(
     of rank ``min(64, m)`` (``objective.PRECOND_RANK``), built once per
     anchor with the noise variance as its shift (Frangella, Tropp & Udell
     2023); it serves the anchor's probe solves and every misfit solve at
-    that anchor, over the outer iterations that follow a rejection too.
+    that anchor, over the outer iterations that follow a rejection or a
+    null step too.
     Rank 64 holds all of A Q A^T on the quick-start tomo problem (n = 64),
     where rank 32 left CG to find the rest of its spectrum.  The preconditioner changes only how fast CG reaches
     ``pcg_tol``, not the sampled majorant or the audit.  Inside the inner
@@ -729,7 +734,7 @@ def m3c_optimize(
     n_now = int(n_probes)
     pre = None
 
-    def majorant(t, theta_t, solved, widen):
+    def majorant(t, theta_t, solved, widen, stayed):
         nonlocal n_now, pre
         if widen:
             n_now = min(2 * n_now, problem.m)
@@ -741,8 +746,8 @@ def m3c_optimize(
             w = rademacher_probes(problem.m, n_now, seed, "m3c", t)
         else:
             w = canonical_probes(problem.m)
-        if not widen:
-            # a rejection keeps the anchor, and with it the preconditioner
+        if not stayed:
+            # an anchor that did not move keeps its preconditioner
             pre = psi_preconditioner(problem, theta_t, seed=seed)
         surrogate = build_surrogate(
             problem, theta_t, w, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit

@@ -192,9 +192,10 @@ class PsiOperator(SymOp):
 class ProblemSpec:
     """A fully specified estimation problem.
 
-    The operator builders are closures wired to ``counters``; derivative
-    builders may contain ``None`` entries for components the corresponding
-    operator does not depend on (treated as zero).  The noise covariance is
+    The operator builders are closures wired to ``counters``.  The derivative
+    builders hold one dQ slot per psi component, ``None`` where Q does not
+    depend on it (treated as zero), and one dA builder per forward-map
+    component, none missing; construction checks both.  The noise covariance is
     sigma^2 I, with exactly one of ``noise_index`` (sigma^2 = psi[noise_index])
     and ``noise_var`` (a fixed sigma^2) set.
     """
@@ -226,6 +227,13 @@ class ProblemSpec:
             raise ValueError(
                 f"noise_index {self.noise_index} out of range for {self.q_dim} psi components"
             )
+        if len(self.dq_builders) != self.q_dim:
+            raise ValueError("problem must supply one dQ builder slot per psi component")
+        if len(self.da_builders) != self.ell:
+            raise ValueError("problem must supply one dA builder per forward-map component")
+        for j, builder in enumerate(self.da_builders):
+            if builder is None:
+                raise ValueError(f"derivative builder for forward-map component {j} is missing")
 
     @property
     def p(self):

@@ -24,8 +24,9 @@ by the test-suite:
   surface the fixed-sample optimizer minimizes), one Lanczos run over the
   whole probe block, misfit solved by CG.  The evaluation keeps its Lanczos
   run, and the gradient is the exact gradient of that surface: a reverse
-  pass through the run for the log-det part, and the misfit solve for the
-  rest.
+  pass through the run gives an m x m matrix X with the log-det part
+  tr(dPsi_j X), and the rest is the oracle's ``dense_gradient`` with
+  P = X + X^T in place of Psi^{-1}, over the dense A and the misfit solve.
 
 ``psi_preconditioner`` builds the Nystrom CG preconditioner for Psi, with the
 noise variance sigma^2 as its known shift.
@@ -220,46 +221,29 @@ def grad_F_slq(problem, theta, evaluation):
     ``evaluation`` is ``eval_F_slq``'s at theta; its Lanczos run and misfit
     solve are reused, so no forward pass is repeated.  The log-det part is
     the run's reverse pass (``LanczosDecomp.quadform_log_adjoint``), about
-    one Psi application per Lanczos step and probe; the misfit part is
-    -1/2 r^T dPsi_j r + r^T dA_j mu_x, the algebra of the sampled majorant's
-    gradient.  Both pair with dPsi/dtheta in one ``apply_all`` call over
-    the m columns of the sum of their outer products.  The misfit part is
-    exact up to the solve's tolerance.
+    one Psi application per Lanczos step and probe, which pairs with each
+    dPsi_j as tr(dPsi_j X), X the sum of the outer products of the run's
+    basis and adjoint columns.  dPsi_j is symmetric, so that is
+    1/2 <X + X^T, dPsi_j>, and the gradient is the dense oracle's
+    (``dense_gradient``) with P = X + X^T, the misfit solve r and the
+    dense A: one m x m x n product, and no Psi or A application past the
+    reverse pass.  The misfit part is exact up to the solve's tolerance.
     """
     theta = np.asarray(theta, dtype=float)
-    decomp, r = evaluation.decomp, evaluation.r
+    decomp = evaluation.decomp
     n = decomp.steps.shape[0]
-    u_bar = decomp.quadform_log_adjoint(build_psi(problem, theta), np.full(n, 0.5 / n))
-    # the log-det and misfit parts are sum left^T dPsi right over the pairs
-    # (u_bar, q), over the run's steps, and (-r/2, r); that is tr(dPsi X),
-    # X the sum of the outer products right left^T (rows past a column's
-    # steps are zero), paired over X's m columns
+    psi_op = build_psi(problem, theta)
+    u_bar = decomp.quadform_log_adjoint(psi_op, np.full(n, 0.5 / n))
+    # rows past a column's steps are zero in both blocks
     m = problem.m
     x = decomp.basis.reshape(-1, m).T @ u_bar.reshape(-1, m)
-    x -= 0.5 * np.outer(r, r)
-    actions = _DerivativeActions(problem, theta)
-    terms = np.trace(actions.apply_all(x), axis1=1, axis2=2)
-    grad = problem.prior.grad_neglog(theta) + terms
-    da_mu = actions.forward_deriv_mu()
-    if da_mu is not None:
-        grad[problem.q_dim :] += da_mu @ r
-    return grad
-
-
-def _deriv_builders(problem):
-    """Validate derivative-builder bookkeeping; None entries mean 'zero'."""
-    if len(problem.dq_builders) != problem.q_dim:
-        raise ValueError("problem must supply one dQ builder slot per psi component")
-    if len(problem.da_builders) != problem.ell:
-        raise ValueError("problem must supply one dA builder per forward-map component")
-    for j, builder in enumerate(problem.da_builders):
-        if builder is None:
-            raise ValueError(f"derivative builder for forward-map component {j} is missing")
+    return dense_gradient(
+        problem, theta, psi_op.a_op.dense(), psi_op.q_op, evaluation.r, x + x.T
+    )
 
 
 def _derivative_ops(problem, theta):
     """dQ/dpsi_j (None where Q does not depend on psi_j) and dA/dy_i at theta."""
-    _deriv_builders(problem)
     psi_params, y = problem.split(theta)
     dq_ops = [None if b is None else b(psi_params) for b in problem.dq_builders]
     return dq_ops, [b(y) for b in problem.da_builders]
@@ -290,66 +274,18 @@ def _misfit_terms(problem, dq_ops, da_ops, r, s, q_s):
     return terms
 
 
-class _DerivativeActions:
-    """Applies dPsi/dtheta_j to vectors, sharing the A^T / Q A^T legs.
+def dense_gradient(problem, theta, a, q_op, r, p_mat):
+    """Gradient of  -log pi + 1/2 <P, Psi(theta)> + 1/2 c^T Psi^{-1} c  at theta.
 
-    It serves saa's gradient (``grad_F_slq``) only, where dPsi pairs with an
-    m x m matrix.  The sampled majorant and the dense oracle pair dPsi
-    through their own legs (``mm.StochasticSurrogate.gradient``,
-    ``dense_gradient``).
-    """
-
-    def __init__(self, problem, theta):
-        psi_params, y = problem.split(theta)
-        self.problem = problem
-        self.a_op = problem.build_a(y)
-        # only the dA terms apply Q
-        self.q_op = problem.build_q(psi_params) if problem.ell else None
-        self.dq_ops, self.da_ops = _derivative_ops(problem, theta)
-
-    def apply_all(self, v):
-        """dPsi/dtheta_j applied to v, stacked over j.
-
-        ``v`` is a vector ``(m,)``, giving a ``(p, m)`` array, or a block
-        ``(m, n)``, giving ``(p, m, n)``.  Either way the operators are
-        applied through ``matmat``/``rmatmat``, which charge one
-        application per column.
-        """
-        problem = self.problem
-        v = np.asarray(v, dtype=float)
-        block = v if v.ndim == 2 else v[:, None]
-        a_op, q_op = self.a_op, self.q_op
-        out = np.zeros((problem.p,) + block.shape)
-        at_v = a_op.rmatmat(block)
-        for j in range(problem.q_dim):
-            if self.dq_ops[j] is not None:
-                out[j] += a_op.matmat(self.dq_ops[j].matmat(at_v))
-        if problem.noise_index is not None:
-            out[problem.noise_index] += block
-        if problem.ell:
-            q_at_v = q_op.matmat(at_v)
-            for i, da_op in enumerate(self.da_ops):
-                out[problem.q_dim + i] = da_op.matmat(q_at_v) + a_op.matmat(
-                    q_op.matmat(da_op.rmatmat(block))
-                )
-        return out if v.ndim == 2 else out[..., 0]
-
-    def forward_deriv_mu(self):
-        """(ell, m) array of (dA/dy_j) mu_x, or None when mu_x = 0."""
-        problem = self.problem
-        if not problem.ell or not np.any(problem.mu_x != 0.0):
-            return None
-        return np.array([da.matvec(problem.mu_x) for da in self.da_ops])
-
-
-def dense_gradient(problem, pieces, p_mat):
-    """Gradient of  -log pi + 1/2 <P, Psi(theta)> + 1/2 c^T Psi^{-1} c  at pieces.theta.
-
-    With ``P = Psi(theta)^{-1}`` this is the gradient of F; with ``P`` the
-    inverse at a frozen anchor it is the gradient of the MM majorant.  No
-    m x m dPsi and no dense Q, dQ or dA is formed, and P A is the only cubic
-    product.  The misfit part is ``_misfit_terms`` with s = A^T r; the
-    trace part is
+    ``a`` is the dense A(y) at theta, ``q_op`` the Q(psi) operator there,
+    applied through its uncounted ``_apply``, ``r`` the misfit solve
+    Psi(theta)^{-1} c and ``P`` a symmetric m x m matrix.  With
+    ``P = Psi(theta)^{-1}`` this is the gradient of F; with ``P`` the
+    inverse at a frozen anchor it is the gradient of the MM majorant; with
+    ``P = X + X^T``, X from a Lanczos reverse pass, it is saa's gradient
+    (``grad_F_slq``).  No m x m dPsi and no dense Q, dQ or dA is formed,
+    and P A is the only cubic product.  The misfit part is
+    ``_misfit_terms`` with s = A^T r; the trace part is
 
         <P, A dQ A^T> = <P A, (dQ A^T)^T>,      <P, I> = trace P,
         <P, dA Q A^T + A Q dA^T> = 2 <P A Q, dA> = 2 sum_e dA_e (P A Q)_e,
@@ -359,10 +295,9 @@ def dense_gradient(problem, pieces, p_mat):
     product), and the sum over e runs over the stored entries of dA's CSR
     matrix, at their ``flat_positions``.  Each dA is built once and enters
     through two O(nnz) passes: a gather of P A Q, shared by the dA's of one
-    structure, and one CSR matvec.
+    structure, and one CSR matvec.  Nothing is charged to the matvec ledger.
     """
-    dq_ops, da_ops = _derivative_ops(problem, pieces.theta)
-    a, q_op, r = pieces.a, pieces.q_op, pieces.r
+    dq_ops, da_ops = _derivative_ops(problem, theta)
     s = a.T @ r
     p_a = p_mat @ a
 
@@ -384,7 +319,7 @@ def dense_gradient(problem, pieces, p_mat):
             )
         q_s = q_op._apply(s)
     misfit_terms = _misfit_terms(problem, dq_ops, da_ops, r, s, q_s)
-    grad = problem.prior.grad_neglog(pieces.theta)
+    grad = problem.prior.grad_neglog(theta)
     grad += 0.5 * trace_terms - 0.5 * misfit_terms
     return grad
 
@@ -393,7 +328,9 @@ def grad_F_exact(problem, theta):
     """Exact gradient by dense algebra (oracle path)."""
     theta = np.asarray(theta, dtype=float)
     pieces = dense_objective_pieces(problem, theta)
-    return dense_gradient(problem, pieces, pieces.inverse())
+    return dense_gradient(
+        problem, theta, pieces.a, pieces.q_op, pieces.r, pieces.inverse()
+    )
 
 
 # rank of the Nystrom preconditioner for Psi, capped at m.  A Q A^T has rank

@@ -17,7 +17,8 @@ the same arithmetic.
 Each theta is evaluated once per run: the box minimizer's points carry
 their evaluation, and the gradient at an accepted point is computed from
 it (:func:`~hypermarg.objective.grad_F_slq`: a reverse pass through the
-Lanczos run the value built, and the misfit solve).  Armijo steps never
+Lanczos run the value built, paired with dPsi/dtheta by the dense oracle's
+algebra over the misfit solve and the dense A).  Armijo steps never
 increase F_hat, and there is one record per iteration.  The box minimizer
 backtracks from a trial point whose misfit solve raises
 :class:`~hypermarg.operators.NumericalError`; at the start point the error
@@ -75,7 +76,8 @@ def saa_optimize(
     iterations minimizes it, leaving one record per iteration.  Gradients
     are exact gradients of F_hat (:func:`~hypermarg.objective.grad_F_slq`),
     computed from the accepted point's own Lanczos run and misfit solve, so
-    the only linear algebra is Lanczos quadrature, its reverse pass and CG.
+    the only linear algebra is Lanczos quadrature, its reverse pass, CG and
+    one m x m x n product per gradient.
     ``fn_evals`` counts the thetas evaluated, each once, and
     ``failed_trials`` those whose evaluation raised.
     """

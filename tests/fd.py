@@ -1,5 +1,6 @@
-"""The tests' references for analytic gradients: central finite differences
-and the dense Daleckii-Krein derivative of a log quadratic form."""
+"""The tests' references for analytic gradients: central finite differences,
+the dense Daleckii-Krein derivative of a log quadratic form, and each
+dPsi/dtheta_j formed as a dense m x m matrix."""
 
 import numpy as np
 
@@ -60,3 +61,27 @@ def daleckii_krein(mat, w, weights):
     divided = np.where(close, 1.0 / lam[None, :], np.log(lam[:, None] / lam[None, :]) / np.where(close, 1.0, diff))
     proj = vec.T @ w
     return vec @ ((proj * weights) @ proj.T * divided) @ vec.T
+
+
+def dense_dpsi(problem, theta):
+    """dPsi/dtheta_j stacked over j, a (p, m, m) array from dense A, Q, dQ and dA.
+
+    A dQ_j A^T at each psi component Q depends on, plus I at the noise
+    variance; dA_i Q A^T + A Q dA_i^T at each forward-map component.
+    Operators are densified through their uncounted ``_apply``, so nothing
+    is charged to the matvec ledger.
+    """
+    psi_params, y = problem.split(theta)
+    a = problem.build_a(y).dense()
+    eye_n = np.eye(problem.n)
+    q = problem.build_q(psi_params)._apply(eye_n)
+    dpsi = np.zeros((problem.p, problem.m, problem.m))
+    for j, build in enumerate(problem.dq_builders):
+        if build is not None:
+            dpsi[j] += a @ build(psi_params)._apply(eye_n) @ a.T
+        if j == problem.noise_index:
+            dpsi[j] += np.eye(problem.m)
+    for i, build in enumerate(problem.da_builders):
+        da = build(y).dense()
+        dpsi[problem.q_dim + i] = da @ q @ a.T + a @ q @ da.T
+    return dpsi

@@ -28,7 +28,6 @@ from hypermarg.mm import (
 )
 from hypermarg.model import build_psi
 from hypermarg.objective import (
-    _DerivativeActions,
     dense_objective_pieces,
     eval_F_exact,
     grad_F_exact,
@@ -36,7 +35,7 @@ from hypermarg.objective import (
 from hypermarg.operators import NumericalError
 from hypermarg.probes import canonical_probes, rademacher_probes
 
-from fd import grad_fd_central
+from fd import dense_dpsi, grad_fd_central
 from test_objective import noise_only_problem, relerr
 
 
@@ -137,15 +136,13 @@ class TestExactSurrogate:
 
     def test_missing_forward_derivative_raises(self):
         problem = deblur_problem(s=6)
-        broken = ProblemSpec(
-            **{
-                **problem.__dict__,
-                "da_builders": (problem.da_builders[0], None, problem.da_builders[2]),
-            }
-        )
-        theta_t = problem.theta_true
         with pytest.raises(ValueError, match="forward-map component 1"):
-            exact_surrogate_grad(broken, theta_t, theta_t)
+            ProblemSpec(
+                **{
+                    **problem.__dict__,
+                    "da_builders": (problem.da_builders[0], None, problem.da_builders[2]),
+                }
+            )
 
 
 class TestStochasticSurrogate:
@@ -399,12 +396,11 @@ LEG_PROBLEMS = [
 ]
 
 
-def apply_all_reference(surrogate, theta, r):
-    """The sampled majorant's value and gradient with every dPsi applied to the block.
+def dense_dpsi_reference(surrogate, theta, r):
+    """The sampled majorant's value and gradient with every dPsi formed densely.
 
-    The formulation the legs replaced: Psi(theta) W, and each dPsi_j applied
-    to W and to r through ``_DerivativeActions.apply_all``, at the misfit
-    solve r.
+    Psi(theta) applied to W, and each dPsi_j an m x m array
+    (``fd.dense_dpsi``) applied to W and to r, at the misfit solve r.
     """
     problem, w, z = surrogate.problem, surrogate.w, surrogate.z
     n = surrogate.n_probes
@@ -414,12 +410,12 @@ def apply_all_reference(surrogate, theta, r):
         + float(np.sum(z * build_psi(problem, theta).matmat(w))) / (2.0 * n)
         + 0.5 * float(c @ r)
     )
-    actions = _DerivativeActions(problem, theta)
-    quad = np.einsum("jmn,mn->j", actions.apply_all(w), z) / (2.0 * n)
-    misfit = actions.apply_all(r) @ r
-    da_mu = actions.forward_deriv_mu()
-    if da_mu is not None:
-        misfit[problem.q_dim :] -= 2.0 * (da_mu @ r)
+    dpsi = dense_dpsi(problem, theta)
+    quad = np.einsum("jmn,mn->j", dpsi @ w, z) / (2.0 * n)
+    misfit = (dpsi @ r) @ r
+    y = problem.split(theta)[1]
+    for i, build in enumerate(problem.da_builders):
+        misfit[problem.q_dim + i] -= 2.0 * float(r @ (build(y).dense() @ problem.mu_x))
     return value, problem.prior.grad_neglog(theta) + quad - 0.5 * misfit
 
 
@@ -435,7 +431,7 @@ class TestSurrogateLegs:
         for scale in (0.8, 1.0, 1.2):
             theta = problem.box.project(scale * theta_t)
             point = surrogate.value(theta)
-            value, grad = apply_all_reference(surrogate, theta, surrogate._r)
+            value, grad = dense_dpsi_reference(surrogate, theta, surrogate._r)
             assert abs(point.value - value) <= 1e-10 * max(1.0, abs(value))
             assert relerr(point.gradient(), grad) <= 1e-10
 
@@ -1011,7 +1007,7 @@ class TestM3cChain:
         theta0 = problem.box.center()
         trials = []  # each inner loop's trial points, in order
 
-        def majorant(t, theta_t, solved, widen):
+        def majorant(t, theta_t, solved, widen, stayed):
             seen = []
             trials.append(seen)
 
@@ -1123,6 +1119,40 @@ class TestM3cChain:
         assert [rec.n_probes for rec in out.records] == [4, 8, 16]
         assert len(built) == 1
         assert all(pre is built[0] for pre in used) and len(used) == 3
+
+    def test_null_step_reuses_the_anchors_preconditioner(self, monkeypatch):
+        # Outer iteration 1 from this center ends its line search at the
+        # start and that null step is accepted, so outer 2 sits at the same
+        # anchor: one Nystrom build serves both, 3 builds for 3 anchors
+        # where rebuilding at the null step made 4.  The build is
+        # deterministic, so each surrogate's preconditioner is bit for bit
+        # the one a fresh build at its anchor gives, and the path is the one
+        # rebuilding took: 18 outer iterations to F -478.7579693336395.
+        built, used = [], []
+        real_pre, real_build = hypermarg.mm.psi_preconditioner, hypermarg.mm.build_surrogate
+
+        def pre_spy(*args, **kwargs):
+            built.append(real_pre(*args, **kwargs))
+            return built[-1]
+
+        def build_spy(problem, theta_t, *args, pre=None, **kwargs):
+            used.append((theta_t.copy(), pre))
+            return real_build(problem, theta_t, *args, pre=pre, **kwargs)
+
+        monkeypatch.setattr(hypermarg.mm, "psi_preconditioner", pre_spy)
+        monkeypatch.setattr(hypermarg.mm, "build_surrogate", build_spy)
+        problem = superres_problem(s=16, decim=2, frames=2, seed=0)
+        out = m3c_optimize(problem, theta0=problem.box.center())
+        null = out.records[1]
+        assert null.accepted and null.inner_stop == "line_search" and null.rel_step == 0.0
+        assert len(built) == 3
+        for theta_t, pre in used:
+            fresh = real_pre(problem, theta_t, seed=0)
+            np.testing.assert_array_equal(pre.basis, fresh.basis)
+            np.testing.assert_array_equal(pre.eigenvalues, fresh.eigenvalues)
+            assert pre.shift == fresh.shift
+        assert out.converged and len(out.records) == 18
+        assert out.f_value == pytest.approx(-478.7579693336395, rel=1e-12)
 
     def test_deterministic_given_seed(self):
         problem_a = tomo_problem(s=4, n_src=3, n_rec=5, seed=2)
@@ -1333,13 +1363,14 @@ class TestQuickStartM3c:
 
     def test_one_preconditioner_per_anchor(self, run):
         # Each sampled majorant at a new anchor builds one; one after a
-        # rejection keeps the anchor, and its preconditioner with it, and
-        # the dense majorant at N = m needs none.  12 builds when each
-        # sampled outer iteration built its own.
+        # rejection or a null step keeps the anchor, and its preconditioner
+        # with it, and the dense majorant at N = m needs none.  12 builds
+        # when each sampled outer iteration built its own.
         problem, out, _, builds = run
         records = out.records
         new_anchors = [
-            rec.n_probes < problem.m and (t == 0 or records[t - 1].accepted)
+            rec.n_probes < problem.m
+            and (t == 0 or (records[t - 1].accepted and records[t - 1].rel_step > 0))
             for t, rec in enumerate(records)
         ]
         assert builds == sum(new_anchors) == 10
