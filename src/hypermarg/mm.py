@@ -27,17 +27,17 @@ pairs each dPsi/dtheta_j through the same legs: dQ by a pairing of the two
 legs, dA by two sparse block products.  The anchor solves are paid once per
 outer iteration; the inner minimizer then works against a fixed sample.
 
-Both optimizers run one outer loop: build the majorant at the anchor,
-minimize it over the box, and audit the proposal with an estimate of F that
-is fixed for the run.  A proposal that raises the audited F beyond a small
-relative slack is rejected and the anchor kept.  The exact chain builds the
-dense majorant and audits with F itself; m3c builds the sampled one, audits
-with an independent estimate, and doubles its probe budget after a
-rejection, up to m, where (up to ``DENSE_LIMIT`` rows) it builds the dense
-one too.  Each inner minimization is a projected BFGS run that starts from the
-inverse Hessian and step scale the last one ended with: consecutive
-majorants are tangent to F at nearby anchors, so their curvature differs
-little (Morales & Nocedal 2000).  It stops halving at the scale of its
+Both optimizers run one outer loop, m3c's: build the majorant at the
+anchor, minimize it over the box, and audit the proposal with an estimate
+of F that is fixed for the run.  A proposal that raises the audited F beyond
+a small relative slack is rejected, the anchor kept and the probe budget
+doubled, up to m.  At N = m the sampled trace is exact: up to
+``DENSE_LIMIT`` rows the loop then builds the dense majorant from one
+factorization and audits with F itself.  The exact chain is that loop
+started at N = m.  Each inner minimization is a projected BFGS run that
+starts from the inverse Hessian and step scale the last one ended with:
+consecutive majorants are tangent to F at nearby anchors, so their curvature
+differs little (Morales & Nocedal 2000).  It stops halving at the scale of its
 tolerance: a sampled majorant's value is only as good as its misfit solve,
 and below that scale a failed trial says nothing.  A trial whose evaluation
 raises :class:`NumericalError` is backtracked from there too, for all
@@ -199,7 +199,8 @@ class StochasticSurrogate:
         self.pcg_iters += res.iterations
         if not res.converged:
             raise NumericalError(
-                f"misfit solve stalled at relative residual {res.relres:.3e}"
+                f"misfit solve stalled at relative residual {res.relres:.3e} "
+                f"after {self.pcg_maxit} iterations"
             )
         r = self._r = res.x
         value = self.problem.prior.neglog(theta) + quad + 0.5 * float(np.dot(c, r))
@@ -460,11 +461,12 @@ def projected_gradient_min(
 class OuterRecord:
     """One outer iteration of an MM chain, with the ledger after it.
 
+    ``n_probes`` is the majorant's probe budget N, m for a dense one.
     ``pcg_iters`` counts the majorant's CG iterations, anchor and misfit
-    solves.  A dense majorant (the exact chain's, and m3c's at N = m) runs
-    none, and the counter ledger does not see its factorizations either:
-    such an outer iteration reads 0 there and leaves ``counters`` unmoved
-    until dense work has a counter of its own.
+    solves.  A dense majorant (m3c's at N = m, so every one of the exact
+    chain's) runs none, and the counter ledger does not see its
+    factorizations either: such an outer iteration reads 0 there and leaves
+    ``counters`` unmoved until dense work has a counter of its own.
     """
 
     outer_iter: int
@@ -505,28 +507,27 @@ def box_start(problem, theta0):
 AUDIT_SLACK_REL = 1e-9
 
 
-def _mm_chain(
-    problem, theta, solved, majorant, audit, outer_iters, tol, inner_iters, inner_tol
+def _m3c_chain(
+    problem, theta, solved, n_probes, *, seed, outer_iters, tol, inner_iters,
+    inner_tol, pcg_tol, pcg_maxit,
 ):
     """The majorize-minimize outer loop of both optimizers.
 
-    The anchor starts at ``theta``, inside the box, with ``solved``: what the
-    optimizer solved there, or None.  ``majorant(t, theta_t, solved, widen,
-    stayed)`` builds the majorant at the anchor, with ``widen`` set when the
-    last proposal was rejected and ``stayed`` when the anchor did not move
-    (a rejection or a null step), and returns it with its :class:`Point` at
-    the anchor.  The majorant's ``value`` is the ``evaluate`` of
-    ``projected_gradient_min``, which minimizes it over the box from that
-    point, backtracking from trial points whose value raises; its
-    ``n_probes`` and ``pcg_iters`` go into the records.  The point the
-    minimizer returns is the proposal, and ``audit(theta, solved)`` estimates
-    F from its theta and what it solved; it returns F with what it solved in
-    turn, which may be more (an exact audit of a sampled proposal factors
-    it).  The proposal is accepted, and becomes the next anchor with what
-    its audit returned, when the audit puts it at most
-    ``AUDIT_SLACK_REL * max(1, |F|)`` above the anchor; one the audit cannot
-    evaluate (a :class:`NumericalError`) is rejected.  The start is audited
-    the same way.  The chain
+    The anchor starts at ``theta``, inside the box, with ``solved``: the
+    dense pieces built there, or None.  Outer iteration t builds the
+    majorant at the anchor over ``n_probes`` probes.  Below m it is the
+    sampled one over a fresh Rademacher block seeded by (seed, t); at m it
+    is the dense ``_ExactMajorant`` at the anchor's own pieces up to
+    ``DENSE_LIMIT`` rows, and the sampled one over the m canonical probes
+    above.  ``projected_gradient_min`` minimizes its ``value`` over the box
+    from its point at the anchor, backtracking from trial points whose value
+    raises.  The point it returns is the proposal, and ``_auditor``'s fixed
+    estimate of F is read there, from what the proposal solved.  The
+    proposal is accepted, and becomes the next anchor with what its audit
+    solved, when the audit puts it at most ``AUDIT_SLACK_REL * max(1, |F|)``
+    above the anchor; one the audit cannot evaluate (a
+    :class:`NumericalError`) is rejected, and a rejection doubles the probe
+    budget, up to m.  The start is audited the same way.  The chain
     converges on an accepted step of at most ``tol`` relative to theta,
     unless the inner minimizer gave up at the anchor, returning its start
     point unconverged: that null step is accepted, but it is no evidence of
@@ -534,20 +535,35 @@ def _mm_chain(
 
     Each inner loop starts from the ``step`` and ``h`` the last one ended
     with.  Where the anchor stays (a rejection or a null step), the next
-    majorant is built there again.  m3c's sampled one is then a new
-    function, over a new probe block (a wider one after a rejection), and H
-    carries into it.  A dense majorant (``_ExactMajorant``) is the same
-    function again, where the same H would retrace the same loop, so that
-    loop starts from step * I.
+    majorant is built there again, with the same preconditioner.  A sampled
+    one is then a new function, over a new probe block, and H carries into
+    it.  The dense one is the same function again, where the same H would
+    retrace the same loop, so that loop starts from step * I.
     """
+    audit = _auditor(problem, seed, pcg_tol)
     f_here, solved = audit(theta, solved)
     records = []
-    converged = False
-    widen = stayed = False
-    step = h = None
+    converged = stayed = False
+    step = h = pre = None
     for t in range(outer_iters):
         t0 = time.perf_counter()
-        surrogate, start = majorant(t, theta, solved, widen, stayed)
+        dense = n_probes == problem.m and problem.m <= DENSE_LIMIT
+        if dense:
+            # the exact audit solved the anchor: its pieces are the majorant's
+            surrogate = _ExactMajorant(problem, solved)
+            start = surrogate.at(solved)
+        else:
+            if n_probes < problem.m:
+                w = rademacher_probes(problem.m, n_probes, seed, "m3c", t)
+            else:
+                w = canonical_probes(problem.m)
+            if not stayed:
+                # an anchor that did not move keeps its preconditioner
+                pre = psi_preconditioner(problem, theta, seed=seed)
+            surrogate = build_surrogate(
+                problem, theta, w, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
+            )
+            start = surrogate.value(theta)
         inner = projected_gradient_min(
             surrogate.value, start, problem.box, max_iters=inner_iters, tol=inner_tol,
             step0=step, h0=h,
@@ -567,11 +583,10 @@ def _mm_chain(
         if accepted:
             theta, solved, f_here = proposal.theta, audited, f_new
         stayed = proposal is start or not accepted
-        if isinstance(surrogate, _ExactMajorant) and stayed:
+        if dense and stayed:
             # the anchor stays, so the next majorant is this one again, where
             # the same H would retrace this loop: start again from step * I
             h = None
-        widen = not accepted
         records.append(
             OuterRecord(
                 outer_iter=t,
@@ -581,7 +596,7 @@ def _mm_chain(
                 inner_stop=inner.stop,
                 fn_evals=inner.fn_evals,
                 failed_trials=inner.failed_trials,
-                n_probes=surrogate.n_probes,
+                n_probes=n_probes,
                 accepted=accepted,
                 rel_step=rel_step if accepted else np.nan,
                 wall_time_s=time.perf_counter() - t0,
@@ -589,6 +604,9 @@ def _mm_chain(
                 counters=problem.counters.snapshot(),
             )
         )
+        if not accepted:
+            # the sample was too small to trust
+            n_probes = min(2 * n_probes, problem.m)
         # this majorant's points hold its anchor: let them go before the next
         del surrogate, start, inner, proposal
         if accepted and rel_step <= tol and not stuck:
@@ -599,15 +617,10 @@ def _mm_chain(
 
 @dataclass
 class _ExactMajorant:
-    """The dense majorant at an anchor's pieces; each point carries its own.
-
-    ``n_probes`` is what the records report: 0 for the exact chain, m for
-    m3c, whose sampled trace it replaces once the probes reach m.
-    """
+    """The dense majorant at an anchor's pieces; each point carries its own."""
 
     problem: object
     anchor: object  # the DensePieces at theta_t
-    n_probes: int = 0
     pcg_iters = 0
 
     def value(self, theta):
@@ -632,27 +645,25 @@ def mm_optimize_exact(
 ):
     """Deterministic majorize-minimize with dense surrogates (oracle chain).
 
-    Each outer step minimizes the exact majorant anchored at the current
-    iterate; by tangency + domination the objective F is non-increasing
-    along the chain.  Its proposals pass the exact audit, F itself with
-    m3c's slack ``AUDIT_SLACK_REL``, and the same stop test as m3c's (see
-    ``_mm_chain``), so a proposal that raises F is rejected and a null step
-    is not convergence.  Each theta is factorized once: a point carries its
-    dense pieces, which serve its value, gradient and audit and, once it is
-    accepted, the next majorant's anchor.  Dense only; desk-scale problems.
+    At N = m the sampled trace is exact, so this is m3c's loop
+    (``_m3c_chain``) started at its probe budget m: each outer step
+    minimizes the exact majorant anchored at the current iterate, and by
+    tangency + domination F is non-increasing along the chain.  Its
+    proposals pass the exact audit, F itself with the slack
+    ``AUDIT_SLACK_REL``, so a proposal that raises F is rejected and a null
+    step is not convergence.  Each theta is factorized once: a point
+    carries its dense pieces, which serve its value, gradient and audit
+    and, once it is accepted, the next majorant's anchor.  Its records read
+    ``n_probes`` = m and ``pcg_iters`` 0.  Dense only, for desk-scale
+    problems: building the start's pieces raises ``ValueError`` above
+    ``DENSE_LIMIT`` rows, where m3c at N = m would audit by SLQ instead.
     """
     theta = box_start(problem, theta0)
-
-    def majorant(t, theta_t, anchor, widen, stayed):
-        exact = _ExactMajorant(problem, anchor)
-        return exact, exact.at(anchor)
-
-    def audit(theta, pieces):
-        return eval_F_exact(problem, theta, pieces).value, pieces
-
-    return _mm_chain(
-        problem, theta, dense_objective_pieces(problem, theta), majorant, audit,
-        outer_iters, tol, inner_iters, inner_tol,
+    # a dense chain draws no probes and runs no CG: seed and pcg_* go unread
+    return _m3c_chain(
+        problem, theta, dense_objective_pieces(problem, theta), problem.m,
+        seed=None, outer_iters=outer_iters, tol=tol, inner_iters=inner_iters,
+        inner_tol=inner_tol, pcg_tol=None, pcg_maxit=None,
     )
 
 
@@ -697,19 +708,19 @@ def m3c_optimize(
 ):
     """Stochastic majorize-minimize with per-anchor Monte-Carlo surrogates.
 
-    The outer loop, its audit and its stop test are ``_mm_chain``'s.  Per
-    outer iteration t, m3c draws a fresh probe block seeded by (seed, t),
-    pays the anchor solves and hands the sampled majorant to the loop.  A
-    rejected proposal says the sample was too small to trust, so the probe
-    budget doubles.  It stops at m, where the exact majorant takes the
-    sample's place.  Up to ``DENSE_LIMIT`` rows it is the exact chain's,
-    from one Cholesky factorization of Psi_t, with no probe block,
-    preconditioner or CG solve; above, the probes are the m canonical ones,
-    whose sampled trace is exact.  The audit is F itself, from the dense
-    oracle, when m is at most ``DENSE_LIMIT``.  It reads a dense proposal's
-    own factorization and hands the one it builds for a sampled proposal,
-    or for the start, to the chain, so each theta is factored once.  Above
-    that it is the SLQ estimate
+    The outer loop, its audit and its stop test are ``_m3c_chain``'s.  Per
+    outer iteration t, m3c draws a fresh probe block seeded by (seed, t)
+    and pays the anchor solves.  A rejected proposal says the sample was
+    too small to trust, so the probe budget doubles.  It stops at m, where
+    the exact majorant takes the sample's place.  Up to ``DENSE_LIMIT``
+    rows it is the exact chain's (``mm_optimize_exact`` is this loop
+    started at m), from one Cholesky factorization of Psi_t, with no probe
+    block, preconditioner or CG solve; above, the probes are the m
+    canonical ones, whose sampled trace is exact.  The audit is F itself,
+    from the dense oracle, when m is at most ``DENSE_LIMIT``.  It reads a
+    dense proposal's own factorization and hands the one it builds for a
+    sampled proposal, or for the start, to the chain, so each theta is
+    factored once.  Above that it is the SLQ estimate
     ``eval_F_slq`` over one block of ``AUDIT_PROBES`` (32) Rademacher probes
     drawn from ``(seed, "probes", "audit")``, at Lanczos depth
     min(``AUDIT_K``, m) with ``AUDIT_K`` = 30; the block is shared across all
@@ -730,31 +741,8 @@ def m3c_optimize(
 
     Returns the audited chain with per-iteration cost records.
     """
-    audit = _auditor(problem, seed, pcg_tol)
-    n_now = int(n_probes)
-    pre = None
-
-    def majorant(t, theta_t, solved, widen, stayed):
-        nonlocal n_now, pre
-        if widen:
-            n_now = min(2 * n_now, problem.m)
-        if n_now == problem.m and problem.m <= DENSE_LIMIT:
-            anchor = _pieces_at(problem, theta_t, solved)
-            exact = _ExactMajorant(problem, anchor, n_probes=problem.m)
-            return exact, exact.at(anchor)
-        if n_now < problem.m:
-            w = rademacher_probes(problem.m, n_now, seed, "m3c", t)
-        else:
-            w = canonical_probes(problem.m)
-        if not stayed:
-            # an anchor that did not move keeps its preconditioner
-            pre = psi_preconditioner(problem, theta_t, seed=seed)
-        surrogate = build_surrogate(
-            problem, theta_t, w, pre=pre, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit
-        )
-        return surrogate, surrogate.value(theta_t)
-
-    theta = box_start(problem, theta0)
-    return _mm_chain(
-        problem, theta, None, majorant, audit, outer_iters, tol, inner_iters, inner_tol
+    return _m3c_chain(
+        problem, box_start(problem, theta0), None, int(n_probes), seed=seed,
+        outer_iters=outer_iters, tol=tol, inner_iters=inner_iters,
+        inner_tol=inner_tol, pcg_tol=pcg_tol, pcg_maxit=pcg_maxit,
     )

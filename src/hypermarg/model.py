@@ -12,9 +12,9 @@ reported costs exact.
 
 The marginal covariance  Psi(theta) = A(y) Q(psi) A(y)^T + sigma^2 I  is exposed
 as :class:`PsiOperator`; one application costs two A-applications (forward
-plus adjoint), one Q- and one R-application by construction.  The legs run
-through the operators' uncounted applies, and each Psi application charges
-the ledger once per column with those same counts.
+plus adjoint) and one Q-application by construction, and sigma^2 I costs no
+product.  The legs run through the operators' uncounted applies, and each Psi
+application charges the ledger once per column with those same counts.
 """
 
 import functools
@@ -152,14 +152,12 @@ class CounterLedger:
 
     a: MatvecCounter = field(default_factory=MatvecCounter)
     q: MatvecCounter = field(default_factory=MatvecCounter)
-    r: MatvecCounter = field(default_factory=MatvecCounter)
     psi: MatvecCounter = field(default_factory=MatvecCounter)
 
     def snapshot(self):
         return {
             "a": self.a.count,
             "q": self.q.count,
-            "r": self.r.count,
             "psi": self.psi.count,
         }
 
@@ -184,7 +182,6 @@ class PsiOperator(SymOp):
         k = 1 if v.ndim == 1 else v.shape[1]
         a.counter.increment(2 * k)
         q.counter.increment(k)
-        r.counter.increment(k)
         return a._apply(q._apply(a._apply_t(v))) + r._apply(v)
 
 
@@ -258,7 +255,7 @@ class ProblemSpec:
         return float(psi[self.noise_index])
 
     def build_r(self, psi):
-        return ScaledIdentityOp(self.noise_variance(psi), self.m, self.counters.r)
+        return ScaledIdentityOp(self.noise_variance(psi), self.m)
 
     def residual_offset(self, theta):
         """c(theta) = A(y) mu_x - b (uses a counted A application if mu_x != 0)."""

@@ -8,7 +8,7 @@ shared between operators — a forward map and its derivative built for the same
 problem can report into one ledger or into separate ones, at the builder's
 choice.  A composite operator may run its parts through their uncounted
 ``_apply``/``_apply_t`` and charge their counters itself: ``model.PsiOperator``
-charges A, Q and R per column, in one call each, the same counts their counted
+charges A and Q per column, in one call each, the same counts their counted
 applies would have made.
 
 Every operator applies to a vector or to a block of columns through one

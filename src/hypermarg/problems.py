@@ -28,7 +28,6 @@ from .kernels import matern_covariance, matern_dlengthscale, pairwise_distances
 from .model import Box, CounterLedger, HyperPrior, ProblemSpec, synthesize_data
 from .operators import (
     DenseSymOp,
-    MatvecCounter,
     ScaledIdentityOp,
     SparseLinOp,
 )
@@ -173,10 +172,10 @@ def deblur_problem(
 
     ledger = CounterLedger()
 
-    def make_a(y, counter):
+    def make_a(y, counter=None):
         return ConvolutionOp(psf_stencil(y, halfwidth), s, counter)
 
-    a_true = make_a(y_true, MatvecCounter())
+    a_true = make_a(y_true)
     b, noise_var = synthesize_data(a_true, x_true, noise_level, seed)
     theta_true = np.concatenate([[noise_var, 1.0], y_true])
 
@@ -197,11 +196,11 @@ def deblur_problem(
         return ScaledIdentityOp(psi[1], n, ledger.q)
 
     def dq_dpsi2(psi):
-        return ScaledIdentityOp(1.0, n, MatvecCounter())
+        return ScaledIdentityOp(1.0, n)
 
     def make_da(j):
         def da(y):
-            return ConvolutionOp(psf_stencil_derivative(y, j, halfwidth), s, MatvecCounter())
+            return ConvolutionOp(psf_stencil_derivative(y, j, halfwidth), s)
 
         return da
 
@@ -299,7 +298,7 @@ def tomo_problem(
 
     ledger = CounterLedger()
     a_mat = ray_matrix(s, n_src, n_rec)
-    a_quiet = SparseLinOp(a_mat, MatvecCounter())
+    a_quiet = SparseLinOp(a_mat)
     b, noise_var = synthesize_data(a_quiet, x_true, noise_level, seed)
     theta_true = np.array([noise_var, amp_true, len_true])
 
@@ -326,10 +325,10 @@ def tomo_problem(
 
     def dq_dth2(psi):
         # Q scales as th2^2 (jitter included), so dQ/dth2 = 2 Q / th2
-        return DenseSymOp((2.0 / psi[1]) * covariance(psi[1], psi[2]), MatvecCounter())
+        return DenseSymOp((2.0 / psi[1]) * covariance(psi[1], psi[2]))
 
     def dq_dth3(psi):
-        return DenseSymOp(matern_dlengthscale(dists, psi[1], psi[2], nu), MatvecCounter())
+        return DenseSymOp(matern_dlengthscale(dists, psi[1], psi[2], nu))
 
     return ProblemSpec(
         name="tomo",
@@ -532,11 +531,11 @@ def superres_problem(
     x_true = phantom_image(s).ravel()
     ledger = CounterLedger()
 
-    def make_a(y, counter):
+    def make_a(y, counter=None):
         params = [y[per_frame * f : per_frame * (f + 1)] for f in range(frames)]
         return SuperresOp(s, decim, params, affine=affine, counter=counter)
 
-    a_true = make_a(theta_true, MatvecCounter())
+    a_true = make_a(theta_true)
     b, noise_var = synthesize_data(a_true, x_true, noise_level, seed)
     m = a_true.m
 
@@ -565,7 +564,7 @@ def superres_problem(
         frame, j_local = divmod(j, per_frame)
 
         def da(y):
-            return SuperresDerivOp(a_builder(y), frame, j_local, MatvecCounter())
+            return SuperresDerivOp(a_builder(y), frame, j_local)
 
         return da
 
@@ -615,7 +614,7 @@ def identity_problem(m=64, noise_level=0.05, seed=0, box=None):
 
     ledger = CounterLedger()
     eye = scipy.sparse.identity(m, format="csr")
-    a_quiet = SparseLinOp(eye, MatvecCounter())
+    a_quiet = SparseLinOp(eye)
     b, noise_var = synthesize_data(a_quiet, x_true, noise_level, seed)
     b *= np.sqrt((1.0 + noise_var) * m) / np.linalg.norm(b)
     theta_true = np.array([noise_var])

@@ -77,7 +77,7 @@ NO_FIELD_READER_NEEDED = {
 # the only functions that catch NumericalError, each once, with what it does
 NUMERICAL_ERROR_HANDLERS = {
     ("mm.py", "projected_gradient_min"): "backtracks from a trial point that raises",
-    ("mm.py", "_mm_chain"): "rejects a proposal the audit cannot evaluate",
+    ("mm.py", "_m3c_chain"): "rejects a proposal the audit cannot evaluate",
     ("cli.py", "main"): "exits with status 3",
 }
 

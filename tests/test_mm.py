@@ -286,7 +286,7 @@ class TestDenseMajorantAtM:
         problem = make()
         theta_t = problem.box.project(1.1 * problem.theta_true)
         anchor = dense_objective_pieces(problem, theta_t)
-        dense = hypermarg.mm._ExactMajorant(problem, anchor, n_probes=problem.m)
+        dense = hypermarg.mm._ExactMajorant(problem, anchor)
         canonical = build_surrogate(
             problem, theta_t, canonical_probes(problem.m), pcg_tol=1e-12
         )
@@ -884,6 +884,31 @@ class TestExactMMChain:
         with pytest.raises(ValueError, match="box"):
             mm_optimize_exact(problem, theta0=bad)
 
+    @pytest.mark.parametrize("make", DENSE_AT_M)
+    def test_is_m3c_with_its_probe_budget_at_m(self, make):
+        # At N = m the sampled trace is exact, so the exact chain is m3c
+        # started at its probe budget m: the same path, record for record.
+        kw = dict(outer_iters=8, tol=1e-6, inner_iters=100, inner_tol=1e-8)
+        exact = mm_optimize_exact(make(), **kw)
+        problem = make()
+        m3c = m3c_optimize(problem, n_probes=problem.m, **kw)
+        assert len(exact.records) == len(m3c.records)
+        for a, b in zip(exact.records, m3c.records):
+            assert a.theta.tobytes() == b.theta.tobytes()
+            assert a.f_audit == b.f_audit
+            assert a.fn_evals == b.fn_evals
+            assert a.inner_stop == b.inner_stop
+        assert exact.converged == m3c.converged
+
+    def test_refuses_a_problem_above_the_dense_limit(self, monkeypatch):
+        # Above DENSE_LIMIT m3c at N = m would audit by SLQ over canonical
+        # probes: the exact chain refuses instead of silently becoming that.
+        problem = tomo_problem(s=4, n_src=3, n_rec=5, seed=4)
+        monkeypatch.setattr(hypermarg.mm, "DENSE_LIMIT", problem.m - 1)
+        monkeypatch.setattr(hypermarg.objective, "DENSE_LIMIT", problem.m - 1)
+        with pytest.raises(ValueError, match="refused"):
+            mm_optimize_exact(problem, outer_iters=2)
+
     def test_null_step_from_stalled_inner_loop_is_not_convergence(self, monkeypatch):
         # An inner loop that gives up at the anchor proposes a step of 0;
         # the audit accepts it, but it must not count as convergence.  The
@@ -997,7 +1022,7 @@ class TestM3cChain:
         assert given == [None] + ended[:-1]
         assert all(step > 0 for step in ended)
 
-    def test_loop_that_finds_no_step_hands_on_the_reduced_step(self):
+    def test_loop_that_finds_no_step_hands_on_the_reduced_step(self, monkeypatch):
         # On a deterministic majorant no trial descends from the anchor: the
         # first inner loop halves down to the tolerance scale and proposes
         # the anchor, which the audit accepts.  The second loop, on the same
@@ -1007,20 +1032,22 @@ class TestM3cChain:
         theta0 = problem.box.center()
         trials = []  # each inner loop's trial points, in order
 
-        def majorant(t, theta_t, solved, widen, stayed):
+        def stub_surrogate(problem, theta_t, w, **kwargs):
             seen = []
             trials.append(seen)
 
             def value(theta):
+                if np.array_equal(theta, theta_t):
+                    return Point(theta, 0.0, None, lambda: np.ones_like(theta))
                 seen.append(theta)
                 return Point(theta, 1.0, None, lambda: np.ones_like(theta))
 
-            stub = SimpleNamespace(value=value, n_probes=0, pcg_iters=0)
-            return stub, Point(theta_t, 0.0, None, lambda: np.ones_like(theta_t))
+            return SimpleNamespace(value=value, pcg_iters=0)
 
-        out = hypermarg.mm._mm_chain(
-            problem, theta0, None, majorant, lambda theta, solved: (0.0, solved),
-            outer_iters=2, tol=1e-6, inner_iters=10, inner_tol=1e-6,
+        monkeypatch.setattr(hypermarg.mm, "build_surrogate", stub_surrogate)
+        out = m3c_optimize(
+            problem, theta0, outer_iters=2, n_probes=4, seed=0, tol=1e-6,
+            inner_iters=10, inner_tol=1e-6,
         )
         assert [rec.inner_stop for rec in out.records] == ["line_search"] * 2
         assert not out.converged

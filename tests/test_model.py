@@ -85,7 +85,7 @@ def test_psi_counter_invariant():
             apply(v)
             after = problem.counters.snapshot()
             charged = {key: after[key] - before[key] for key in after}
-            assert charged == {"a": 2 * k, "q": k, "r": k, "psi": k}, kind
+            assert charged == {"a": 2 * k, "q": k, "psi": k}, kind
 
 
 def test_build_psi_rejects_out_of_box():
@@ -218,8 +218,9 @@ def test_build_r_is_counted_noise_variance_times_identity(noise, sigma2):
     psi = np.array([0.7, 1.3])
     v = np.array([1.0, -2.0, 3.0])
     assert problem.noise_variance(psi) == sigma2
-    assert np.array_equal(problem.build_r(psi).matvec(v), sigma2 * v)
-    assert problem.counters.r.count == 1
+    r_op = problem.build_r(psi)
+    assert np.array_equal(r_op.matvec(v), sigma2 * v)
+    assert r_op.counter.count == 1
 
 
 def test_dense_symop_from_matern_spd():

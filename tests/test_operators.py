@@ -80,7 +80,8 @@ def test_sparse_block_applies_match_dense_and_count_per_column():
 
     # Symmetric operators: a block apply is its column loop, and both charge
     # one application per column.  A Psi operator also charges its legs per
-    # column: two A applications (forward and adjoint), one Q and one R.
+    # column, two A applications (forward and adjoint) and one Q, and its own
+    # ledger entry once.
     a = rng.standard_normal((6, 6))
     problems = [tomo_problem(s=5, n_src=4, n_rec=6, seed=2), deblur_problem(s=6, seed=2)]
     sym_ops = [DenseSymOp(a + a.T), ScaledIdentityOp(2.5, 6)] + [
@@ -99,7 +100,7 @@ def test_sparse_block_applies_match_dense_and_count_per_column():
         assert np.linalg.norm(block - loop) <= 1e-12 * np.linalg.norm(loop)
         if ledger:
             end = ledger.snapshot()
-            for key, per_column in (("a", 2), ("q", 1), ("r", 1)):
+            for key, per_column in (("a", 2), ("q", 1), ("psi", 1)):
                 assert mid[key] - legs[key] == end[key] - mid[key] == 3 * per_column
 
 
